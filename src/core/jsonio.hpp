@@ -1,7 +1,7 @@
 // Shared subset-JSON reader/writer helpers.
 //
-// Every JSON surface in the repo (perf bench reports, fault schedules,
-// plan files) speaks the same deliberately small dialect: objects,
+// Every JSON surface in the repo (fault schedules, the bench/e2e reports
+// and traces) speaks the same deliberately small dialect: objects,
 // arrays, strings, numbers, bools, null — no comments, no NaN/Inf
 // literals. jsonio gives them one recursive-descent cursor and one set
 // of writer primitives so the dialect cannot drift between modules and
@@ -9,8 +9,7 @@
 //
 // The cursor throws std::runtime_error on malformed input rather than
 // guessing; callers prepend their own context via the `context` tag
-// passed at construction ("perf report JSON: ...", "fault plan JSON:
-// ...").
+// passed at construction ("fault plan JSON: ...").
 #pragma once
 
 #include <string>

@@ -1,8 +1,8 @@
-// Malformed-input handling for the shared JSON layer, exercised through
-// its two public surfaces: FaultSchedule::from_json and the perf report
-// reader. Every row must be rejected with a clean std::runtime_error
-// whose message names the problem — never a crash, hang, or silently
-// wrong value.
+// Malformed-input handling for the shared JSON layer (core/jsonio.hpp),
+// exercised through FaultSchedule::from_json and directly through the
+// writer/cursor pair. Every row must be rejected with a clean
+// std::runtime_error whose message names the problem — never a crash,
+// hang, or silently wrong value.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "perf/json.hpp"
+#include "core/jsonio.hpp"
 #include "runtime/fault.hpp"
 
 namespace {
 
-using redund::perf::parse_report_text;
+using redund::core::JsonCursor;
 using redund::runtime::FaultSchedule;
 
 struct MalformedCase {
@@ -107,79 +107,31 @@ INSTANTIATE_TEST_SUITE_P(
                       "{\"events\": []} extra", "trailing garbage"}),
     malformed_case_name);
 
-class PerfJsonMalformed : public ::testing::TestWithParam<MalformedCase> {};
-
-TEST_P(PerfJsonMalformed, RejectsWithDiagnostic) {
-  const MalformedCase& row = GetParam();
-  try {
-    (void)parse_report_text(row.json);
-    FAIL() << row.name << ": input was accepted";
-  } catch (const std::runtime_error& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("perf report JSON"), std::string::npos)
-        << row.name << ": context tag missing from \"" << what << "\"";
-    EXPECT_NE(what.find(row.expected_error), std::string::npos)
-        << row.name << ": got \"" << what << "\"";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Table, PerfJsonMalformed,
-    ::testing::Values(
-        MalformedCase{"truncated_record",
-                      "{\"records\": [{\"bench\": \"pop\", \"n\":",
-                      "expected number"},
-        MalformedCase{"truncated_record_mid_object",
-                      "{\"records\": [{\"bench\": \"pop\", \"n\": 8,",
-                      "unexpected end of input"},
-        MalformedCase{"duplicate_record_key",
-                      "{\"records\": [{\"bench\": \"pop\", \"n\": 8, "
-                      "\"n\": 9}]}",
-                      "duplicate record key \"n\""},
-        MalformedCase{"overflow_items_per_sec",
-                      "{\"records\": [{\"bench\": \"pop\", "
-                      "\"items_per_sec\": 1e400}]}",
-                      "number out of range"},
-        MalformedCase{"missing_bench_name",
-                      "{\"records\": [{\"n\": 8}]}",
-                      "missing required key \"bench\""},
-        MalformedCase{"missing_records", "{\"schema\": \"x\"}",
-                      "missing \"records\" array"}),
-    malformed_case_name);
-
 // The guards must not over-reject: well-formed documents still parse,
 // including the repeated-field-name-across-*different*-events shape the
-// per-event duplicate set must not confuse with a real duplicate.
+// per-event duplicate set must not confuse with a real duplicate, and an
+// unknown key whose value nests objects and arrays, which skip_value()
+// must step over whole.
 TEST(JsonMalformedInput, WellFormedDocumentsStillParse) {
   const FaultSchedule schedule = FaultSchedule::from_json(
-      "{\"schema\": \"redund-faults-v1\", \"events\": ["
+      "{\"schema\": \"redund-faults-v1\", "
+      "\"future_field\": {\"nested\": [1, 2, {\"deep\": true}]}, "
+      "\"events\": ["
       "{\"time\": 1.5, \"kind\": \"leave\", \"participant\": 3},"
       "{\"time\": 2.5, \"kind\": \"rejoin\", \"participant\": 3},"
       "{\"time\": 4.0, \"kind\": \"blackout\", \"fraction\": 0.5, "
       "\"duration\": 2.0}]}");
   ASSERT_EQ(schedule.events.size(), 3u);
   EXPECT_EQ(schedule.events[1].participant, 3);
-
-  const auto records = parse_report_text(
-      "{\"schema\": \"redund-bench-v1\", \"records\": ["
-      "{\"bench\": \"queue_pop\", \"n\": 4096, \"items_per_sec\": 1.5e6, "
-      "\"wall_ms\": 12.5, \"threads\": 2, \"git_rev\": \"abc123\", "
-      "\"future_field\": {\"nested\": [1, 2, {\"deep\": true}]}}]}");
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].bench, "queue_pop");
-  EXPECT_EQ(records[0].threads, 2);
 }
 
 TEST(JsonMalformedInput, RoundTripSurvivesEscapedStrings) {
-  redund::perf::BenchRecord record;
-  record.bench = "odd \"name\"\twith\\escapes";
-  record.n = 7;
-  record.threads = 1;
-  record.git_rev = "r";
-  const auto parsed =
-      parse_report_text(redund::perf::to_json({record}));
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].bench, record.bench);
+  const std::string text = "odd \"name\"\twith\\escapes\n/\x01";
+  std::string json;
+  redund::core::json_append_escaped(json, text);
+  JsonCursor cursor(json, "escape round trip");
+  EXPECT_EQ(cursor.parse_string(), text);
+  EXPECT_TRUE(cursor.at_end());
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 //                       [--full-snapshot-every N] [--no-wal] [--resume]]
 //                      [--shards S [--threads T]]
 //   redundctl budget   --tasks N --budget B [--adversary P]
-//   redundctl bench    [--quick] [--out FILE]
 //   redundctl help
 //
 // plan      builds and realizes a distribution and (optionally) writes the
@@ -36,18 +35,16 @@
 //           via partner (L3) copies.
 // budget    answers "what level can I afford", including a robustness margin
 //           against an adversary share p (inverts Prop. 3).
-// bench     runs the headline perf suite and writes a BENCH_*.json report
-//           (diff two reports with the bench_compare tool).
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/constraints.hpp"
-#include "perf/json.hpp"
-#include "perf/suite.hpp"
 #include "core/detection.hpp"
 #include "core/plan_io.hpp"
 #include "core/planner.hpp"
@@ -93,17 +90,51 @@ class Args {
     if (!value) throw std::invalid_argument("missing required --" + key);
     return *value;
   }
+  [[nodiscard]] double number(const std::string& key) const {
+    return parse<double>(key, require(key));
+  }
   [[nodiscard]] double number(const std::string& key, double fallback) const {
     const auto value = get(key);
-    return value ? std::stod(*value) : fallback;
+    return value ? parse<double>(key, *value) : fallback;
+  }
+  [[nodiscard]] std::int64_t integer(const std::string& key) const {
+    return parse<std::int64_t>(key, require(key));
   }
   [[nodiscard]] std::int64_t integer(const std::string& key,
                                      std::int64_t fallback) const {
     const auto value = get(key);
-    return value ? std::stoll(*value) : fallback;
+    return value ? parse<std::int64_t>(key, *value) : fallback;
   }
   [[nodiscard]] bool flag(const std::string& key) const {
     return get(key).has_value();
+  }
+
+  /// Parses the value `text` of --key. The whole token must parse: "10k"
+  /// or "0.5x" throws naming the flag instead of keeping the leading
+  /// digits. Unsigned values (seeds) also take a 0x prefix.
+  template <typename T>
+  [[nodiscard]] static T parse(const std::string& key,
+                               const std::string& text) {
+    std::size_t used = 0;
+    T value{};
+    try {
+      if constexpr (std::is_floating_point_v<T>) {
+        value = std::stod(text, &used);
+      } else if constexpr (std::is_unsigned_v<T>) {
+        value = std::stoull(text, &used, 0);
+      } else {
+        value = std::stoll(text, &used);
+      }
+    } catch (const std::logic_error&) {
+      used = 0;  // not a number, or out of range: rejected below
+    }
+    if (used == 0 || used != text.size()) {
+      const char* kind =
+          std::is_floating_point_v<T> ? "a number" : "an integer";
+      throw std::invalid_argument("--" + key + " expects " + kind +
+                                  ", got '" + text + "'");
+    }
+    return value;
   }
 
  private:
@@ -137,8 +168,8 @@ core::RealizedPlan load_plan(const std::string& path) {
 
 int cmd_plan(const Args& args) {
   core::PlanRequest request;
-  request.task_count = static_cast<std::int64_t>(std::stoll(args.require("tasks")));
-  request.epsilon = std::stod(args.require("epsilon"));
+  request.task_count = args.integer("tasks");
+  request.epsilon = args.number("epsilon");
   request.scheme = parse_scheme(args.get("scheme").value_or("balanced"));
   request.minimum_multiplicity = args.integer("min-mult", 2);
   request.lp_dimension = args.integer("lp-dim", 12);
@@ -170,7 +201,7 @@ int cmd_plan(const Args& args) {
 
 int cmd_analyze(const Args& args) {
   const core::RealizedPlan plan = load_plan(args.require("plan"));
-  const double epsilon = std::stod(args.require("epsilon"));
+  const double epsilon = args.number("epsilon");
   const bool has_ringers = plan.ringer_count > 0;
   const core::Distribution deployed = plan.as_distribution(has_ringers);
 
@@ -201,7 +232,7 @@ int cmd_analyze(const Args& args) {
 int cmd_simulate(const Args& args) {
   const core::RealizedPlan plan = load_plan(args.require("plan"));
   sim::AdversaryConfig adversary;
-  adversary.proportion = std::stod(args.require("adversary"));
+  adversary.proportion = args.number("adversary");
   adversary.strategy = parse_strategy(args.get("strategy").value_or("always"));
   if (adversary.strategy == sim::CheatStrategy::kExactTuple) {
     adversary.tuple_size = 2;
@@ -327,8 +358,8 @@ int cmd_run_async(const Args& args) {
 }
 
 int cmd_budget(const Args& args) {
-  const auto tasks = std::stod(args.require("tasks"));
-  const auto budget = std::stod(args.require("budget"));
+  const double tasks = args.number("tasks");
+  const double budget = args.number("budget");
   const double p = args.number("adversary", 0.0);
 
   const double affordable = core::balanced_level_for_budget(tasks, budget);
@@ -352,34 +383,14 @@ int cmd_budget(const Args& args) {
   return 0;
 }
 
-int cmd_bench(const Args& args) {
-  redund::perf::SuiteOptions options;
-  options.quick = args.flag("quick");
-  const std::string out = args.get("out").value_or("BENCH_PR8.json");
-
-  const auto records = redund::perf::run_suite(options);
-  rep::Table table({"bench", "n", "threads", "items/sec", "wall_ms"});
-  for (const auto& r : records) {
-    table.add_row({r.bench, rep::with_commas(static_cast<double>(r.n)),
-                   std::to_string(r.threads), rep::scientific(r.items_per_sec, 3),
-                   rep::fixed(r.wall_ms, 1)});
-  }
-  table.print(std::cout);
-  redund::perf::write_report(out, records);
-  std::cout << "wrote " << out << " (" << records.size() << " records)\n";
-  return 0;
-}
-
 int cmd_audit(const Args& args) {
   namespace runtime = redund::runtime;
   runtime::AuditOptions options;
   if (args.flag("quick")) options = runtime::quick_audit_options();
   if (const auto seed = args.get("seed")) {
-    options.seed = std::stoull(*seed, nullptr, 0);
+    options.seed = Args::parse<std::uint64_t>("seed", *seed);
   }
-  if (const auto tasks = args.get("tasks")) {
-    options.target_tasks = std::stoll(*tasks);
-  }
+  options.target_tasks = args.integer("tasks", options.target_tasks);
   if (const auto scratch = args.get("scratch")) {
     options.scratch_dir = *scratch;
   }
@@ -410,7 +421,6 @@ subcommands:
             [--full-snapshot-every N] [--no-wal] [--resume]]
            [--shards S [--threads T]]
   budget   --tasks N --budget B [--adversary P]
-  bench    [--quick] [--out FILE]
   audit    [--quick] [--seed S] [--tasks N] [--scratch DIR]
   help
 )";
@@ -431,7 +441,6 @@ int main(int argc, char** argv) {
     if (command == "simulate") return cmd_simulate(args);
     if (command == "run-async") return cmd_run_async(args);
     if (command == "budget") return cmd_budget(args);
-    if (command == "bench") return cmd_bench(args);
     if (command == "audit") return cmd_audit(args);
     std::cerr << "unknown subcommand '" << command << "' (try: help)\n";
     return 2;
