@@ -23,8 +23,8 @@ std::vector<std::string> split_components(const std::string& name) {
 }
 
 /// Method names too generic to resolve through an object expression:
-/// `x.flush()` on a stream must not link to CheckpointWriter::flush just
-/// because that happens to be the only project method named flush.
+/// `x.flush()` on a stream must not link to a project class's flush()
+/// just because that happens to be the only project method named flush.
 bool is_generic_method_name(const std::string& name) {
   static const char* kNames[] = {
       "flush",  "push_back", "pop_back", "insert", "erase",  "clear",

@@ -275,8 +275,8 @@ class FileLinter {
           if (contains_token(code, call)) {
             report_(i, "blocking-io-in-hot",
                     std::string("blocking I/O call ") + call +
-                        ") inside a `redund: hot` function — hand bytes to "
-                        "the async journal writer instead");
+                        ") inside a `redund: hot` function — keep I/O off "
+                        "the per-event path (write at batch boundaries)");
             io_reported = true;
             break;
           }
@@ -285,7 +285,8 @@ class FileLinter {
                              code.find(".flush(") != std::string::npos)) {
           report_(i, "blocking-io-in-hot",
                   "stream write/flush inside a `redund: hot` function — "
-                  "hand bytes to the async journal writer instead");
+                  "keep I/O off the per-event path (write at batch "
+                  "boundaries)");
         }
         if (!loop_depths.empty() || line_opens_loop) {
           for (const char* call : kPerElementGrowth) {

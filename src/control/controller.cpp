@@ -77,15 +77,4 @@ ReplanBudgets CampaignController::budgets(bool top_verified) const noexcept {
   return budgets;
 }
 
-void CampaignController::restore(std::int64_t wrong, std::int64_t right,
-                                 std::int64_t observations,
-                                 std::int64_t last_replan_completed,
-                                 double dropout_value,
-                                 bool dropout_initialized) {
-  estimator_.restore_counts(wrong, right);
-  observations_ = observations;
-  last_replan_completed_ = last_replan_completed;
-  dropout_.restore(dropout_value, dropout_initialized);
-}
-
 }  // namespace redund::control

@@ -9,9 +9,9 @@
 // accumulated, then runs plan_remaining over the residual mix.
 //
 // Determinism rules (docs/control.md): the controller owns no RNG and
-// never reads the clock; its entire mutable state is four integers and
-// the dropout EWMA, all serialized into journal checkpoints, so a
-// killed-and-resumed campaign replays identical re-plan decisions.
+// never reads the clock, and its inputs arrive in event order, so a
+// killed-and-resumed campaign (re-run from its seed) replays identical
+// re-plan decisions.
 #pragma once
 
 #include <cstdint>
@@ -94,22 +94,11 @@ class CampaignController {
   [[nodiscard]] const AdversaryEstimator& estimator() const noexcept {
     return estimator_;
   }
-  [[nodiscard]] const RateEwma& dropout() const noexcept { return dropout_; }
   /// Independent tally of observe_outcome calls — the conservation
   /// invariant cross-checks it against the posterior's counts.
   [[nodiscard]] std::int64_t observations() const noexcept {
     return observations_;
   }
-  [[nodiscard]] std::int64_t last_replan_completed() const noexcept {
-    return last_replan_completed_;
-  }
-
-  /// Checkpoint restore (the config itself is not state; the caller
-  /// reconstructs the controller from the same RuntimeConfig).
-  void restore(std::int64_t wrong, std::int64_t right,
-               std::int64_t observations, std::int64_t last_replan_completed,
-               double dropout_value, bool dropout_initialized);
-
  private:
   ControlConfig config_;
   AdversaryEstimator estimator_;

@@ -114,16 +114,6 @@ double AdversaryEstimator::upper_credible(double quantile) const {
   return hi;
 }
 
-void AdversaryEstimator::restore_counts(std::int64_t wrong,
-                                        std::int64_t right) {
-  if (wrong < 0 || right < 0) {
-    throw std::invalid_argument(
-        "AdversaryEstimator::restore_counts: counts must be >= 0");
-  }
-  wrong_ = wrong;
-  right_ = right;
-}
-
 RateEwma::RateEwma(double alpha) : alpha_(alpha) {
   if (!(alpha > 0.0) || alpha > 1.0) {
     throw std::invalid_argument("RateEwma: alpha must be in (0, 1]");
@@ -138,11 +128,6 @@ void RateEwma::observe(bool hit) noexcept {
     return;
   }
   value_ = alpha_ * sample + (1.0 - alpha_) * value_;
-}
-
-void RateEwma::restore(double value, bool initialized) noexcept {
-  value_ = value;
-  initialized_ = initialized;
 }
 
 }  // namespace redund::control

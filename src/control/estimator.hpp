@@ -46,8 +46,6 @@ class AdversaryEstimator {
   /// posterior. Negative counts are invalid.
   void observe(std::int64_t wrong, std::int64_t right);
 
-  [[nodiscard]] std::int64_t wrong_count() const noexcept { return wrong_; }
-  [[nodiscard]] std::int64_t right_count() const noexcept { return right_; }
   [[nodiscard]] std::int64_t observations() const noexcept {
     return wrong_ + right_;
   }
@@ -61,10 +59,6 @@ class AdversaryEstimator {
   /// beta_cdf (64 fixed halvings — deterministic, ~1e-19 interval).
   /// quantile in (0, 1); e.g. 0.95 for the planning-pessimistic limit.
   [[nodiscard]] double upper_credible(double quantile) const;
-
-  /// Checkpoint restore: overwrite the observation counters (the prior
-  /// is configuration, re-supplied at construction).
-  void restore_counts(std::int64_t wrong, std::int64_t right);
 
  private:
   double prior_alpha_ = 1.0;
@@ -88,9 +82,6 @@ class RateEwma {
   /// Current smoothed rate; 0 before the first observation.
   [[nodiscard]] double value() const noexcept { return value_; }
   [[nodiscard]] bool initialized() const noexcept { return initialized_; }
-
-  /// Checkpoint restore.
-  void restore(double value, bool initialized) noexcept;
 
  private:
   double alpha_ = 0.05;

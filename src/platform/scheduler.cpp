@@ -202,26 +202,6 @@ std::optional<std::size_t> Scheduler::try_add_replica(
   return units_.size() - 1;
 }
 
-void Scheduler::restore_units(std::vector<WorkUnit> units,
-                              std::int64_t registry_size) {
-  if (registry_size < 0) {
-    throw std::invalid_argument("Scheduler::restore_units: bad registry size");
-  }
-  for (const WorkUnit& unit : units) {
-    if (unit.task < 0 || unit.task >= task_count() ||
-        static_cast<std::int64_t>(unit.assignee) >= registry_size) {
-      throw std::invalid_argument(
-          "Scheduler::restore_units: unit references an unknown task or "
-          "identity");
-    }
-  }
-  units_ = std::move(units);
-  for (auto& holders : holders_by_task_) holders.clear();
-  for (const WorkUnit& unit : units_) {
-    record_hold_(unit.assignee, unit.task);
-  }
-}
-
 std::vector<std::size_t> Scheduler::reassign_from(
     ParticipantId from, Registry& registry, rng::Xoshiro256StarStar& engine) {
   std::vector<ParticipantId> active;

@@ -71,14 +71,6 @@ class Scheduler {
                                              Registry& registry,
                                              rng::Xoshiro256StarStar& engine);
 
-  /// Reinstates a checkpointed unit table (initial deal plus appended
-  /// replicas, in creation order) and rebuilds the hold index from it —
-  /// holds are a pure function of the current assignments, which is what
-  /// makes the scheduler checkpointable by serializing units() alone.
-  /// `registry_size` sizes the hold index (identities enrolled at restore
-  /// time). Throws std::invalid_argument on an inconsistent table.
-  void restore_units(std::vector<WorkUnit> units, std::int64_t registry_size);
-
   [[nodiscard]] const std::vector<TaskInfo>& tasks() const noexcept {
     return tasks_;
   }

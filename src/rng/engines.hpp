@@ -85,17 +85,6 @@ class Xoshiro256StarStar {
     state_ = accumulated;
   }
 
-  /// The raw 256-bit state, for checkpoint serialization. A state saved
-  /// with state() and reinstated with set_state() resumes the exact
-  /// output sequence.
-  [[nodiscard]] constexpr const std::array<std::uint64_t, 4>& state()
-      const noexcept {
-    return state_;
-  }
-  constexpr void set_state(const std::array<std::uint64_t, 4>& state) noexcept {
-    state_ = state;
-  }
-
  private:
   static constexpr std::uint64_t rotl_(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -113,8 +113,9 @@ RuntimeConfig base_config(const AuditOptions& options) {
 /// The static base plus the online controller and an adversary whose
 /// colluding fraction drifts mid-campaign (step down, then ramp back up)
 /// — the configuration whose determinism the control subsystem must not
-/// break: kReplan events, boost/release bookkeeping, and the controller
-/// state in every checkpoint all join the byte-identity contract.
+/// break: kReplan events, boost/release bookkeeping, and the re-plan
+/// decisions a resumed re-run repeats all join the byte-identity
+/// contract.
 RuntimeConfig adaptive_config(const AuditOptions& options) {
   RuntimeConfig config = base_config(options);
   config.control.enabled = true;
@@ -247,14 +248,10 @@ void audit_matrix(const AuditOptions& options, const RuntimeConfig& base,
                                queue_name(queue) + "-f" +
                                std::to_string(fraction) + "-shard" +
                                std::to_string(s) + ".journal";
-          // Checkpoint often enough that the kill lands between
-          // checkpoints, exercising the WAL-verified replay suffix; a
-          // full snapshot every third checkpoint makes every resume
-          // compose an L2 with a short L1 delta chain (the multi-level
-          // recovery path, not just the legacy full-snapshot one).
+          // Digest often enough that resume verifies several recorded
+          // boundaries before the kill point.
           shard.journal.checkpoint_interval =
               std::max<std::int64_t>(shard_events[s] / 7, 16);
-          shard.journal.full_snapshot_every = 3;
           const std::int64_t kill_at = std::max<std::int64_t>(
               1, static_cast<std::int64_t>(
                      static_cast<double>(shard_events[s]) * fraction));
@@ -282,38 +279,36 @@ void audit_matrix(const AuditOptions& options, const RuntimeConfig& base,
       }
     }
 
-    // Partner (L3) recovery: run the fleet journaled (run() replicates
-    // each shard's latest L2 into its ring partner's journal), delete
-    // one shard's journal file outright, and resume the whole fleet.
-    // The lost shard must come back bit-identically via the partner
-    // copy; the survivors resume from their own journals.
+    // Lost journal: run the fleet journaled, delete one shard's journal
+    // file outright, and resume the whole fleet. The lost shard must
+    // come back bit-identically by re-running from its seed; the
+    // survivors resume from their own journals.
     if (shards >= 2) {
       RuntimeConfig config = base;
       config.queue = options.queue_kinds.front();
       config.journal.path = options.scratch_dir + "/audit-" + tag + "-s" +
-                            std::to_string(shards) + "-partner.journal";
+                            std::to_string(shards) + "-lost.journal";
       std::int64_t min_events = shard_events.front();
       for (const std::int64_t events : shard_events) {
         min_events = std::min(min_events, events);
       }
-      // Checkpoint inside even the smallest shard, with fulls frequent
-      // enough that every shard has an L2 worth replicating.
+      // Digest inside even the smallest shard, so every surviving
+      // journal has records to verify.
       config.journal.checkpoint_interval =
           std::max<std::int64_t>(min_events / 5, 16);
-      config.journal.full_snapshot_every = 2;
       const ShardedSupervisor journaled(config, shards);
       try {
         parallel::ThreadPool pool(options.thread_counts.front());
         const RuntimeReport full = journaled.run(pool);
         result.runs += static_cast<std::size_t>(journaled.shard_count());
-        group.cell("partner-recovery run", report_fingerprint(full));
+        group.cell("lost-journal run", report_fingerprint(full));
         std::filesystem::remove(
             journaled.shard_configs().front().journal.path);
         const RuntimeReport recovered = journaled.resume(pool);
         result.runs += static_cast<std::size_t>(journaled.shard_count());
-        group.cell("partner-recovery resume", report_fingerprint(recovered));
+        group.cell("lost-journal resume", report_fingerprint(recovered));
       } catch (const std::exception& error) {
-        group.failure("partner-recovery", error.what());
+        group.failure("lost-journal", error.what());
       }
     }
   }

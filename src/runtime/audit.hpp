@@ -62,8 +62,8 @@ struct AuditOptions {
 
   /// Run the whole matrix a second time with the online adaptive
   /// controller enabled over a drifting-adversary fault schedule, so
-  /// kReplan events, controller checkpoints, and boost/release
-  /// bookkeeping are inside the byte-identity contract too.
+  /// kReplan events, re-plan decisions, and boost/release bookkeeping
+  /// are inside the byte-identity contract too.
   bool include_adaptive = true;
 };
 

@@ -139,34 +139,6 @@ class EventQueue {
     return {scratch.data(), scratch.size()};
   }
 
-  /// Sequence number the next schedule() will stamp (checkpoint state).
-  [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
-
-  /// The pending events in (time, seq) order, for checkpointing.
-  [[nodiscard]] std::vector<Event> snapshot() const {
-    std::vector<Event> events = heap_;
-    std::sort(events.begin(), events.end(),
-              [](const Event& a, const Event& b) noexcept {
-                return fires_before(a, b);
-              });
-    return events;
-  }
-
-  /// Appends the pending events to `out` in unspecified order — the raw
-  /// staging copy behind an L2 checkpoint payload; the writer thread
-  /// sorts canonically off the hot path.
-  void snapshot_into(std::vector<Event>& out) const {
-    out.insert(out.end(), heap_.begin(), heap_.end());
-  }
-
-  /// Reinstates a snapshot (events sorted by fires_before) and the seq
-  /// cursor. Only meaningful on a fresh queue. An ascending-sorted array
-  /// is already a valid min-heap, so the heap is adopted as-is.
-  void restore(std::vector<Event> events, std::uint64_t seq) {
-    heap_ = std::move(events);
-    next_seq_ = seq;
-  }
-
  private:
   // "a fires after b" — makes the max-heap algorithms yield a min-heap.
   struct After {
@@ -339,48 +311,6 @@ class CalendarQueue {
       --size_;
     }
     return {scratch.data(), scratch.size()};
-  }
-
-  /// Sequence number the next schedule() will stamp (checkpoint state).
-  [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
-
-  /// The pending events in (time, seq) order, for checkpointing.
-  [[nodiscard]] std::vector<Event> snapshot() const {
-    std::vector<Event> events;
-    events.reserve(size_);
-    events.insert(events.end(), staged_.begin(), staged_.end());
-    for (std::size_t b = 0; b < headers_.size(); ++b) {
-      const Event* slice = arena_.data() + begin_[b];
-      events.insert(events.end(), slice, slice + headers_[b].count);
-    }
-    events.insert(events.end(), overflow_.begin(), overflow_.end());
-    std::sort(events.begin(), events.end(),
-              [](const Event& a, const Event& b) noexcept {
-                return fires_before(a, b);
-              });
-    return events;
-  }
-
-  /// Appends the pending events to `out` in unspecified order (see
-  /// EventQueue::snapshot_into) — no sort, no per-bucket gather order
-  /// guarantees; the checkpoint writer thread sorts canonically.
-  void snapshot_into(std::vector<Event>& out) const {
-    out.insert(out.end(), staged_.begin(), staged_.end());
-    for (std::size_t b = 0; b < headers_.size(); ++b) {
-      const Event* slice = arena_.data() + begin_[b];
-      out.insert(out.end(), slice, slice + headers_[b].count);
-    }
-    out.insert(out.end(), overflow_.begin(), overflow_.end());
-  }
-
-  /// Reinstates a snapshot and the seq cursor. Only meaningful on a fresh
-  /// queue: the events re-enter the staging phase, so the first pop bulk
-  /// loads them exactly like a cold campaign's initial schedule.
-  void restore(std::vector<Event> events, std::uint64_t seq) {
-    staged_ = std::move(events);
-    staging_ = true;
-    size_ = staged_.size();
-    next_seq_ = seq;
   }
 
  private:
@@ -566,8 +496,8 @@ class CalendarQueue {
     }
   }
 
-  /// Builds the arena from a materialized event vector (the staging
-  /// flush and snapshot restore paths).
+  /// Builds the arena from the staged initial events (schedule() has
+  /// already folded their times into max_time_).
   void build_(std::vector<Event>& source) {
     overflow_.clear();
     arena_live_ = source.size();
@@ -581,9 +511,6 @@ class CalendarQueue {
       lo = std::min(lo, event.time);
       hi = std::max(hi, event.time);
     }
-    // Restored snapshots bypass schedule(); fold their span into the
-    // monotone high-water mark the in-place rebuild relies on.
-    max_time_ = std::max(max_time_, hi);
     build_core_(source.size(), lo, hi, lo, [&](const auto& visit) {
       for (const Event& event : source) visit(event);
     });

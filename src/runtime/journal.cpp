@@ -7,16 +7,21 @@
 #include <iterator>
 #include <stdexcept>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#define REDUND_HAVE_FSYNC 1
+#else
+#define REDUND_HAVE_FSYNC 0
+#endif
+
 namespace redund::runtime {
 
-namespace detail {
+namespace {
 
+constexpr const char* kMagic = "redund-journal-v3";
 constexpr char kHexDigits[] = "0123456789abcdef";
 
-/// Appends `value` as minimal-width lowercase hex. The WAL writes one
-/// record per processed event, so these appenders are the hot path —
-/// hand-rolled instead of snprintf (which costs a format-string parse
-/// per call) and allocation-free.
+/// Appends `value` as minimal-width lowercase hex.
 void append_hex(std::string& out, std::uint64_t value) {
   char buffer[16];
   int i = 16;
@@ -27,7 +32,8 @@ void append_hex(std::string& out, std::uint64_t value) {
   out.append(buffer + i, static_cast<std::size_t>(16 - i));
 }
 
-/// Appends `value` as exactly 16 hex digits (IEEE-754 bit patterns).
+/// Appends `value` as exactly 16 hex digits (IEEE-754 bit patterns,
+/// digests).
 void append_hex16(std::string& out, std::uint64_t value) {
   char buffer[16];
   for (int i = 15; i >= 0; --i) {
@@ -37,73 +43,20 @@ void append_hex16(std::string& out, std::uint64_t value) {
   out.append(buffer, 16);
 }
 
-void append_dec(std::string& out, std::int64_t value) {
+template <typename Int>
+void append_dec(std::string& out, Int value) {
   char buffer[24];
   const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
   out.append(buffer, static_cast<std::size_t>(result.ptr - buffer));
 }
 
-void append_udec(std::string& out, std::uint64_t value) {
-  char buffer[24];
-  const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
-  out.append(buffer, static_cast<std::size_t>(result.ptr - buffer));
-}
-
-}  // namespace detail
-
-namespace {
-
-constexpr const char* kMagic = "redund-journal-v2";
-
-[[nodiscard]] bool parse_u64_hex(const std::string& token,
-                                 std::uint64_t& out) {
-  if (token.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    std::uint64_t digit = 0;
-    if (c >= '0' && c <= '9') digit = static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f')
-      digit = static_cast<std::uint64_t>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F')
-      digit = static_cast<std::uint64_t>(c - 'A' + 10);
-    else return false;
-    value = value * 16 + digit;
-  }
-  out = value;
-  return true;
-}
-
-[[nodiscard]] bool parse_u64_dec(const std::string& token,
-                                 std::uint64_t& out) {
-  if (token.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
-
-[[nodiscard]] bool parse_i64_dec(const std::string& token,
-                                 std::int64_t& out) {
-  if (token.empty()) return false;
-  std::size_t i = 0;
-  bool negative = false;
-  if (token[0] == '-') {
-    negative = true;
-    i = 1;
-    if (token.size() == 1) return false;
-  }
-  std::uint64_t magnitude = 0;
-  for (; i < token.size(); ++i) {
-    const char c = token[i];
-    if (c < '0' || c > '9') return false;
-    magnitude = magnitude * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = negative ? -static_cast<std::int64_t>(magnitude)
-                 : static_cast<std::int64_t>(magnitude);
-  return true;
+/// Parses a whole token as an integer in `base`; false on any stray
+/// character or overflow.
+template <typename Int>
+[[nodiscard]] bool parse_int(const std::string& token, Int& out, int base) {
+  const char* end = token.data() + token.size();
+  const auto result = std::from_chars(token.data(), end, out, base);
+  return !token.empty() && result.ec == std::errc{} && result.ptr == end;
 }
 
 /// Splits `line` into whitespace-separated tokens.
@@ -125,21 +78,6 @@ constexpr const char* kMagic = "redund-journal-v2";
   return tokens;
 }
 
-/// Finds the offsets of the first `count` spaces in `line`, for records
-/// ("C", "D") whose last field is a blob that keeps its internal
-/// spacing and therefore cannot go through tokenize().
-[[nodiscard]] bool find_spaces(const std::string& line, std::size_t* spaces,
-                               int count) {
-  std::size_t from = 0;
-  for (int i = 0; i < count; ++i) {
-    const std::size_t at = line.find(' ', from);
-    if (at == std::string::npos) return false;
-    spaces[i] = at;
-    from = at + 1;
-  }
-  return true;
-}
-
 }  // namespace
 
 std::uint64_t fnv1a_hash(const std::string& bytes) noexcept {
@@ -153,57 +91,37 @@ std::uint64_t fnv1a_hash(const std::string& bytes) noexcept {
 
 void StateWriter::u64(std::uint64_t value) {
   if (!text_.empty()) text_ += ' ';
-  detail::append_hex(text_, value);
+  append_hex(text_, value);
 }
 
 void StateWriter::i64(std::int64_t value) {
   if (!text_.empty()) text_ += ' ';
-  detail::append_dec(text_, value);
+  append_dec(text_, value);
 }
 
 void StateWriter::f64(double value) {
   if (!text_.empty()) text_ += ' ';
-  detail::append_hex16(text_, std::bit_cast<std::uint64_t>(value));
+  append_hex16(text_, std::bit_cast<std::uint64_t>(value));
 }
 
-std::string StateReader::next_token_() {
-  while (p_ != end_ && std::isspace(static_cast<unsigned char>(*p_))) ++p_;
-  if (p_ == end_) {
-    throw std::runtime_error("journal state blob: unexpected end of data");
+std::uint64_t fold_events(std::uint64_t digest,
+                          std::span<const Event> events) noexcept {
+  // Each step is a bijection of the digest for a fixed word (xor, odd
+  // multiply, xorshift), so a single differing field always changes the
+  // result.
+  const auto mix = [&digest](std::uint64_t word) {
+    digest ^= word;
+    digest *= 0x9E3779B97F4A7C15ULL;
+    digest ^= digest >> 29;
+  };
+  for (const Event& event : events) {
+    mix(std::bit_cast<std::uint64_t>(event.time));
+    mix(static_cast<std::uint64_t>(event.kind));
+    mix(static_cast<std::uint64_t>(event.subject));
+    mix(event.epoch);
+    mix(event.seq);
   }
-  const char* start = p_;
-  while (p_ != end_ && !std::isspace(static_cast<unsigned char>(*p_))) ++p_;
-  return std::string(start, p_);
-}
-
-std::uint64_t StateReader::u64() {
-  std::uint64_t value = 0;
-  if (!parse_u64_hex(next_token_(), value)) {
-    throw std::runtime_error("journal state blob: bad u64 token");
-  }
-  return value;
-}
-
-std::int64_t StateReader::i64() {
-  std::int64_t value = 0;
-  if (!parse_i64_dec(next_token_(), value)) {
-    throw std::runtime_error("journal state blob: bad i64 token");
-  }
-  return value;
-}
-
-double StateReader::f64() {
-  const std::string token = next_token_();
-  std::uint64_t bits = 0;
-  if (token.size() != 16 || !parse_u64_hex(token, bits)) {
-    throw std::runtime_error("journal state blob: bad f64 token");
-  }
-  return std::bit_cast<double>(bits);
-}
-
-bool StateReader::at_end() {
-  while (p_ != end_ && std::isspace(static_cast<unsigned char>(*p_))) ++p_;
-  return p_ == end_;
+  return digest;
 }
 
 JournalContents read_journal(const std::string& path) {
@@ -221,7 +139,7 @@ JournalContents read_journal(const std::string& path) {
   // A crash mid-append leaves an unterminated final line. That partial
   // record carries no information the complete prefix lacks (the writer
   // is append-only), so drop it and recover from the prefix. Anything
-  // malformed *before* a newline is corruption, handled below.
+  // malformed *before* a newline is corruption and throws below.
   if (!data.empty() && data.back() != '\n') {
     const std::size_t last_newline = data.rfind('\n');
     data.erase(last_newline == std::string::npos ? 0 : last_newline + 1);
@@ -232,111 +150,114 @@ JournalContents read_journal(const std::string& path) {
   }
 
   std::size_t pos = 0;
-  const auto next_line = [&](std::string& line) {
+  std::size_t line_number = 0;
+  std::string line;
+  const auto next_line = [&] {
     if (pos >= data.size()) return false;
     const std::size_t end = data.find('\n', pos);  // Always found: data
     line.assign(data, pos, end - pos);             // ends with '\n'.
     pos = end + 1;
+    ++line_number;
     return true;
   };
 
-  std::string line;
-  (void)next_line(line);
+  (void)next_line();
   {
     const std::vector<std::string> header = tokenize(line);
-    if (header.size() != 3 || header[0] != kMagic) {
-      throw std::runtime_error("journal: " + path +
-                               " has no redund-journal-v2 header");
+    if (header.empty() || header[0] != kMagic) {
+      // Name what was found, so a journal of another format version
+      // reads as a version mismatch rather than as garbage.
+      const std::string found =
+          header.empty() ? std::string("an empty line")
+                         : "'" + header[0].substr(0, 32) + "'";
+      throw std::runtime_error("journal: " + path + " has header " + found +
+                               "; this build reads only " + kMagic);
     }
-    if (!parse_u64_hex(header[1], contents.config_hash) ||
-        !parse_u64_hex(header[2], contents.seed)) {
+    if (header.size() != 3 || !parse_int(header[1], contents.config_hash, 16) ||
+        !parse_int(header[2], contents.seed, 16)) {
       throw std::runtime_error("journal: " + path + " header is malformed");
     }
   }
-  // A malformed *terminated* line means corruption past repair at that
-  // point; everything after it is unreachable by the append-only writer,
-  // so parsing stops there as a backstop.
-  while (next_line(line)) {
-    if (line.empty()) continue;
-    if (line[0] == 'E') {
-      const std::vector<std::string> t = tokenize(line);
-      JournalEntry entry;
-      std::uint64_t time_bits = 0;
-      std::uint64_t kind = 0;
-      if (t.size() != 7 || !parse_u64_dec(t[1], entry.index) ||
-          t[2].size() != 16 || !parse_u64_hex(t[2], time_bits) ||
-          !parse_u64_dec(t[3], kind) || kind > 255 ||
-          !parse_i64_dec(t[4], entry.subject) ||
-          !parse_u64_dec(t[5], entry.epoch) ||
-          !parse_u64_dec(t[6], entry.seq)) {
-        break;
-      }
-      entry.time = std::bit_cast<double>(time_bits);
-      entry.kind = static_cast<std::uint8_t>(kind);
-      contents.tail.push_back(entry);
-    } else if (line[0] == 'C') {
-      // "C <index> <blob...>": split off the leading tokens by hand so
-      // the blob keeps its internal spacing.
-      std::size_t spaces[2];
-      std::int64_t index = 0;
-      if (!find_spaces(line, spaces, 2) ||
-          !parse_i64_dec(line.substr(spaces[0] + 1, spaces[1] - spaces[0] - 1),
-                         index) ||
-          index < 0) {
-        break;
-      }
-      contents.has_checkpoint = true;
-      contents.checkpoint_index = static_cast<std::uint64_t>(index);
-      contents.checkpoint_blob = line.substr(spaces[1] + 1);
-      // Every WAL record and delta so far precedes the full snapshot;
-      // the verification suffix and the delta chain restart here.
-      contents.tail.clear();
-      contents.deltas.clear();
-    } else if (line[0] == 'D') {
-      // "D <index> <base_index> <delta blob...>".
-      std::size_t spaces[3];
-      JournalDelta delta;
-      std::int64_t index = 0;
-      std::int64_t base = 0;
-      if (!find_spaces(line, spaces, 3) ||
-          !parse_i64_dec(line.substr(spaces[0] + 1, spaces[1] - spaces[0] - 1),
-                         index) ||
-          !parse_i64_dec(line.substr(spaces[1] + 1, spaces[2] - spaces[1] - 1),
-                         base) ||
-          index < 0 || base < 0) {
-        break;
-      }
-      delta.index = static_cast<std::uint64_t>(index);
-      delta.base_index = static_cast<std::uint64_t>(base);
-      delta.blob = line.substr(spaces[2] + 1);
-      contents.deltas.push_back(std::move(delta));
-      // WAL records stay: composition needs the window's pops, and the
-      // post-delta suffix still verifies the resumed replay.
-    } else if (line[0] == 'P') {
-      const std::vector<std::string> t = tokenize(line);
-      if (t.size() != 6 || !parse_u64_hex(t[1], contents.partner_config_hash) ||
-          !parse_u64_hex(t[2], contents.partner_seed) ||
-          !parse_u64_dec(t[3], contents.partner_index) ||
-          !parse_u64_dec(t[4], contents.partner_raw_size)) {
-        break;
-      }
-      contents.has_partner = true;  // Latest replicated copy wins.
-      contents.partner_payload = t[5];
-    } else if (line[0] == 'F') {
-      const std::vector<std::string> t = tokenize(line);
-      std::int64_t index = 0;
-      std::int64_t outcome = 0;
-      if (t.size() != 3 || !parse_i64_dec(t[1], index) ||
-          !parse_i64_dec(t[2], outcome)) {
-        break;
-      }
-      contents.completed = true;
-      contents.outcome = outcome;
+  while (next_line()) {
+    const std::vector<std::string> t = tokenize(line);
+    bool ok = t.size() == 3 && t[0].size() == 1 && !contents.completed;
+    if (ok && t[0][0] == 'H') {
+      DigestRecord record;
+      ok = parse_int(t[1], record.index, 10) && t[2].size() == 16 &&
+           parse_int(t[2], record.digest, 16);
+      if (ok) contents.tail.push_back(record);
+    } else if (ok && t[0][0] == 'F') {
+      ok = parse_int(t[1], contents.final_index, 10) &&
+           parse_int(t[2], contents.outcome, 10);
+      contents.completed = ok;
     } else {
-      break;
+      ok = false;
+    }
+    if (!ok) {
+      throw std::runtime_error("journal: " + path + " line " +
+                               std::to_string(line_number) +
+                               " is not a valid record");
     }
   }
+  contents.has_checkpoint = !contents.tail.empty();
   return contents;
+}
+
+JournalWriter::JournalWriter(const std::string& path,
+                             std::uint64_t config_hash, std::uint64_t seed)
+    : path_(path) {
+  file_ = std::fopen(path.c_str(), "wb");
+  if (file_ == nullptr) {
+    throw std::runtime_error("journal: cannot open " + path + " for writing");
+  }
+  std::string line = kMagic;
+  line += ' ';
+  append_hex(line, config_hash);
+  line += ' ';
+  append_hex(line, seed);
+  line += '\n';
+  try {
+    write_(line, /*sync=*/false);
+  } catch (...) {
+    std::fclose(file_);
+    throw;
+  }
+}
+
+JournalWriter::~JournalWriter() { std::fclose(file_); }
+
+void JournalWriter::digest(std::uint64_t index, std::uint64_t digest) {
+  std::string line = "H ";
+  append_dec(line, index);
+  line += ' ';
+  append_hex16(line, digest);
+  line += '\n';
+  write_(line, /*sync=*/true);
+}
+
+void JournalWriter::finish(std::uint64_t index, std::int64_t outcome) {
+  std::string line = "F ";
+  append_dec(line, index);
+  line += ' ';
+  append_dec(line, outcome);
+  line += '\n';
+  write_(line, /*sync=*/true);
+}
+
+void JournalWriter::write_(const std::string& line, bool sync) {
+  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
+    throw std::runtime_error("journal: write to " + path_ + " failed");
+  }
+  if (std::fflush(file_) != 0) {
+    throw std::runtime_error("journal: flush of " + path_ + " failed");
+  }
+#if REDUND_HAVE_FSYNC
+  if (sync && ::fsync(fileno(file_)) != 0) {
+    throw std::runtime_error("journal: fsync of " + path_ + " failed");
+  }
+#else
+  (void)sync;
+#endif
 }
 
 }  // namespace redund::runtime

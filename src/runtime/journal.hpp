@@ -1,54 +1,42 @@
-// Journal format and recovery-side parsing for crash-safe campaigns.
+// Journal format for crash-safe campaigns: a digest log, resumed by
+// re-simulation.
 //
 // The supervisor's event loop is a deterministic state machine: given
 // (RuntimeConfig, FaultSchedule) the i-th event popped, every draw, and
-// every counter are fixed. Crash safety therefore needs only a
-// write-ahead log of processed events plus periodic checkpoints, and
-// recovery simply restores the latest checkpoint and *re-runs* the
-// loop; determinism regenerates the exact post-crash suffix. The WAL's
-// tail (records after the checkpoint) is not replayed *into* the state
-// — it is used to verify that the re-executed event stream matches the
-// pre-crash one record-for-record, turning any config/seed/code
-// mismatch into an immediate "journal replay divergence" error instead
-// of a silently different report. The recovery invariant tested in
+// every counter are fixed. A killed campaign therefore needs no saved
+// state to recover: resume re-runs the loop from the seed, and
+// determinism regenerates the exact report. The journal exists only to
+// make that re-run *accountable*: it records a rolling digest of the
+// processed event stream at batch boundaries, and resume compares the
+// re-run's digest at each recorded index. Any config/seed/code mismatch
+// surfaces as an immediate "journal replay divergence" error instead of
+// a silently different report. The recovery invariant tested in
 // tests/test_recovery.cpp: kill at any event index, resume, and the
 // final RuntimeReport is byte-identical to the uninterrupted run.
 //
-// Since PR 9 the journal is multi-level (see docs/checkpointing.md):
+// File format (text, line-oriented; see docs/checkpointing.md):
 //
-//   * L2 (`C`) — a full serialization of the supervisor's mutable state;
-//   * L1 (`D`) — a delta on top of the previous checkpoint record
-//     (C or D): only the SoA lanes dirtied since that record, plus the
-//     events pushed since it. Resume composes the latest L2 with the
-//     chain of subsequent deltas; the popped events each delta window
-//     must subtract are recovered from the WAL records in the window,
-//     which is why `E` records carry the event's queue sequence number.
-//   * L3 (`P`) — a compressed copy of a *partner shard's* latest L2,
-//     appended by ShardedSupervisor so a fleet survives the loss of any
-//     single shard's journal file.
-//
-// File format (text, line-oriented; doubles as 64-bit hex of their IEEE
-// bits so round-trips are exact):
-//
-//   redund-journal-v2 <config_hash hex> <seed hex>
-//   E <index> <time bits hex> <kind> <subject> <epoch> <seq>
-//   C <index> <state blob tokens...>
-//   D <index> <base_index> <delta blob tokens...>
-//   P <partner config_hash hex> <partner seed hex> <index> <raw size> <payload>
+//   redund-journal-v3 <config_hash hex> <seed hex>
+//   H <index> <digest: 16 hex digits>
 //   F <index> <outcome>
 //
-// Records are written by the asynchronous CheckpointWriter (see
-// runtime/checkpoint.hpp) in enqueue order, so the on-disk structure is
-// exactly what a synchronous writer would have produced. A crash can
-// tear at most the final line; read_journal() drops an unterminated
-// trailing line (valid prefix, incomplete record) and recovery proceeds
-// from the last complete record. Tampering with a *terminated* record
-// still surfaces as a replay divergence during resume.
+// `H` lands at the first batch boundary at or past every
+// JournalOptions::checkpoint_interval events, and once more at a
+// graceful kill; `F` closes a finished campaign. Writes are synchronous,
+// with fflush + fsync after every `H` and the `F`. A crash
+// can tear at most the final line; read_journal() drops an unterminated
+// trailing line and recovery proceeds from the complete prefix. A
+// journal holds no state, so a damaged one can make resume refuse, but
+// never make it produce a different report.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "runtime/event_queue.hpp"
 
 namespace redund::runtime {
 
@@ -56,23 +44,12 @@ namespace redund::runtime {
 /// journal belongs to (resuming under a different config is an error).
 [[nodiscard]] std::uint64_t fnv1a_hash(const std::string& bytes) noexcept;
 
-namespace detail {
-/// Token appenders shared by StateWriter and the asynchronous record
-/// formatter in checkpoint.cpp: minimal-width lowercase hex, fixed
-/// 16-digit hex (IEEE-754 bit patterns), and decimal.
-void append_hex(std::string& out, std::uint64_t value);
-void append_hex16(std::string& out, std::uint64_t value);
-void append_dec(std::string& out, std::int64_t value);
-void append_udec(std::string& out, std::uint64_t value);
-}  // namespace detail
-
-/// Appends space-separated tokens to a single-line state blob. Doubles
-/// are written as the 16-hex-digit IEEE-754 bit pattern, so every value
-/// round-trips bit-exactly.
+/// Appends space-separated tokens to a single-line canonical byte string
+/// (config and report fingerprints hash it). Doubles are written as the
+/// 16-hex-digit IEEE-754 bit pattern, so every value is exact.
 class StateWriter {
  public:
-  /// Pre-sizes the blob. Checkpoints of large campaigns serialize
-  /// millions of tokens; reserving once avoids the reallocation copies.
+  /// Pre-sizes the string, so long reports append without reallocating.
   void reserve(std::size_t bytes) { text_.reserve(bytes); }
 
   void u64(std::uint64_t value);
@@ -86,83 +63,62 @@ class StateWriter {
   std::string text_;
 };
 
-/// Reads back a StateWriter token stream in the same order it was
-/// written. Throws std::runtime_error on malformed input or premature
-/// end — a truncated checkpoint must fail loudly, not zero-fill.
-class StateReader {
- public:
-  explicit StateReader(const std::string& text)
-      : p_(text.data()), end_(text.data() + text.size()) {}
+/// Digest of an empty event stream (the fold's starting value).
+inline constexpr std::uint64_t kEmptyDigest = 0xcbf29ce484222325ULL;
 
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] std::int64_t i64();
-  [[nodiscard]] double f64();
-  [[nodiscard]] bool boolean() { return u64() != 0; }
-  [[nodiscard]] bool at_end();
+/// Folds processed events, in processing order, into a rolling digest:
+/// each event contributes its (time bits, kind, subject, epoch, seq).
+[[nodiscard]] std::uint64_t fold_events(std::uint64_t digest,
+                                        std::span<const Event> events) noexcept;
 
- private:
-  [[nodiscard]] std::string next_token_();
-  const char* p_;
-  const char* end_;
-};
-
-/// One WAL record: the event at ordinal `index` (events processed
-/// before it) that the supervisor committed to executing. `seq` is the
-/// queue sequence number the event carried — delta composition uses it
-/// to subtract the window's popped events from the pending set.
-struct JournalEntry {
+/// One `H` record: the digest of the first `index` processed events.
+struct DigestRecord {
   std::uint64_t index = 0;
-  double time = 0.0;
-  std::uint8_t kind = 0;
-  std::int64_t subject = 0;
-  std::uint64_t epoch = 0;
-  std::uint64_t seq = 0;
+  std::uint64_t digest = 0;
 };
 
-/// One L1 delta record: lanes dirtied in the window (base_index, index]
-/// plus the events pushed in it. `base_index` names the checkpoint
-/// record (C or D) the delta builds on.
-struct JournalDelta {
-  std::uint64_t index = 0;
-  std::uint64_t base_index = 0;
-  std::string blob;  ///< StateReader token stream (delta layout).
-};
-
-/// Parsed journal: the latest full checkpoint (if any), the delta chain
-/// after it, the WAL tail since the full checkpoint, the terminal
-/// marker, and the latest partner (L3) copy if one was replicated in.
+/// Parsed journal.
 struct JournalContents {
   std::uint64_t config_hash = 0;
   std::uint64_t seed = 0;
-  bool has_checkpoint = false;
-  std::uint64_t checkpoint_index = 0;  ///< Events processed at the snapshot.
-  std::string checkpoint_blob;         ///< StateReader token stream (full).
-  std::vector<JournalDelta> deltas;    ///< D records after the latest C,
-                                       ///< in file (= ascending) order.
-  std::vector<JournalEntry> tail;      ///< WAL records with index >= the
-                                       ///< latest C (delta composition and
-                                       ///< verification suffix).
-  bool completed = false;              ///< F record present.
-  std::int64_t outcome = 0;            ///< CampaignOutcome as integer.
-  bool torn_tail = false;              ///< File ended mid-record (the
-                                       ///< unterminated line was dropped).
-
-  // Latest L3 partner record, kept compressed; checkpoint.hpp's
-  // extract_partner_blob() inflates it.
-  bool has_partner = false;
-  std::uint64_t partner_config_hash = 0;
-  std::uint64_t partner_seed = 0;
-  std::uint64_t partner_index = 0;     ///< Events processed at the copy.
-  std::uint64_t partner_raw_size = 0;  ///< Inflated blob size (bytes).
-  std::string partner_payload;         ///< base64(LZSS(full state blob)).
+  bool has_checkpoint = false;     ///< At least one `H` record.
+  std::vector<DigestRecord> tail;  ///< `H` records, in file order.
+  bool completed = false;          ///< `F` record present.
+  std::uint64_t final_index = 0;   ///< Events processed, per `F`.
+  std::int64_t outcome = 0;        ///< CampaignOutcome as integer, per `F`.
+  bool torn_tail = false;          ///< File ended mid-record (the
+                                   ///< unterminated line was dropped).
 };
 
-/// Reads a journal file back. Throws std::runtime_error on I/O failure
-/// or a malformed/foreign header. A missing trailing newline marks a
-/// torn final record: the partial line is dropped and `torn_tail` set.
-/// Parsing also stops at the first malformed *terminated* line as a
-/// backstop (records after it are unreachable by the append-only
-/// writer).
+/// Reads a journal file back. Throws std::runtime_error on I/O failure,
+/// a header of another format version (the message names it), or any
+/// malformed complete record. A missing trailing newline marks a torn
+/// final record: the partial line is dropped and `torn_tail` set.
 [[nodiscard]] JournalContents read_journal(const std::string& path);
+
+/// Owns one journal file. The constructor truncates the file and writes
+/// and flushes the header; every record is written, flushed and fsynced
+/// before the call returns. I/O failures throw std::runtime_error.
+class JournalWriter {
+ public:
+  JournalWriter(const std::string& path, std::uint64_t config_hash,
+                std::uint64_t seed);
+  ~JournalWriter();
+  JournalWriter(const JournalWriter&) = delete;
+  JournalWriter& operator=(const JournalWriter&) = delete;
+
+  /// `H <index> <digest>`.
+  void digest(std::uint64_t index, std::uint64_t digest);
+
+  /// `F <index> <outcome>`.
+  void finish(std::uint64_t index, std::int64_t outcome);
+
+ private:
+  /// Writes and flushes `line`; fsyncs too when `sync` is set.
+  void write_(const std::string& line, bool sync);
+
+  std::FILE* file_ = nullptr;
+  std::string path_;
+};
 
 }  // namespace redund::runtime

@@ -59,14 +59,6 @@ ParticipantPool::ParticipantPool(const LatencyModel& model, std::int64_t count,
   }
 }
 
-void ParticipantPool::restore_busy_until(const std::vector<double>& clocks) {
-  if (clocks.size() != free_at_.size()) {
-    throw std::invalid_argument(
-        "ParticipantPool::restore_busy_until: size mismatch");
-  }
-  free_at_ = clocks;
-}
-
 std::int64_t ParticipantPool::straggler_count() const noexcept {
   return static_cast<std::int64_t>(
       std::count(straggler_.begin(), straggler_.end(), char{1}));

@@ -85,8 +85,7 @@ class ParticipantPool {
   /// attempt consume instead of re-deriving a stream each. The whole wave
   /// is generated by the vectorized bulk kernel (rng/bulk.hpp). A pure
   /// cache over keyed coins: outcomes are byte-identical with or without
-  /// it, so it needs no checkpoint state. No-op when dropouts are
-  /// disabled.
+  /// it. No-op when dropouts are disabled.
   void prime_dropout_coins(std::uint64_t unit_count, std::int64_t attempt);
 
   /// Wave form for mid-campaign reissue storms: pre-draws the coins of an
@@ -95,15 +94,6 @@ class ParticipantPool {
   /// primed slot is valid only for the exact attempt it was primed at.
   void prime_dropout_coins_wave(const std::uint64_t* units,
                                 const std::int32_t* attempts, std::size_t n);
-
-  /// The per-participant busy-until clocks — the pool's only mutable
-  /// state, exposed for checkpoint serialization.
-  [[nodiscard]] const std::vector<double>& busy_until() const noexcept {
-    return free_at_;
-  }
-  /// Reinstates checkpointed busy-until clocks. Throws
-  /// std::invalid_argument when the size does not match the pool.
-  void restore_busy_until(const std::vector<double>& clocks);
 
  private:
   const LatencyModel model_;
@@ -115,7 +105,7 @@ class ParticipantPool {
 
   // Batched dropout coins (see prime_dropout_coins): unit u's coin in
   // primed_coins_[u] is valid when primed_attempt_for_[u] matches the
-  // issue's attempt. Derived cache, never checkpointed.
+  // issue's attempt. Derived cache.
   std::vector<std::uint8_t> primed_coins_;
   std::vector<std::int32_t> primed_attempt_for_;
   std::vector<std::uint64_t> draw_scratch_;

@@ -6,8 +6,6 @@
 #include "core/contracts.hpp"
 #include "parallel/parallel_for.hpp"
 #include "rng/engines.hpp"
-#include "runtime/checkpoint.hpp"
-#include "runtime/journal.hpp"
 
 namespace redund::runtime {
 
@@ -121,35 +119,7 @@ RuntimeReport ShardedSupervisor::run(parallel::ThreadPool& pool) const {
   parallel::parallel_for(pool, configs_.size(), [&](std::size_t s) {
     reports[s] = run_async_campaign(configs_[s]);
   });
-  // Every shard's journal is final (writer threads joined) — replicate
-  // the L3 partner copies so the fleet's journals now tolerate losing
-  // any single file.
-  if (!configs_.empty() && !configs_[0].journal.path.empty()) {
-    replicate_partner_checkpoints();
-  }
   return merge(reports);
-}
-
-void ShardedSupervisor::replicate_partner_checkpoints() const {
-  const std::size_t s_count = configs_.size();
-  if (s_count < 2 || configs_[0].journal.path.empty()) return;
-  for (std::size_t s = 0; s < s_count; ++s) {
-    JournalContents contents;
-    try {
-      contents = read_journal(configs_[s].journal.path);
-    } catch (const std::runtime_error&) {
-      continue;  // Missing or unreadable origin: nothing to replicate.
-    }
-    if (!contents.has_checkpoint) continue;  // No L2 yet.
-    // Only the latest *full* record ships — a partner rescue needs a
-    // self-contained snapshot (the delta chain references WAL records
-    // that die with the origin file). The rescue just re-runs a little
-    // more of the deterministic suffix.
-    const PartnerCopy copy =
-        make_partner_copy(contents.config_hash, contents.seed,
-                          contents.checkpoint_index, contents.checkpoint_blob);
-    append_partner_record(configs_[(s + 1) % s_count].journal.path, copy);
-  }
 }
 
 RuntimeReport ShardedSupervisor::resume(parallel::ThreadPool& pool) const {
@@ -170,27 +140,10 @@ RuntimeReport ShardedSupervisor::resume_shard_(std::size_t s) const {
   try {
     return resume_async_campaign(config);
   } catch (const std::runtime_error&) {
-    // Own journal missing or unusable — fall through to the L3 copy.
-    // Falling back can never change the output, only how much of the
-    // run is re-executed: every path below replays the same
-    // deterministic event loop.
+    // Own journal missing or unusable. Resume re-runs the shard from its
+    // seed anyway, so a plain run yields the same bytes; only the
+    // verification against the lost journal is forgone.
   }
-  try {
-    const JournalContents holder =
-        read_journal(configs_[(s + 1) % configs_.size()].journal.path);
-    if (holder.has_partner &&
-        holder.partner_config_hash == campaign_fingerprint(config) &&
-        holder.partner_seed == config.seed) {
-      write_rescue_journal(config.journal.path, holder.partner_config_hash,
-                           holder.partner_seed, holder.partner_index,
-                           extract_partner_blob(holder));
-      return resume_async_campaign(config);
-    }
-  } catch (const std::runtime_error&) {
-    // Holder journal unusable too; last resort below.
-  }
-  // Both copies gone: determinism still recovers the exact report, just
-  // by re-running the shard from the start.
   return run_async_campaign(config);
 }
 

@@ -60,33 +60,21 @@ class ShardedSupervisor {
 
   /// Runs every shard's event loop across `pool` (the calling thread
   /// participates) and returns the merged report. Bit-identical output for
-  /// any pool size. With journaling configured and more than one shard,
-  /// finishes by cross-replicating partner checkpoints (L3) so the
-  /// completed fleet's journals tolerate the loss of any one file.
-  /// Blocks inside parallel_for until every shard completes, so it must
-  /// not be called while holding the pool's sleep mutex (i.e. never from
-  /// inside a pool task that owns pool synchronization state).
+  /// any pool size. Blocks inside parallel_for until every shard
+  /// completes, so it must not be called while holding the pool's sleep
+  /// mutex (i.e. never from inside a pool task that owns pool
+  /// synchronization state).
   [[nodiscard]] RuntimeReport run(parallel::ThreadPool& pool) const
       REDUND_EXCLUDES(sleep_mutex_);
 
-  /// L3 partner redundancy: reads each shard's journal and appends a
-  /// compressed copy of its latest full (L2) checkpoint to the *next*
-  /// shard's journal (ring order, shard s -> shard (s+1) mod S). After
-  /// this, losing any single shard's journal file still leaves its
-  /// latest L2 recoverable from the partner; resume() uses it. Shards
-  /// whose journal is missing or holds no checkpoint yet are skipped.
-  /// No-op with fewer than two shards or journaling disabled.
-  void replicate_partner_checkpoints() const;
-
-  /// Resumes every shard from its journal and merges, surviving the loss
-  /// of any single shard's journal file. Per shard, in order of
-  /// preference: resume from the shard's own journal; if that fails,
-  /// reconstruct a rescue journal from the partner copy (L3) held by the
-  /// next shard and resume from it; if that fails too, re-run the shard
-  /// from scratch. Every path re-runs the same deterministic event loop,
-  /// so the merged report is bit-identical to run()'s regardless of
-  /// which path each shard took. Throws std::invalid_argument when
-  /// journaling is not configured. Same sleep-mutex exclusion as run().
+  /// Resumes every shard from its journal and merges. A shard whose
+  /// journal is missing or unusable is re-run from its seed instead:
+  /// resume re-runs from the seed as well, so the merged report is
+  /// bit-identical to run()'s either way, and losing any number of
+  /// journal files costs only their verification. A journal that
+  /// diverges from the re-run is also unusable and is replaced. Throws
+  /// std::invalid_argument when journaling is not configured. Same
+  /// sleep-mutex exclusion as run().
   [[nodiscard]] RuntimeReport resume(parallel::ThreadPool& pool) const
       REDUND_EXCLUDES(sleep_mutex_);
 
@@ -111,7 +99,7 @@ class ShardedSupervisor {
                                                  parallel::ThreadPool& pool);
 
 /// One-call convenience: shard `base` `shards` ways and resume every
-/// shard from its (or its partner's) journal. `base.journal.path` must
+/// shard from its journal. `base.journal.path` must
 /// be the same path the original run was configured with.
 [[nodiscard]] RuntimeReport resume_sharded_campaign(const RuntimeConfig& base,
                                                     std::int64_t shards,

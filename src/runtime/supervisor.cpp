@@ -1,8 +1,6 @@
 #include "runtime/supervisor.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -14,7 +12,6 @@
 #include "platform/scheduler.hpp"
 #include "platform/simd.hpp"
 #include "rng/distributions.hpp"
-#include "runtime/checkpoint.hpp"
 #include "runtime/event_queue.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/quorum.hpp"
@@ -89,10 +86,6 @@ void validate_config(const RuntimeConfig& config) {
   if (!config.journal.path.empty() && config.journal.checkpoint_interval < 1) {
     throw std::invalid_argument(
         "run_async_campaign: journal checkpoint_interval must be >= 1");
-  }
-  if (!config.journal.path.empty() && config.journal.full_snapshot_every < 1) {
-    throw std::invalid_argument(
-        "run_async_campaign: journal full_snapshot_every must be >= 1");
   }
 }
 
@@ -331,19 +324,19 @@ class Runner {
     open_journal_();
     prologue_();
     if (loop_(max_events) == LoopExit::kKilled) {
-      // A graceful shutdown: flush the buffered WAL tail so resume gets
-      // the longest possible verification suffix. (A hard crash would
-      // lose records back to the last checkpoint — recovery still works,
-      // it just verifies less.)
-      if (journal_) {
-        flush_wal_();
-        journal_->flush();
+      // A graceful shutdown: record the digest at the kill point, so
+      // resume verifies the re-run through the last processed event.
+      if (journal_ && last_digest_index_ != report_.events_processed) {
+        write_digest_();
       }
       return std::nullopt;
     }
     return epilogue_();
   }
 
+  /// Re-runs the campaign from its seed, rewriting the journal as it
+  /// goes, and checks the re-run against the recorded digests and
+  /// terminal record.
   RuntimeReport resume() {
     const JournalContents contents = read_journal(config_.journal.path);
     if (contents.config_hash != config_hash_ ||
@@ -352,36 +345,24 @@ class Runner {
           "resume_async_campaign: journal belongs to a different "
           "config/seed");
     }
-    verify_tail_ = &contents.tail;
-    verify_cursor_ = 0;
-    open_journal_();  // Truncates; the restored state is re-anchored below.
-    if (contents.has_checkpoint) {
-      // Compose the recovery point: the latest full (L2) snapshot, then
-      // each delta (L1) on top. Deltas carry the window's pushes; the
-      // window's pops come from the WAL records between the two indices.
-      std::vector<Event> pending;
-      std::uint64_t seq = 0;
-      restore_state_(contents.checkpoint_blob, pending, seq);
-      for (const JournalDelta& delta : contents.deltas) {
-        apply_delta_(delta, contents.tail, pending, seq);
-      }
-      rebuild_derived_();
-      std::sort(pending.begin(), pending.end(),
-                [](const Event& a, const Event& b) noexcept {
-                  return fires_before(a, b);
-                });
-      queue_.restore(std::move(pending), seq);
-      // Re-anchor with a fresh full snapshot immediately so a second
-      // kill before the next periodic checkpoint still resumes from
-      // here, not from scratch (checkpoint_ordinal_ is 0 here, so this
-      // is always an L2).
-      checkpoint_now_();
-    } else {
-      prologue_();
-    }
+    recorded_ = &contents.tail;
+    open_journal_();  // Truncates; the re-run writes it afresh.
+    prologue_();
+    verify_digests_();  // A kill before the first event records H 0.
     (void)loop_(-1);
-    verify_tail_ = nullptr;
-    return epilogue_();
+    if (recorded_cursor_ < contents.tail.size()) {
+      // Recorded past the last boundary the re-run reached.
+      throw divergence_(contents.tail[recorded_cursor_].index);
+    }
+    recorded_ = nullptr;
+    RuntimeReport report = epilogue_();
+    if (contents.completed &&
+        (contents.final_index !=
+             static_cast<std::uint64_t>(report.events_processed) ||
+         contents.outcome != static_cast<std::int64_t>(report.outcome))) {
+      throw divergence_(contents.final_index);
+    }
+    return report;
   }
 
  private:
@@ -392,23 +373,14 @@ class Runner {
   void open_journal_() {
     if (config_.journal.path.empty()) return;
     journal_.emplace(config_.journal.path, config_hash_, config_.seed);
-    wal_enabled_ = config_.journal.wal;
-    if (!wal_enabled_) return;  // Checkpoint-only mode stages nothing.
-    // WAL staging is bounded by the checkpoint interval (or the standing
-    // flush threshold, whichever is smaller) plus one batch of slack.
-    wal_stage_.reserve(static_cast<std::size_t>(std::min<std::int64_t>(
-                           config_.journal.checkpoint_interval,
-                           kWalFlushThreshold)) +
-                       256);
-    pushed_since_cp_.reserve(1024);
   }
 
   /// t = 0: arm the fault schedule, issue every dealt unit, arm the
   /// per-task reliability reviews and the health monitor.
   void prologue_() {
     for (std::size_t i = 0; i < config_.faults.events.size(); ++i) {
-      schedule_(config_.faults.events[i].time, EventKind::kFault,
-                static_cast<std::int64_t>(i));
+      queue_.schedule(config_.faults.events[i].time, EventKind::kFault,
+                      static_cast<std::int64_t>(i));
     }
     // The t = 0 mass issue is the one spot where every unit draws its
     // dropout coin at a known attempt (the first); batch the draws into
@@ -417,13 +389,13 @@ class Runner {
     for (std::size_t u = 0; u < units_.size(); ++u) issue_unit(u, 0.0);
     if (config_.adaptive.enabled) {
       for (std::size_t t = 0; t < tasks_.size(); ++t) {
-        schedule_(check_interval_, EventKind::kAdaptiveCheck,
-                  static_cast<std::int64_t>(t));
+        queue_.schedule(check_interval_, EventKind::kAdaptiveCheck,
+                        static_cast<std::int64_t>(t));
       }
     }
-    schedule_(health_interval_, EventKind::kHealthCheck, 0);
+    queue_.schedule(health_interval_, EventKind::kHealthCheck, 0);
     if (config_.control.enabled) {
-      schedule_(replan_period_, EventKind::kReplan, 0);
+      queue_.schedule(replan_period_, EventKind::kReplan, 0);
     }
   }
 
@@ -431,17 +403,16 @@ class Runner {
   /// already queued at the head timestamp are popped together (strictly
   /// ascending seq — identical order to one-at-a-time pops; events a
   /// handler schedules at the same timestamp carry later seqs and so form
-  /// the next batch). Sampling, journal checkpoints, and the kill/abort
+  /// the next batch). Sampling, the journal digest, and the kill/abort
   /// checks run at batch boundaries.
   ///
-  /// When nothing observes the per-event order (no replay verification,
-  /// no compiled invariants — WAL recording is batch-level and sees the
-  /// whole run regardless), same-timestamp deadline waves
-  /// take a vectorized fast path: drain_deadline_segment_ classifies whole
-  /// lanes of units stale/live with one SIMD pass and dispatches only the
-  /// live minority through the full handler. Handler calls, counters, and
-  /// every draw are identical either way — the fast path only skips
-  /// per-event dispatch of events whose handler would return immediately.
+  /// When compiled invariants do not observe the per-event order,
+  /// same-timestamp deadline waves take a vectorized fast path:
+  /// drain_deadline_segment_ classifies whole lanes of units stale/live
+  /// with one SIMD pass and dispatches only the live minority through the
+  /// full handler. Handler calls, counters, and every draw are identical
+  /// either way — the fast path only skips per-event dispatch of events
+  /// whose handler would return immediately.
   LoopExit loop_(std::int64_t max_events) {
 #if REDUND_ENABLE_INVARIANTS
     // Pop-order contract: the queue must deliver events in strictly
@@ -452,10 +423,6 @@ class Runner {
     bool have_last_popped = false;
     Event last_popped{};
 #endif
-    // WAL recording is batch-level (the whole pop_run stages in one
-    // insert), so journaling no longer forces per-event dispatch; only
-    // replay *verification* still needs to see every event one by one.
-    const bool fast_drain = verify_tail_ == nullptr;
     while (!queue_.empty()) {
       if (max_events >= 0 && report_.events_processed >= max_events) {
         return LoopExit::kKilled;
@@ -470,17 +437,6 @@ class Runner {
       }
       const std::span<const Event> batch = queue_.pop_run(batch_);
       const double batch_time = batch.front().time;
-      if (wal_enabled_) {
-        // Stage the batch's WAL records in one copy. Indices stay
-        // contiguous because every popped event advances
-        // events_processed exactly once below (scalar dispatch and the
-        // SIMD deadline segment both count per event).
-        if (wal_stage_.empty()) {
-          wal_stage_base_ =
-              static_cast<std::uint64_t>(report_.events_processed);
-        }
-        wal_stage_.insert(wal_stage_.end(), batch.begin(), batch.end());
-      }
       // The completion stream visits units in completion-time order —
       // random in unit space, so each handler opens with dependent misses
       // on the unit lanes. The next batch's head is already known here;
@@ -508,12 +464,12 @@ class Runner {
         }
       }
       report_.end_time = std::max(report_.end_time, batch_time);
-      if (fast_drain) prime_reissue_wave_(batch);
+      prime_reissue_wave_(batch);
       std::size_t i = 0;
       while (i < batch.size()) {
         const Event& event = batch[i];
 #if !REDUND_ENABLE_INVARIANTS
-        if (fast_drain && event.kind == EventKind::kDeadline) {
+        if (event.kind == EventKind::kDeadline) {
           // Maximal consecutive-subject deadline run: the storm shape the
           // prologue's unit-order mass issue produces (and every reissue
           // wave reproduces in miniature).
@@ -538,7 +494,6 @@ class Runner {
         have_last_popped = true;
         last_popped = event;
 #endif
-        verify_event_(event);
         ++report_.events_processed;
         switch (event.kind) {
           case EventKind::kCompletion: on_completion(event); break;
@@ -553,18 +508,16 @@ class Runner {
         if (stop_) break;
         ++i;
       }
-      if (wal_enabled_ && i < batch.size()) {
-        // stop_ broke mid-batch: events past position i were staged but
-        // never processed — drop them so the WAL mirrors the processed
-        // stream exactly.
-        wal_stage_.resize(wal_stage_.size() - (batch.size() - (i + 1)));
-      }
+      // A stop_ mid-batch ends the campaign before the digest could count
+      // the unprocessed rest of the batch; past here all of it ran.
       if (stop_) return LoopExit::kStopped;
       if (journal_) {
+        digest_ = fold_events(digest_, batch);
+        verify_digests_();
         if (report_.events_processed >= next_checkpoint_) {
-          checkpoint_now_();
-        } else if (wal_stage_.size() >= kWalFlushThreshold) {
-          flush_wal_();  // Bound the staging buffer between checkpoints.
+          write_digest_();
+          next_checkpoint_ =
+              report_.events_processed + config_.journal.checkpoint_interval;
         }
       }
     }
@@ -670,13 +623,12 @@ class Runner {
       report_.first_detection_time = first_detection_;
     }
     if (config_.control.enabled) {
-      // Both are closed-form functions of the serialized posterior
-      // counts, so resume reproduces them bit-for-bit.
+      // Both are closed-form functions of the posterior counts, so a
+      // resumed re-run reproduces them bit-for-bit.
       report_.p_hat_mean = controller_.p_mean();
       report_.p_hat_upper = controller_.p_upper();
     }
     if (journal_) {
-      flush_wal_();
       journal_->finish(static_cast<std::uint64_t>(report_.events_processed),
                        static_cast<std::int64_t>(outcome_));
     }
@@ -685,469 +637,31 @@ class Runner {
 
   // ------------------------------------------------------------- journaling
 
-  /// On resume, verifies the re-executed event against the pre-crash
-  /// journal's WAL tail (recording itself is batch-level in loop_).
-  void verify_event_(const Event& event) {
-    if (verify_tail_ == nullptr) return;
+  void write_digest_() {
+    journal_->digest(static_cast<std::uint64_t>(report_.events_processed),
+                     digest_);
+    last_digest_index_ = report_.events_processed;
+  }
+
+  /// On resume, every recorded `H` at or before the current event index
+  /// must sit exactly at this batch boundary and carry this digest.
+  void verify_digests_() {
+    if (recorded_ == nullptr) return;
     const auto index = static_cast<std::uint64_t>(report_.events_processed);
-    while (verify_cursor_ < verify_tail_->size() &&
-           (*verify_tail_)[verify_cursor_].index < index) {
-      ++verify_cursor_;
-    }
-    if (verify_cursor_ >= verify_tail_->size()) return;
-    const JournalEntry& want = (*verify_tail_)[verify_cursor_];
-    if (want.index != index) return;
-    if (std::bit_cast<std::uint64_t>(want.time) !=
-            std::bit_cast<std::uint64_t>(event.time) ||
-        want.kind != static_cast<std::uint8_t>(event.kind) ||
-        want.subject != event.subject || want.epoch != event.epoch ||
-        want.seq != event.seq) {
-      throw std::runtime_error(
-          "resume_async_campaign: journal replay divergence at event " +
-          std::to_string(index));
-    }
-    ++verify_cursor_;
-  }
-
-  /// Hands the staged WAL batch records to the writer thread. Indices
-  /// [wal_stage_base_, wal_stage_base_ + size) are contiguous by
-  /// construction (see loop_); append_wal swaps in a recycled empty
-  /// buffer, so the staging vector keeps its capacity.
-  void flush_wal_() {
-    if (wal_stage_.empty()) return;
-    journal_->append_wal(wal_stage_base_, wal_stage_);
-  }
-
-  /// Records the events a handler pushes while an L1 delta window is
-  /// open, then forwards to the queue. The mirrored Event carries the
-  /// exact seq the queue will stamp (read before the push), so delta
-  /// composition reinstates pending events bit-identically.
-  // redund: hot
-  void schedule_(double time, EventKind kind, std::int64_t subject,
-                 std::uint64_t epoch = 0) {
-    if (track_deltas_) {
-      pushed_since_cp_.push_back(  // redund-lint: allow(hot-alloc)
-          Event{time, queue_.next_seq(), kind, subject, epoch});
-    }
-    queue_.schedule(time, kind, subject, epoch);
-  }
-
-  /// Stamps a mutated row with the open delta window. One stamp per row
-  /// per window suffices: checkpoints only run at batch boundaries, so
-  /// every mutation a handler makes lands in the same window as its
-  /// stamp.
-  void touch_unit_(std::size_t u) {
-    if (track_deltas_) units_.dirty[u] = cp_window_;
-  }
-  void touch_task_(std::size_t t) {
-    if (track_deltas_) tasks_.dirty[t] = cp_window_;
-  }
-
-  [[nodiscard]] UnitRow unit_row_(std::size_t u) const {
-    UnitRow row;
-    row.u = static_cast<std::uint64_t>(u);
-    row.state = static_cast<std::int64_t>(units_.state[u]);
-    row.attempts = units_.attempts[u];
-    row.epoch = units_.epoch[u];
-    row.value = units_.value[u];
-    row.task = units_.task[u];
-    row.assignee = units_.assignee[u];
-    row.has_value = units_.has_value(u);
-    return row;
-  }
-
-  [[nodiscard]] TaskRow task_row_(std::size_t t) const {
-    TaskRow row;
-    row.t = static_cast<std::uint64_t>(t);
-    row.state = static_cast<std::int64_t>(tasks_.state[t]);
-    row.target_copies = tasks_.target_copies[t];
-    row.arrived = tasks_.arrived[t];
-    row.extra_replicas = tasks_.extra_replicas[t];
-    row.control_boosts = tasks_.control_boosts[t];
-    row.control_released = tasks_.control_released[t];
-    row.adversary_committed = tasks_.test(t, TaskTable::kAdversaryCommitted);
-    row.adversary_cheats = tasks_.test(t, TaskTable::kAdversaryCheats);
-    row.mismatch_counted = tasks_.test(t, TaskTable::kMismatchCounted);
-    row.ringer_counted = tasks_.test(t, TaskTable::kRingerCounted);
-    row.inconclusive_counted = tasks_.test(t, TaskTable::kInconclusiveCounted);
-    row.detected = tasks_.test(t, TaskTable::kDetected);
-    row.accepted = tasks_.accepted[t];
-    return row;
-  }
-
-  /// Stages one checkpoint — full (L2) on every Nth call, delta (L1)
-  /// between — and queues it behind the window's WAL records (FIFO, so
-  /// the window's pops are on disk before the record that needs them).
-  /// Everything here is a value copy into the writer's pooled buffers;
-  /// formatting, fwrite, and fsync all happen on the writer thread.
-  void checkpoint_now_() {
-    flush_wal_();
-    const bool full =
-        !wal_enabled_ || config_.journal.full_snapshot_every <= 1 ||
-        checkpoint_ordinal_ % config_.journal.full_snapshot_every == 0;
-    CheckpointPayload& p = journal_->stage();
-    p.full = full;
-    p.index = static_cast<std::uint64_t>(report_.events_processed);
-    p.base_index = last_checkpoint_index_;
-    CheckpointScalars& s = p.scalars;
-    s.effective_deadline = effective_deadline_;
-    s.next_sample = next_sample_;
-    s.detection_time_total = detection_time_total_;
-    s.first_detection = first_detection_;
-    s.completions_pending = completions_pending_;
-    s.recompute_used = recompute_used_;
-    s.stall_streak = stall_streak_;
-    s.last_progress = last_progress_;
-    s.ewma = ewma_;
-    s.ewma_init = ewma_init_;
-    s.min_live = min_live_;
-    s.rng = deal_engine_.state();
-    s.ctrl_wrong = controller_.estimator().wrong_count();
-    s.ctrl_right = controller_.estimator().right_count();
-    s.ctrl_observations = controller_.observations();
-    s.ctrl_last_replan = controller_.last_replan_completed();
-    s.ctrl_dropout = controller_.dropout().value();
-    s.ctrl_dropout_init = controller_.dropout().initialized();
-    s.drift_from = drift_from_;
-    s.drift_target = drift_target_;
-    s.drift_start = drift_start_;
-    s.drift_duration = drift_duration_;
-    p.report = report_;
-    p.series_base = series_base_;
-    for (const auto& record : registry_.records()) {
-      p.registry.push_back({record.blacklisted, record.assignments_completed,
-                            record.credit, record.wrong_results});
-    }
-    const auto& busy = pool_->busy_until();
-    p.busy.assign(busy.begin(), busy.end());
-    p.score.assign(score_.begin(), score_.end());
-    p.flagged.assign(flagged_.begin(), flagged_.end());
-    p.offline.assign(offline_count_.begin(), offline_count_.end());
-    p.window_active.assign(window_active_.begin(), window_active_.end());
-    p.unit_total = static_cast<std::int64_t>(units_.size());
-    if (full) {
-      for (std::size_t u = 0; u < units_.size(); ++u) {
-        p.units.push_back(unit_row_(u));
+    while (recorded_cursor_ < recorded_->size() &&
+           (*recorded_)[recorded_cursor_].index <= index) {
+      const DigestRecord& want = (*recorded_)[recorded_cursor_];
+      if (want.index != index || want.digest != digest_) {
+        throw divergence_(want.index);
       }
-      for (std::size_t t = 0; t < tasks_.size(); ++t) {
-        p.tasks.push_back(task_row_(t));
-      }
-      queue_.snapshot_into(p.events);  // Unsorted; the writer sorts.
-      pushed_since_cp_.clear();
-    } else {
-      for (std::size_t u = 0; u < units_.size(); ++u) {
-        if (units_.dirty[u] == cp_window_) p.units.push_back(unit_row_(u));
-      }
-      for (std::size_t t = 0; t < tasks_.size(); ++t) {
-        if (tasks_.dirty[t] == cp_window_) p.tasks.push_back(task_row_(t));
-      }
-      p.events.swap(pushed_since_cp_);  // Leaves the push log empty.
-    }
-    p.next_seq = queue_.next_seq();
-    const std::uint64_t index = p.index;  // p is the writer's after submit.
-    journal_->submit();
-    last_checkpoint_index_ = index;
-    series_base_ = report_.series.size();
-    ++checkpoint_ordinal_;
-    // Delta tracking arms only once a full snapshot exists to anchor the
-    // chain (so a fresh run's prologue pushes are never recorded), and
-    // the window counter advances only while deltas are live. Without
-    // the WAL there are no pop records to compose a delta against, so
-    // checkpoint-only mode stays all-full.
-    if (full) {
-      track_deltas_ = wal_enabled_ && config_.journal.full_snapshot_every > 1;
-    }
-    if (track_deltas_) ++cp_window_;
-    next_checkpoint_ =
-        report_.events_processed + config_.journal.checkpoint_interval;
-  }
-
-  // The restore-side parsers below are the exact inverses of
-  // checkpoint.cpp's append_* formatters; each pair's token order must
-  // stay in lockstep (tests/test_recovery.cpp's kill/resume sweeps are
-  // the lockstep check).
-
-  /// Reads the scalar prefix shared by full and delta blobs straight
-  /// into the runner's members (inverse of append_scalar_prefix).
-  void read_scalar_prefix_(StateReader& r) {
-    effective_deadline_ = r.f64();
-    next_sample_ = r.f64();
-    detection_time_total_ = r.f64();
-    first_detection_ = r.f64();
-    completions_pending_ = r.i64();
-    recompute_used_ = r.i64();
-    stall_streak_ = r.i64();
-    last_progress_ = r.i64();
-    ewma_ = r.f64();
-    ewma_init_ = r.boolean();
-    min_live_ = r.i64();
-    std::array<std::uint64_t, 4> rng_state{};
-    for (std::uint64_t& word : rng_state) word = r.u64();
-    deal_engine_.set_state(rng_state);
-    report_.units_issued = r.i64();
-    report_.units_completed = r.i64();
-    report_.units_timed_out = r.i64();
-    report_.units_reissued = r.i64();
-    report_.units_dropped = r.i64();
-    report_.late_results = r.i64();
-    report_.adaptive_replicas = r.i64();
-    report_.quorum_replicas = r.i64();
-    report_.supervisor_recomputes = r.i64();
-    report_.tasks_valid = r.i64();
-    report_.tasks_inconclusive = r.i64();
-    report_.mismatches_detected = r.i64();
-    report_.ringer_catches = r.i64();
-    report_.blacklisted_identities = r.i64();
-    report_.adversary_cheat_attempts = r.i64();
-    report_.false_accusations = r.i64();
-    report_.fault_events = r.i64();
-    report_.churn_leaves = r.i64();
-    report_.churn_rejoins = r.i64();
-    report_.results_lost = r.i64();
-    report_.results_corrupted = r.i64();
-    report_.duplicate_results = r.i64();
-    report_.replan_rounds = r.i64();
-    report_.control_boosts = r.i64();
-    report_.control_releases = r.i64();
-    report_.control_observations = r.i64();
-    report_.makespan = r.f64();
-    report_.end_time = r.f64();
-    report_.detections = r.i64();
-    report_.events_processed = r.i64();
-  }
-
-  [[nodiscard]] static RuntimeSample read_series_row_(StateReader& r) {
-    RuntimeSample sample;
-    sample.time = r.f64();
-    sample.units_issued = r.i64();
-    sample.units_completed = r.i64();
-    sample.units_timed_out = r.i64();
-    sample.units_reissued = r.i64();
-    sample.tasks_valid = r.i64();
-    sample.control_boosts = r.i64();
-    sample.control_releases = r.i64();
-    return sample;
-  }
-
-  void read_registry_and_busy_(StateReader& r) {
-    for (std::int64_t p = 0; p < registry_.size(); ++p) {
-      const auto id = static_cast<ParticipantId>(p);
-      auto& record = registry_.record(id);
-      registry_.set_blacklisted(id, r.boolean());
-      record.assignments_completed = r.i64();
-      record.credit = r.i64();
-      record.wrong_results = r.i64();
-    }
-    std::vector<double> busy(static_cast<std::size_t>(registry_.size()));
-    for (double& clock : busy) clock = r.f64();
-    pool_->restore_busy_until(busy);
-  }
-
-  void read_dense_suffix_(StateReader& r) {
-    for (double& score : score_) score = r.f64();
-    for (char& flag : flagged_) flag = r.boolean() ? 1 : 0;
-    for (std::int64_t& count : offline_count_) count = r.i64();
-    for (char& active : window_active_) active = r.boolean() ? 1 : 0;
-    const std::int64_t wrong = r.i64();
-    const std::int64_t right = r.i64();
-    const std::int64_t observations = r.i64();
-    const std::int64_t last_replan = r.i64();
-    const double dropout_value = r.f64();
-    const bool dropout_init = r.boolean();
-    controller_.restore(wrong, right, observations, last_replan,
-                        dropout_value, dropout_init);
-    drift_from_ = r.f64();
-    drift_target_ = r.f64();
-    drift_start_ = r.f64();
-    drift_duration_ = r.f64();
-  }
-
-  [[nodiscard]] static Event read_event_row_(StateReader& r) {
-    Event event;
-    event.time = r.f64();
-    event.seq = r.u64();
-    event.kind = static_cast<EventKind>(r.i64());
-    event.subject = r.i64();
-    event.epoch = r.u64();
-    return event;
-  }
-
-  /// Restores a full (L2) checkpoint blob into the lanes and scalar
-  /// state. Appends the snapshot's pending events to `pending` and sets
-  /// `seq`; the caller composes deltas on top, then rebuilds derived
-  /// state and the queue once (rebuild_derived_, queue_.restore).
-  void restore_state_(const std::string& blob, std::vector<Event>& pending,
-                      std::uint64_t& seq) {
-    StateReader r(blob);
-    read_scalar_prefix_(r);
-    const std::int64_t samples = r.i64();
-    report_.series.clear();
-    for (std::int64_t s = 0; s < samples; ++s) {
-      report_.series.push_back(read_series_row_(r));
-    }
-    read_registry_and_busy_(r);
-    const std::int64_t unit_count = r.i64();
-    if (unit_count < scheduler_.task_count()) {
-      throw std::runtime_error(
-          "journal checkpoint: fewer units than tasks");
-    }
-    units_.resize(0);
-    units_.resize(static_cast<std::size_t>(unit_count));
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      units_.task[u] = static_cast<std::int32_t>(r.i64());
-      units_.assignee[u] = static_cast<std::uint32_t>(r.i64());
-    }
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      units_.state[u] = static_cast<UnitState>(r.i64());
-      units_.attempts[u] = static_cast<std::int32_t>(r.i64());
-      units_.epoch[u] = static_cast<std::uint32_t>(r.u64());
-      units_.value[u] = r.u64();
-      (void)r.boolean();  // has_value: derived from the state lane.
-    }
-    for (std::size_t t = 0; t < tasks_.size(); ++t) {
-      tasks_.state[t] = static_cast<TaskState>(r.i64());
-      tasks_.target_copies[t] = static_cast<std::int32_t>(r.i64());
-      tasks_.arrived[t] = static_cast<std::int32_t>(r.i64());
-      tasks_.extra_replicas[t] = static_cast<std::int32_t>(r.i64());
-      tasks_.control_boosts[t] = static_cast<std::int32_t>(r.i64());
-      tasks_.control_released[t] = static_cast<std::int32_t>(r.i64());
-      tasks_.flags[t] = 0;
-      tasks_.assign(t, TaskTable::kAdversaryCommitted, r.boolean());
-      tasks_.assign(t, TaskTable::kAdversaryCheats, r.boolean());
-      tasks_.assign(t, TaskTable::kMismatchCounted, r.boolean());
-      tasks_.assign(t, TaskTable::kRingerCounted, r.boolean());
-      tasks_.assign(t, TaskTable::kInconclusiveCounted, r.boolean());
-      tasks_.assign(t, TaskTable::kDetected, r.boolean());
-      tasks_.accepted[t] = r.u64();
-    }
-    read_dense_suffix_(r);
-    seq = r.u64();
-    const std::int64_t pending_count = r.i64();
-    for (std::int64_t i = 0; i < pending_count; ++i) {
-      pending.push_back(read_event_row_(r));
-    }
-    if (!r.at_end()) {
-      throw std::runtime_error("journal checkpoint: trailing state tokens");
+      ++recorded_cursor_;
     }
   }
 
-  /// Applies one L1 delta on top of the composed state: overwrites the
-  /// scalar prefix and dense vectors wholesale, patches only the dirty
-  /// unit/task rows, appends the window's pushed events to `pending`,
-  /// then subtracts the window's popped events — exactly the WAL records
-  /// with base_index <= index < delta.index, matched by seq. Pushes are
-  /// appended before the subtraction so an event pushed *and* popped
-  /// within one window cancels.
-  void apply_delta_(const JournalDelta& delta,
-                    const std::vector<JournalEntry>& tail,
-                    std::vector<Event>& pending, std::uint64_t& seq) {
-    StateReader r(delta.blob);
-    read_scalar_prefix_(r);
-    const std::int64_t series_base = r.i64();
-    const std::int64_t series_new = r.i64();
-    if (series_base < 0 || series_new < 0 ||
-        static_cast<std::size_t>(series_base) > report_.series.size()) {
-      throw std::runtime_error("journal delta: bad series window");
-    }
-    report_.series.resize(static_cast<std::size_t>(series_base));
-    for (std::int64_t s = 0; s < series_new; ++s) {
-      report_.series.push_back(read_series_row_(r));
-    }
-    read_registry_and_busy_(r);
-    const std::int64_t unit_total = r.i64();
-    if (unit_total < static_cast<std::int64_t>(units_.size())) {
-      throw std::runtime_error("journal delta: unit table shrank");
-    }
-    units_.resize(static_cast<std::size_t>(unit_total));
-    const std::int64_t dirty_units = r.i64();
-    for (std::int64_t i = 0; i < dirty_units; ++i) {
-      const std::uint64_t row = r.u64();
-      if (row >= units_.size()) {
-        throw std::runtime_error("journal delta: unit row out of range");
-      }
-      const auto u = static_cast<std::size_t>(row);
-      units_.state[u] = static_cast<UnitState>(r.i64());
-      units_.attempts[u] = static_cast<std::int32_t>(r.i64());
-      units_.epoch[u] = static_cast<std::uint32_t>(r.u64());
-      units_.value[u] = r.u64();
-      units_.task[u] = static_cast<std::int32_t>(r.i64());
-      units_.assignee[u] = static_cast<std::uint32_t>(r.i64());
-    }
-    const std::int64_t dirty_tasks = r.i64();
-    for (std::int64_t i = 0; i < dirty_tasks; ++i) {
-      const std::uint64_t row = r.u64();
-      if (row >= tasks_.size()) {
-        throw std::runtime_error("journal delta: task row out of range");
-      }
-      const auto t = static_cast<std::size_t>(row);
-      tasks_.state[t] = static_cast<TaskState>(r.i64());
-      tasks_.target_copies[t] = static_cast<std::int32_t>(r.i64());
-      tasks_.arrived[t] = static_cast<std::int32_t>(r.i64());
-      tasks_.extra_replicas[t] = static_cast<std::int32_t>(r.i64());
-      tasks_.control_boosts[t] = static_cast<std::int32_t>(r.i64());
-      tasks_.control_released[t] = static_cast<std::int32_t>(r.i64());
-      tasks_.flags[t] = 0;
-      tasks_.assign(t, TaskTable::kAdversaryCommitted, r.boolean());
-      tasks_.assign(t, TaskTable::kAdversaryCheats, r.boolean());
-      tasks_.assign(t, TaskTable::kMismatchCounted, r.boolean());
-      tasks_.assign(t, TaskTable::kRingerCounted, r.boolean());
-      tasks_.assign(t, TaskTable::kInconclusiveCounted, r.boolean());
-      tasks_.assign(t, TaskTable::kDetected, r.boolean());
-      tasks_.accepted[t] = r.u64();
-    }
-    read_dense_suffix_(r);
-    seq = r.u64();
-    const std::int64_t push_count = r.i64();
-    for (std::int64_t i = 0; i < push_count; ++i) {
-      pending.push_back(read_event_row_(r));
-    }
-    if (!r.at_end()) {
-      throw std::runtime_error("journal delta: trailing state tokens");
-    }
-    std::vector<std::uint64_t> popped;
-    for (const JournalEntry& entry : tail) {
-      if (entry.index >= delta.base_index && entry.index < delta.index) {
-        popped.push_back(entry.seq);
-      }
-    }
-    std::sort(popped.begin(), popped.end());
-    pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                 [&popped](const Event& event) {
-                                   return std::binary_search(popped.begin(),
-                                                             popped.end(),
-                                                             event.seq);
-                                 }),
-                  pending.end());
-  }
-
-  /// Rebuilds every derived structure from the restored lanes after
-  /// checkpoint composition: the scheduler's unit records (the lanes are
-  /// the scheduler mirror, so the rebuild direction is lanes -> records),
-  /// the task/slot adjacency, the adversary-held counts, and the vote
-  /// aggregates. Units in index order — initial deal first, replicas in
-  /// creation order — is the same append order register_replica used.
-  /// fold_vote is order-insensitive in everything behavior depends on —
-  /// see the TaskTable::vote_value lane comment.
-  void rebuild_derived_() {
-    std::vector<platform::WorkUnit> units(units_.size());
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      units[u].task = units_.task[u];
-      units[u].assignee = static_cast<ParticipantId>(units_.assignee[u]);
-    }
-    scheduler_.restore_units(std::move(units), registry_.size());
-    task_unit_count_.assign(tasks_.size(), 0);
-    adversary_held_.assign(tasks_.size(), 0);
-    for (std::size_t t = 0; t < tasks_.size(); ++t) {
-      tasks_.assign(t, TaskTable::kVoteSeen, false);
-      tasks_.assign(t, TaskTable::kVoteMismatch, false);
-    }
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      const auto t = static_cast<std::size_t>(units_.task[u]);
-      unit_slots_[task_slot_begin_[t] +
-                  static_cast<std::size_t>(task_unit_count_[t]++)] = u;
-      adversary_held_[t] += is_adversary_[units_.assignee[u]];
-      if (units_.has_value(u)) tasks_.fold_vote(t, units_.value[u]);
-    }
+  [[nodiscard]] static std::runtime_error divergence_(std::uint64_t index) {
+    return std::runtime_error(
+        "resume_async_campaign: journal replay divergence at event " +
+        std::to_string(index));
   }
 
   // --------------------------------------------------------- fault injection
@@ -1191,16 +705,16 @@ class Runner {
           }
         }
         reestimate_deadline_();
-        schedule_(event.time + fault.duration, EventKind::kFaultEnd,
-                  event.subject);
+        queue_.schedule(event.time + fault.duration, EventKind::kFaultEnd,
+                        event.subject);
         break;
       case FaultKind::kDropoutBurst:
       case FaultKind::kMessageLoss:
       case FaultKind::kDuplication:
       case FaultKind::kCorruption:
         window_active_[i] = 1;
-        schedule_(event.time + fault.duration, EventKind::kFaultEnd,
-                  event.subject);
+        queue_.schedule(event.time + fault.duration, EventKind::kFaultEnd,
+                        event.subject);
         break;
       case FaultKind::kPDrift:
         // Re-anchor the drift from wherever the previous segment stands
@@ -1258,10 +772,9 @@ class Runner {
         const auto u = static_cast<std::size_t>(collect_scratch_[i]);
         units_.state[u] = UnitState::kTimedOut;
         units_.epoch[u] += 1;  // In-flight completion drains as late.
-        touch_unit_(u);
         ++report_.results_lost;
-        schedule_(now, EventKind::kReissue,
-                  static_cast<std::int64_t>(u), units_.epoch[u]);
+        queue_.schedule(now, EventKind::kReissue,
+                        static_cast<std::int64_t>(u), units_.epoch[u]);
       }
     } else if (was_offline && !is_offline) {
       ++report_.churn_rejoins;
@@ -1341,7 +854,7 @@ class Runner {
       stall_streak_ = 0;
     }
     last_progress_ = progress;
-    schedule_(event.time + health_interval_, EventKind::kHealthCheck, 0);
+    queue_.schedule(event.time + health_interval_, EventKind::kHealthCheck, 0);
   }
 
   // ------------------------------------------------------------- issue loop
@@ -1351,7 +864,6 @@ class Runner {
     units_.state[u] = UnitState::kInProgress;
     const std::int64_t attempt = units_.attempts[u] += 1;
     units_.epoch[u] += 1;
-    touch_unit_(u);
     ++report_.units_issued;
 
     const auto outcome = pool_->issue(
@@ -1373,19 +885,18 @@ class Runner {
       }
     }
     if (delivered) {
-      schedule_(outcome.completion_time, EventKind::kCompletion,
-                static_cast<std::int64_t>(u), units_.epoch[u]);
+      queue_.schedule(outcome.completion_time, EventKind::kCompletion,
+                      static_cast<std::int64_t>(u), units_.epoch[u]);
       ++completions_pending_;
     } else {
       ++report_.units_dropped;
     }
-    schedule_(now + effective_deadline_, EventKind::kDeadline,
-              static_cast<std::int64_t>(u), units_.epoch[u]);
+    queue_.schedule(now + effective_deadline_, EventKind::kDeadline,
+                    static_cast<std::int64_t>(u), units_.epoch[u]);
 
     if (tasks_.state[t] == TaskState::kUnsent ||
         tasks_.state[t] == TaskState::kInconclusive) {
       tasks_.state[t] = TaskState::kInProgress;
-      touch_task_(t);
     }
   }
 
@@ -1411,7 +922,6 @@ class Runner {
       }
     }
     units_.state[u] = UnitState::kCompleted;
-    touch_unit_(u);
     ++report_.units_completed;
     if (config_.control.enabled) controller_.observe_issue(false);
     compute_value(u, event.time);
@@ -1445,9 +955,9 @@ class Runner {
       if (fault.kind != FaultKind::kDuplication) continue;
       if (fault_coin_(kDupSalt, i, unit_stream_(u, attempt),
                       fault.probability)) {
-        schedule_(event.time + config_.latency.network_delay,
-                  EventKind::kCompletion,
-                  static_cast<std::int64_t>(u), event.epoch);
+        queue_.schedule(event.time + config_.latency.network_delay,
+                        EventKind::kCompletion,
+                        static_cast<std::int64_t>(u), event.epoch);
         ++completions_pending_;
         ++report_.duplicate_results;
         break;
@@ -1463,7 +973,6 @@ class Runner {
     }
     units_.state[u] = UnitState::kTimedOut;
     units_.epoch[u] += 1;  // A straggling completion now lands late.
-    touch_unit_(u);
     ++report_.units_timed_out;
     score_down(static_cast<ParticipantId>(units_.assignee[u]));
     if (config_.control.enabled) controller_.observe_issue(true);
@@ -1475,8 +984,8 @@ class Runner {
                        std::pow(config_.retry.backoff_factor,
                                 static_cast<double>(retries_used)),
                    RetryPolicy::kMinReissueDelay);
-      schedule_(event.time + backoff, EventKind::kReissue,
-                static_cast<std::int64_t>(u), units_.epoch[u]);
+      queue_.schedule(event.time + backoff, EventKind::kReissue,
+                      static_cast<std::int64_t>(u), units_.epoch[u]);
     } else {
       recompute_unit(u, event.time);
     }
@@ -1514,14 +1023,12 @@ class Runner {
         recompute_used_ >= config_.health.recompute_budget) {
       units_.state[u] = UnitState::kTimedOut;
       units_.epoch[u] += 1;
-      touch_unit_(u);
       return;
     }
     ++recompute_used_;
     units_.state[u] = UnitState::kRecomputed;
     units_.epoch[u] += 1;
     units_.value[u] = tasks_.truth[static_cast<std::size_t>(units_.task[u])];
-    touch_unit_(u);
     ++report_.supervisor_recomputes;
     on_result(u, now);
   }
@@ -1538,7 +1045,6 @@ class Runner {
       // identities reports a copy, based on how many copies she holds then.
       if (!tasks_.test(t, TaskTable::kAdversaryCommitted)) {
         tasks_.set(t, TaskTable::kAdversaryCommitted);
-        touch_task_(t);
         bool cheats = decision_.should_cheat(adversary_held_[t]);
         // Under a kPDrift schedule the principal only plays a fraction of
         // her playable tuples; the coin is keyed per task, so commit
@@ -1587,7 +1093,6 @@ class Runner {
       return;
     }
     ++tasks_.arrived[t];
-    touch_task_(t);
     // Every value-bearing unit passes through here exactly once with its
     // final value (completions are epoch-guarded, corruption happens
     // upstream, and flag() never touches value-bearing states), so the
@@ -1638,7 +1143,6 @@ class Runner {
 
   void validate(std::size_t t, double now) {
     tasks_.state[t] = TaskState::kPendingValidation;
-    touch_task_(t);
     const std::uint64_t truth = tasks_.truth[t];
 
     if (tasks_.is_ringer[t] != 0) {
@@ -1689,7 +1193,6 @@ class Runner {
         tasks_.state[t] = TaskState::kInconclusive;
         ++tasks_.extra_replicas[t];
         ++tasks_.target_copies[t];
-        touch_task_(t);
         ++report_.quorum_replicas;
         register_replica(*nu);
         issue_unit(*nu, now);
@@ -1752,7 +1255,6 @@ class Runner {
   void accept(std::size_t t, std::uint64_t value, double now) {
     tasks_.accepted[t] = value;
     tasks_.state[t] = TaskState::kValid;
-    touch_task_(t);
     ++report_.tasks_valid;
     report_.makespan = std::max(report_.makespan, now);
 
@@ -1806,9 +1308,8 @@ class Runner {
       if (units_.state[u] != UnitState::kInProgress) continue;
       units_.state[u] = UnitState::kTimedOut;
       units_.epoch[u] += 1;  // Invalidate its completion/deadline timers.
-      touch_unit_(u);
-      schedule_(now, EventKind::kReissue, static_cast<std::int64_t>(u),
-                units_.epoch[u]);
+      queue_.schedule(now, EventKind::kReissue, static_cast<std::int64_t>(u),
+                      units_.epoch[u]);
     }
     update_min_live_();
   }
@@ -1840,14 +1341,13 @@ class Runner {
                                          registry_, deal_engine_)) {
         ++tasks_.extra_replicas[t];
         ++tasks_.target_copies[t];
-        touch_task_(t);
         ++report_.adaptive_replicas;
         register_replica(*nu);
         issue_unit(*nu, event.time);
       }
     }
-    schedule_(event.time + check_interval_, EventKind::kAdaptiveCheck,
-              event.subject);
+    queue_.schedule(event.time + check_interval_, EventKind::kAdaptiveCheck,
+                    event.subject);
   }
 
   // ------------------------------------------------------ adaptive control
@@ -1857,7 +1357,7 @@ class Runner {
     if (controller_.due(report_.units_completed)) {
       do_replan_(event.time);
     }
-    schedule_(event.time + replan_period_, EventKind::kReplan, 0);
+    queue_.schedule(event.time + replan_period_, EventKind::kReplan, 0);
   }
 
   /// Eligibility for one more controller copy this round. Ringers are
@@ -1946,7 +1446,6 @@ class Runner {
         moved_scratch_[t] = 1;
         ++tasks_.control_boosts[t];
         ++tasks_.target_copies[t];
-        touch_task_(t);
         ++report_.control_boosts;
         register_replica(*nu);
         issue_unit(*nu, now);
@@ -1965,7 +1464,6 @@ class Runner {
         moved_scratch_[t] = 1;
         ++tasks_.control_released[t];
         --tasks_.target_copies[t];
-        touch_task_(t);
         ++report_.control_releases;
         --remaining;
         if (tasks_.arrived[t] >= tasks_.target_copies[t]) validate(t, now);
@@ -1990,7 +1488,6 @@ class Runner {
     if (victim >= units_.size()) return false;
     units_.state[victim] = UnitState::kTimedOut;
     units_.epoch[victim] += 1;  // Stale-out its pending timers.
-    touch_unit_(victim);
     return true;
   }
 
@@ -2005,7 +1502,6 @@ class Runner {
     const auto t = static_cast<std::size_t>(wu.task);
     units_.task[u] = static_cast<std::int32_t>(wu.task);
     units_.assignee[u] = static_cast<std::uint32_t>(wu.assignee);
-    touch_unit_(u);
     REDUND_PRECONDITION(
         static_cast<std::size_t>(task_unit_count_[t]) <
             task_slot_begin_[t + 1] - task_slot_begin_[t],
@@ -2018,7 +1514,6 @@ class Runner {
   void record_detection(std::size_t t, double now) {
     if (tasks_.test(t, TaskTable::kDetected)) return;
     tasks_.set(t, TaskTable::kDetected);
-    touch_task_(t);
     ++report_.detections;
     detection_time_total_ += now;
     first_detection_ = report_.detections == 1
@@ -2049,7 +1544,7 @@ class Runner {
   std::optional<ParticipantPool> pool_;
   Queue queue_;
   RuntimeReport report_;
-  std::optional<CheckpointWriter> journal_;
+  std::optional<JournalWriter> journal_;
 
   std::vector<double> demand_;              ///< Per task.
   UnitTable units_;                         ///< SoA per-unit runtime state.
@@ -2102,27 +1597,10 @@ class Runner {
 
   std::uint64_t config_hash_ = 0;
   std::int64_t next_checkpoint_ = 0;
-  const std::vector<JournalEntry>* verify_tail_ = nullptr;
-  std::size_t verify_cursor_ = 0;
-
-  /// WAL staging buffer: the whole batch records here in one splice per
-  /// drain (the writer thread formats it), handed off when it outgrows
-  /// this bound or a checkpoint closes the window.
-  static constexpr std::size_t kWalFlushThreshold = 65536;
-  bool wal_enabled_ = false;  ///< journal_ open with JournalOptions::wal.
-  std::vector<Event> wal_stage_;
-  std::uint64_t wal_stage_base_ = 0;  ///< Event index of wal_stage_[0].
-
-  // L1 delta bookkeeping. track_deltas_ arms after the first full
-  // snapshot (a delta needs a base); cp_window_ is the stamp handlers
-  // write into the SoA dirty lanes; pushed_since_cp_ mirrors every
-  // queue push of the open window.
-  bool track_deltas_ = false;
-  std::uint32_t cp_window_ = 1;
-  std::int64_t checkpoint_ordinal_ = 0;
-  std::uint64_t last_checkpoint_index_ = 0;
-  std::size_t series_base_ = 0;  ///< report_.series size at last checkpoint.
-  std::vector<Event> pushed_since_cp_;
+  std::uint64_t digest_ = kEmptyDigest;  ///< Fold of the processed events.
+  std::int64_t last_digest_index_ = -1;  ///< Index of the last `H` written.
+  const std::vector<DigestRecord>* recorded_ = nullptr;  ///< Resume only.
+  std::size_t recorded_cursor_ = 0;
 };
 
 }  // namespace
@@ -2162,10 +1640,6 @@ RuntimeReport resume_async_campaign(const RuntimeConfig& config) {
   }
   Runner<CalendarQueue> runner(config);
   return runner.resume();
-}
-
-std::uint64_t campaign_fingerprint(const RuntimeConfig& config) {
-  return config_fingerprint(config);
 }
 
 }  // namespace redund::runtime

@@ -117,25 +117,18 @@ struct HealthConfig {
   double max_sim_time = 0.0;
 };
 
-/// Write-ahead journaling (crash safety). See runtime/journal.hpp and
-/// runtime/checkpoint.hpp for the multi-level design.
+/// Journaling (crash safety): a digest log that resume verifies its
+/// re-run against. See runtime/journal.hpp.
 struct JournalOptions {
   /// Journal file path; empty disables journaling.
   std::string path;
-  /// Events processed between checkpoints.
+  /// Events processed between digest (`H`) records.
   std::int64_t checkpoint_interval = 4096;
-  /// Every Nth checkpoint is a full (L2) snapshot; the ones between are
-  /// L1 deltas of the lanes dirtied since the previous record. 1 makes
-  /// every checkpoint full (the pre-multi-level behavior). The first
-  /// checkpoint of a run is always full.
+  /// No-op: nothing reads it. Kept only so callers that still assign it
+  /// compile.
   std::int64_t full_snapshot_every = 8;
-  /// Record the per-event write-ahead log. On: resume replays the exact
-  /// post-checkpoint suffix and verifies every re-executed event against
-  /// it. Off (checkpoint-only mode): nothing is written between
-  /// checkpoints, every checkpoint is full (L1 deltas need the WAL's pop
-  /// records to compose), and resume re-runs deterministically from the
-  /// latest snapshot — same bytes, granularity of one checkpoint
-  /// interval, near-zero cost on the event loop.
+  /// No-op: nothing reads it. Kept only so callers that still assign it
+  /// compile.
   bool wal = true;
 };
 
@@ -179,28 +172,21 @@ struct RuntimeConfig {
 /// Like run_async_campaign, but stops — as if the supervisor process were
 /// killed — once `max_events` events have been processed (batch
 /// granularity: the cap is checked between same-timestamp batches).
-/// Returns nullopt when the cap hit first; with journaling configured the
-/// journal then holds everything resume_async_campaign needs. Buffered
-/// WAL records are flushed at the kill (a graceful SIGTERM; a hard crash
-/// would lose the tail since the last checkpoint, which only shrinks the
-/// verified suffix on resume).
+/// Returns nullopt when the cap hit first. With journaling configured, a
+/// digest record is written at the kill (a graceful SIGTERM; a hard crash
+/// would leave the journal at its last periodic digest, which only
+/// shortens what resume verifies).
 [[nodiscard]] std::optional<RuntimeReport> run_async_campaign_capped(
     const RuntimeConfig& config, std::int64_t max_events);
 
-/// Resumes a campaign from config.journal.path: restores the latest
-/// checkpoint (or starts fresh when none was flushed) and re-runs the
-/// deterministic event loop to the end, verifying the re-executed event
-/// stream against the journal's WAL tail. The resulting report is
-/// bit-identical to the uninterrupted run's. Throws std::runtime_error
-/// when the journal belongs to a different config/seed or the replay
-/// diverges from the WAL.
+/// Resumes a campaign from config.journal.path by re-running it from its
+/// seed, rewriting the journal as it goes, and checking the re-run's
+/// event-stream digests (and terminal record, if any) against the ones
+/// recorded. The resulting report is bit-identical to the uninterrupted
+/// run's. Throws std::runtime_error when the journal is unreadable, of
+/// another format version, belongs to a different config/seed, or
+/// records a digest the re-run does not reproduce ("journal replay
+/// divergence").
 [[nodiscard]] RuntimeReport resume_async_campaign(const RuntimeConfig& config);
-
-/// Canonical fingerprint of everything that determines a campaign's
-/// event stream (all of RuntimeConfig except the journal options, which
-/// only decide *recording*). This is the hash a journal header carries;
-/// exposed so ShardedSupervisor can match L3 partner records to the
-/// shard they belong to.
-[[nodiscard]] std::uint64_t campaign_fingerprint(const RuntimeConfig& config);
 
 }  // namespace redund::runtime

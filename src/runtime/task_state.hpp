@@ -70,8 +70,7 @@ enum class UnitState : std::uint8_t {
 /// over 32-byte rows — one unit per half cache line; the hot lanes here
 /// pack 16-64 units per line. Lane widths are sized to the values'
 /// actual ranges (attempts is bounded by the retry policy, epoch by a
-/// few increments per attempt), not to their serialized width — the
-/// checkpoint blob still writes them as 64-bit tokens.
+/// few increments per attempt).
 ///
 /// `has_value` is not stored: a unit has a reportable value iff its
 /// state is kCompleted or kRecomputed (the only transitions that assign
@@ -84,11 +83,6 @@ struct UnitTable {
   std::vector<std::uint64_t> value;
   std::vector<std::int32_t> task;       ///< Owning task (scheduler mirror).
   std::vector<std::uint32_t> assignee;  ///< Current holder (scheduler mirror).
-  /// Checkpoint-window stamp for L1 delta checkpoints: the supervisor
-  /// writes its current window counter here on every mutation, and a
-  /// delta serializes exactly the rows stamped with the open window.
-  /// Not part of the campaign state — never serialized, never compared.
-  std::vector<std::uint32_t> dirty;
 
   [[nodiscard]] std::size_t size() const noexcept { return state.size(); }
 
@@ -99,7 +93,6 @@ struct UnitTable {
     value.reserve(capacity);
     task.reserve(capacity);
     assignee.reserve(capacity);
-    dirty.reserve(capacity);
   }
 
   void resize(std::size_t count) {
@@ -109,7 +102,6 @@ struct UnitTable {
     value.resize(count, 0);
     task.resize(count, 0);
     assignee.resize(count, 0);
-    dirty.resize(count, 0);
   }
 
   /// Appends one zero-initialized unit (a replica); the caller fills the
@@ -121,7 +113,6 @@ struct UnitTable {
     value.push_back(0);
     task.push_back(0);
     assignee.push_back(0);
-    dirty.push_back(0);
   }
 
   /// True iff unit `u` holds a reportable value (completed or
@@ -166,11 +157,7 @@ struct TaskTable {
   /// disagree the validator re-gathers the full vote word anyway. Folding
   /// order cannot change behavior: the mismatch latch is symmetric in its
   /// inputs, and when it stays clear every folded value equals this one.
-  /// Derived state — checkpoints skip it; restore refolds from the
-  /// value-bearing units.
   std::vector<std::uint64_t> vote_value;
-  /// Checkpoint-window stamp for L1 deltas (see UnitTable::dirty).
-  std::vector<std::uint32_t> dirty;
 
   [[nodiscard]] std::size_t size() const noexcept { return state.size(); }
 
@@ -186,7 +173,6 @@ struct TaskTable {
     truth.resize(count, 0);
     is_ringer.resize(count, 0);
     vote_value.resize(count, 0);
-    dirty.resize(count, 0);
   }
 
   /// Folds one arriving copy's value into the unanimity aggregate.

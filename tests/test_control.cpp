@@ -102,16 +102,6 @@ TEST(AdversaryEstimator, UpperCredibleCoversAndTightens) {
   EXPECT_EQ(fine_upper, fine.upper_credible(0.95));
 }
 
-TEST(AdversaryEstimator, RestoreReproducesTheEstimateBitIdentically) {
-  control::AdversaryEstimator original(2.0, 38.0);
-  original.observe(7, 55);
-
-  control::AdversaryEstimator restored(2.0, 38.0);
-  restored.restore_counts(original.wrong_count(), original.right_count());
-  EXPECT_EQ(restored.posterior_mean(), original.posterior_mean());
-  EXPECT_EQ(restored.upper_credible(0.95), original.upper_credible(0.95));
-}
-
 TEST(AdversaryEstimator, RejectsInvalidInputs) {
   EXPECT_THROW(control::AdversaryEstimator(0.0, 19.0), std::invalid_argument);
   EXPECT_THROW(control::AdversaryEstimator(1.0, -1.0), std::invalid_argument);
@@ -131,10 +121,6 @@ TEST(RateEwma, SmoothsTowardTheObservedRate) {
   EXPECT_EQ(ewma.value(), 1.0);
   ewma.observe(false);
   EXPECT_NEAR(ewma.value(), 0.5, 1e-12);
-
-  control::RateEwma restored(0.5);
-  restored.restore(ewma.value(), ewma.initialized());
-  EXPECT_EQ(restored.value(), ewma.value());
 }
 
 // ----------------------------------------------------------- plan_remaining
@@ -286,28 +272,6 @@ TEST(CampaignController, ReleasesAreGatedOnFleetHealth) {
 
   EXPECT_EQ(controller.budgets(true).top_verified, true);
   EXPECT_EQ(controller.budgets(false).top_verified, false);
-}
-
-TEST(CampaignController, RestoreReproducesDecisionsExactly) {
-  control::ControlConfig config;
-  config.enabled = true;
-  control::CampaignController controller(config);
-  for (int i = 0; i < 40; ++i) controller.observe_outcome(i % 8 == 0);
-  for (int i = 0; i < 10; ++i) controller.observe_issue(i % 4 == 0);
-  controller.mark_replanned(96);
-
-  control::CampaignController restored(config);
-  restored.restore(controller.estimator().wrong_count(),
-                   controller.estimator().right_count(),
-                   controller.observations(),
-                   controller.last_replan_completed(),
-                   controller.dropout().value(),
-                   controller.dropout().initialized());
-  EXPECT_EQ(restored.p_upper(), controller.p_upper());
-  EXPECT_EQ(restored.p_mean(), controller.p_mean());
-  EXPECT_EQ(restored.due(200), controller.due(200));
-  EXPECT_EQ(restored.budgets(true).allow_release,
-            controller.budgets(true).allow_release);
 }
 
 TEST(ControlConfigValidation, RejectsOutOfRangeFields) {

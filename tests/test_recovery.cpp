@@ -1,23 +1,25 @@
 // Crash-recovery equivalence for the journaled supervisor: kill the event
-// loop at any event index, resume from the journal, and the final report
-// is byte-identical to the uninterrupted run — across churn, network, and
-// dropout-burst fault scenarios. Also covers the journal's error paths:
-// foreign config/seed, tampered WAL tail (replay divergence), and bad
-// arguments.
+// loop at any event index, resume (a verified re-run from the seed), and
+// the final report is byte-identical to the uninterrupted run — across
+// churn, network, and dropout-burst fault scenarios. Also covers the
+// journal's error paths: foreign config/seed or format version, tampered
+// digests (replay divergence), hostile bytes, and bad arguments.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/realize.hpp"
 #include "core/schemes/balanced.hpp"
 #include "parallel/thread_pool.hpp"
-#include "runtime/checkpoint.hpp"
+#include "runtime/audit.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/sharded.hpp"
@@ -46,6 +48,29 @@ std::string rendered(const runtime::RuntimeReport& report) {
 
 std::string journal_path(const std::string& tag) {
   return testing::TempDir() + "redund_recovery_" + tag + ".wal";
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// Resumes `config` and expects std::runtime_error naming a replay
+/// divergence.
+void expect_divergence(const runtime::RuntimeConfig& config) {
+  try {
+    (void)runtime::resume_async_campaign(config);
+    ADD_FAILURE() << "resume accepted a tampered journal";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("journal replay divergence"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 // Scenario 1: churn — individual leaves/rejoins plus a correlated
@@ -164,8 +189,8 @@ TEST(CrashRecovery, CapBeyondTheEndReturnsTheFullReport) {
   ASSERT_TRUE(capped.has_value());
   EXPECT_EQ(rendered(*capped), expected);
 
-  // The finished journal resumes to the same report (full replay
-  // verification against the complete WAL).
+  // The finished journal resumes to the same report (every digest and
+  // the terminal record verified).
   const auto resumed = runtime::resume_async_campaign(config);
   EXPECT_EQ(rendered(resumed), expected);
 }
@@ -175,18 +200,19 @@ TEST(CrashRecovery, ResumeBeforeTheFirstCheckpointReplaysFromTheStart) {
   config.journal.path.clear();
   const auto reference = runtime::run_async_campaign(config);
 
-  // A checkpoint interval longer than the campaign: the journal holds
-  // only the WAL; resume must rebuild from the prologue and still verify
-  // the flushed tail.
+  // A digest interval longer than the campaign: the journal holds only
+  // the digest written at the kill; resume must verify the re-run
+  // against it.
   config.journal.path = journal_path("nocp");
   config.journal.checkpoint_interval = 1 << 30;
-  const auto partial = runtime::run_async_campaign_capped(
-      config, reference.events_processed / 2);
+  const std::int64_t kill = reference.events_processed / 2;
+  const auto partial = runtime::run_async_campaign_capped(config, kill);
   ASSERT_FALSE(partial.has_value());
 
   const auto contents = runtime::read_journal(config.journal.path);
-  EXPECT_FALSE(contents.has_checkpoint);
-  EXPECT_FALSE(contents.tail.empty());
+  ASSERT_EQ(contents.tail.size(), 1u);
+  EXPECT_GE(contents.tail[0].index, static_cast<std::uint64_t>(kill));
+  EXPECT_FALSE(contents.completed);
 
   const auto resumed = runtime::resume_async_campaign(config);
   EXPECT_EQ(rendered(resumed), rendered(reference));
@@ -213,96 +239,64 @@ TEST(CrashRecovery, ForeignJournalIsRejected) {
   auto new_interval = config;
   new_interval.journal.checkpoint_interval = 999;
   EXPECT_NO_THROW((void)runtime::resume_async_campaign(new_interval));
+
+  // A journal of an older format version is refused, naming the version.
+  std::string text = read_file(config.journal.path);
+  ASSERT_EQ(text.rfind("redund-journal-v3 ", 0), 0u);
+  text.replace(0, 17, "redund-journal-v2");
+  write_file(config.journal.path, text);
+  try {
+    (void)runtime::resume_async_campaign(config);
+    ADD_FAILURE() << "resume accepted a redund-journal-v2 header";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("redund-journal-v2"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
+// The digest log is what keeps the re-run honest: a recorded digest the
+// re-run does not reproduce, at its index or anywhere else, refuses the
+// journal.
 TEST(CrashRecovery, TamperedWalTailIsReplayDivergence) {
   auto config = churn_scenario();
   config.journal.path = journal_path("tamper");
   const auto partial = runtime::run_async_campaign_capped(config, 300);
   ASSERT_FALSE(partial.has_value());
+  const std::string original = read_file(config.journal.path);
 
-  // Corrupt the last WAL record's epoch field: replay re-executes the
-  // same event with the true epoch and must refuse the journal.
-  std::string text;
-  {
-    std::ifstream in(config.journal.path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    text = buf.str();
-  }
-  const std::size_t line = text.rfind("\nE ");
+  // Flip the last digit of the last H record's digest.
+  std::string text = original;
+  const std::size_t line = text.rfind("\nH ");
   ASSERT_NE(line, std::string::npos);
   const std::size_t eol = text.find('\n', line + 1);
   ASSERT_NE(eol, std::string::npos);
   char& last_digit = text[eol - 1];
   last_digit = last_digit == '0' ? '1' : '0';
-  {
-    std::ofstream out(config.journal.path, std::ios::trunc);
-    out << text;
-  }
+  write_file(config.journal.path, text);
+  expect_divergence(config);
 
-  EXPECT_THROW((void)runtime::resume_async_campaign(config),
-               std::runtime_error);
+  // Move the first H record one event later: whether or not the re-run
+  // has a batch boundary there, its digest there differs.
+  text = original;
+  const std::size_t first = text.find("\nH ");
+  ASSERT_NE(first, std::string::npos);
+  const std::size_t index_end = text.find(' ', first + 3);
+  const std::uint64_t index =
+      std::stoull(text.substr(first + 3, index_end - first - 3));
+  text.replace(first + 3, index_end - first - 3, std::to_string(index + 1));
+  write_file(config.journal.path, text);
+  expect_divergence(config);
 }
 
-// The multi-level chain proper: small checkpoint interval so a kill sees
-// a long L2 + L1...L1 composition, swept across full-snapshot cadences.
-// full_snapshot_every = 1 degenerates to the all-full legacy format; 3
-// makes most checkpoints deltas.
+// Digest cadence x kill point: every interval, from one record per batch
+// to none before the kill, resumes bit-identically.
 TEST(CrashRecovery, MultiLevelCompositionSweepResumesBitIdentical) {
-  for (const std::int64_t cadence : {1, 3}) {
+  for (const std::int64_t interval : {1, 7, 24, 1 << 30}) {
     auto config = churn_scenario();
-    config.journal.checkpoint_interval = 24;
-    config.journal.full_snapshot_every = cadence;
-    expect_recovery_equivalence(
-        config, "multilevel" + std::to_string(cadence));
-  }
-}
-
-TEST(CrashRecovery, DeltaCadenceActuallyWritesDeltaRecords) {
-  auto config = churn_scenario();
-  config.journal.path = journal_path("deltas");
-  config.journal.checkpoint_interval = 24;
-  config.journal.full_snapshot_every = 3;
-  const auto partial = runtime::run_async_campaign_capped(config, 400);
-  ASSERT_FALSE(partial.has_value());
-
-  const auto contents = runtime::read_journal(config.journal.path);
-  EXPECT_TRUE(contents.has_checkpoint);
-  // 400 events at interval 24 is at least a dozen checkpoints; with
-  // every third one full, deltas must be on disk after the latest full.
-  EXPECT_FALSE(contents.deltas.empty());
-  for (const auto& delta : contents.deltas) {
-    EXPECT_GE(delta.base_index, contents.checkpoint_index);
-    EXPECT_GT(delta.index, delta.base_index);
-  }
-}
-
-// Checkpoint-only mode (wal = false): nothing is recorded between
-// snapshots, so the journal holds only full C records and resume
-// re-runs deterministically from the latest one — still bit-identical.
-TEST(CrashRecovery, CheckpointOnlyModeResumesBitIdentical) {
-  auto config = burst_scenario();
-  config.journal.path.clear();
-  const auto reference = runtime::run_async_campaign(config);
-  const std::string expected = rendered(reference);
-
-  config.journal.path = journal_path("nowal");
-  config.journal.checkpoint_interval = 48;
-  config.journal.wal = false;
-  for (std::int64_t k = 1; k <= 3; ++k) {
-    const std::int64_t kill = reference.events_processed * k / 4;
-    const auto partial = runtime::run_async_campaign_capped(config, kill);
-    if (partial.has_value()) {
-      EXPECT_EQ(rendered(*partial), expected);
-      continue;
-    }
-    const auto contents = runtime::read_journal(config.journal.path);
-    EXPECT_TRUE(contents.has_checkpoint);
-    EXPECT_TRUE(contents.tail.empty());    // No WAL records at all.
-    EXPECT_TRUE(contents.deltas.empty());  // All-full without a WAL.
-    const auto resumed = runtime::resume_async_campaign(config);
-    EXPECT_EQ(rendered(resumed), expected) << "killed at event " << kill;
+    config.journal.checkpoint_interval = interval;
+    expect_recovery_equivalence(config,
+                                "cadence" + std::to_string(interval));
   }
 }
 
@@ -315,7 +309,6 @@ TEST(CrashRecovery, TornTailIsDroppedAndResumeStillMatches) {
 
   config.journal.path = journal_path("torn");
   config.journal.checkpoint_interval = 48;
-  config.journal.full_snapshot_every = 3;
   const auto partial = runtime::run_async_campaign_capped(
       config, reference.events_processed / 2);
   ASSERT_FALSE(partial.has_value());
@@ -333,21 +326,74 @@ TEST(CrashRecovery, TornTailIsDroppedAndResumeStillMatches) {
   EXPECT_EQ(rendered(resumed), rendered(reference));
 }
 
-TEST(CrashRecovery, CheckpointBlobSurvivesCompressionRoundTrip) {
-  std::string blob;
-  for (int i = 0; i < 4096; ++i) {
-    blob += std::to_string(i % 97) + " ";
+// Hostile bytes: a killed campaign's journal truncated at every byte
+// offset, and separately with each byte XORed with 0x01. Every resume
+// must either reproduce the uninterrupted report exactly or refuse with
+// std::runtime_error — never crash, and never return anything else.
+TEST(CrashRecovery, EveryTruncationAndByteFlipResumesExactlyOrThrows) {
+  // A fault-free campaign keeps the ~1k resumes cheap enough for the
+  // sanitizer CI stage.
+  runtime::RuntimeConfig config;
+  config.plan = balanced_plan(150, 0.5);
+  config.honest_participants = 18;
+  config.sybil_identities = 2;
+  config.latency.dropout_probability = 0.02;
+  config.seed = 0x4057113ULL;
+  const auto reference = runtime::run_async_campaign(config);
+  const std::uint64_t expected = runtime::report_fingerprint(reference);
+
+  config.journal.path = journal_path("hostile");
+  config.journal.checkpoint_interval = 16;
+  ASSERT_FALSE(runtime::run_async_campaign_capped(
+                   config, reference.events_processed / 2)
+                   .has_value());
+  const std::string original = read_file(config.journal.path);
+  ASSERT_GT(original.size(), 64u);
+  // Journal options are not part of the fingerprint: the resumes verify
+  // every recorded digest but write only their terminal record, which
+  // keeps the sweep's fsyncs to one per resume.
+  config.journal.checkpoint_interval = 1 << 30;
+
+  int resumed = 0;
+  const auto resumes = [&](const std::string& bytes, const std::string& what) {
+    write_file(config.journal.path, bytes);
+    try {
+      const auto report = runtime::resume_async_campaign(config);
+      EXPECT_EQ(runtime::report_fingerprint(report), expected) << what;
+      ++resumed;
+      return true;
+    } catch (const std::runtime_error&) {
+      return false;
+    }
+  };
+  for (std::size_t size = 0; size < original.size(); ++size) {
+    (void)resumes(original.substr(0, size),
+                  "truncated to " + std::to_string(size) + " bytes");
   }
-  const std::string encoded = runtime::compress_blob(blob);
-  // Repetitive checkpoint text must actually shrink, even after base64.
-  EXPECT_LT(encoded.size(), blob.size());
-  EXPECT_EQ(runtime::decompress_blob(encoded, blob.size()), blob);
+  EXPECT_GT(resumed, 0);  // At least every clean prefix past the header.
+
+  // A flip inside an H record's digest either changes the digest or makes
+  // it unparsable: that resume must refuse.
+  std::vector<bool> in_digest(original.size(), false);
+  for (std::size_t line = original.find("\nH "); line != std::string::npos;
+       line = original.find("\nH ", line + 1)) {
+    const std::size_t eol = original.find('\n', line + 1);
+    ASSERT_NE(eol, std::string::npos);
+    for (std::size_t at = eol - 16; at < eol; ++at) in_digest[at] = true;
+  }
+  for (std::size_t at = 0; at < original.size(); ++at) {
+    std::string flipped = original;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x01);
+    const std::string what = "byte " + std::to_string(at) + " flipped";
+    if (resumes(flipped, what)) {
+      EXPECT_FALSE(in_digest[at]) << what << " inside a digest was accepted";
+    }
+  }
 }
 
-// L3: after a journaled fleet run, each shard's journal holds a partner
-// copy of its ring neighbour's checkpoint, and the fleet resumes
-// bit-identically even when one journal file is deleted outright.
-TEST(CrashRecovery, PartnerCopySurvivesLosingAnyOneShardJournal) {
+// Journal loss costs only verification: the fleet resumes bit-identically
+// with any one shard's journal deleted, and with all of them deleted.
+TEST(CrashRecovery, LosingAnyOrAllShardJournalsStillResumesBitIdentical) {
   auto base = churn_scenario();
   base.journal.path.clear();
   constexpr std::int64_t kShards = 3;
@@ -355,26 +401,21 @@ TEST(CrashRecovery, PartnerCopySurvivesLosingAnyOneShardJournal) {
   const runtime::ShardedSupervisor plain(base, kShards);
   const std::string expected = rendered(plain.run(pool));
 
-  base.journal.path = journal_path("partner");
+  base.journal.path = journal_path("lost");
   base.journal.checkpoint_interval = 32;
-  base.journal.full_snapshot_every = 2;
   const runtime::ShardedSupervisor sharded(base, kShards);
   ASSERT_EQ(sharded.shard_count(), kShards);
-  EXPECT_EQ(rendered(sharded.run(pool)), expected);
 
-  // Every journal now carries its predecessor's L2.
-  for (const auto& shard : sharded.shard_configs()) {
-    const auto contents = runtime::read_journal(shard.journal.path);
-    EXPECT_TRUE(contents.has_partner) << shard.journal.path;
-  }
-
-  // Losing any single shard's journal is survivable.
-  for (std::int64_t lost = 0; lost < kShards; ++lost) {
+  for (std::int64_t lost = 0; lost <= kShards; ++lost) {
     EXPECT_EQ(rendered(sharded.run(pool)), expected);  // Rewrite journals.
-    std::filesystem::remove(
-        sharded.shard_configs()[static_cast<std::size_t>(lost)].journal.path);
+    for (std::int64_t s = 0; s < kShards; ++s) {
+      if (lost == kShards || s == lost) {  // lost == kShards: all of them.
+        std::filesystem::remove(
+            sharded.shard_configs()[static_cast<std::size_t>(s)].journal.path);
+      }
+    }
     EXPECT_EQ(rendered(sharded.resume(pool)), expected)
-        << "lost shard " << lost;
+        << "lost shard " << (lost == kShards ? "all" : std::to_string(lost));
   }
 }
 
@@ -409,11 +450,6 @@ TEST(CrashRecovery, BadArgumentsAreRejected) {
   std::remove(missing.journal.path.c_str());
   EXPECT_THROW((void)runtime::resume_async_campaign(missing),
                std::runtime_error);
-
-  auto bad_cadence = config;
-  bad_cadence.journal.full_snapshot_every = 0;
-  EXPECT_THROW((void)runtime::run_async_campaign(bad_cadence),
-               std::invalid_argument);
 }
 
 }  // namespace

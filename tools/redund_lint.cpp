@@ -534,9 +534,8 @@ const Fixture kFixtures[] = {
      "  stage();\n"
      "}\n",
      "lock-excludes", 15},
-    // The CheckpointWriter::append_wal pattern: the guard lives in an
-    // inner scope and is released before the call — no deadlock, and
-    // the scope-precise hold regions know it.
+    // The guard lives in an inner scope and is released before the
+    // call — no deadlock, and the scope-precise hold regions know it.
     {"lock-excludes-scope-release-clean", "src/parallel/x.cpp",
      "struct W {\n"
      "  std::mutex mutex_;\n"

@@ -14,11 +14,13 @@
 //                      [--seed S] [--queue heap|calendar]
 //                      [--fault-plan FILE] [--max-sim-time T]
 //                      [--recompute-budget N]
-//                      [--journal FILE [--checkpoint-interval N]
-//                       [--full-snapshot-every N] [--no-wal] [--resume]]
+//                      [--journal FILE [--checkpoint-interval N] [--resume]]
 //                      [--shards S [--threads T]]
 //   redundctl budget   --tasks N --budget B [--adversary P]
 //   redundctl help
+//
+// Every subcommand rejects an option it does not read, naming it, so a
+// typo never silently falls back to a default.
 //
 // plan      builds and realizes a distribution and (optionally) writes the
 //           portable plan file consumed by the other subcommands.
@@ -28,13 +30,13 @@
 //           (event-driven: stragglers, dropouts, deadlines, retries, quorum
 //           validation, adaptive replication) and prints a RuntimeReport.
 //           --fault-plan injects a redund-faults-v1 chaos schedule;
-//           --journal multi-level-checkpoints the run (crash safety;
-//           --full-snapshot-every sets the L1-delta-to-L2-full cadence)
-//           and --resume restores/replays it after a kill — with
-//           --shards, the fleet survives losing one shard's journal
-//           via partner (L3) copies.
+//           --journal records a digest log of the run (crash safety) and
+//           --resume re-runs it from its seed after a kill, verified
+//           against that log; with --shards, a shard whose journal is
+//           lost is simply re-run.
 // budget    answers "what level can I afford", including a robustness margin
 //           against an adversary share p (inverts Prop. 3).
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -42,6 +44,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/constraints.hpp"
@@ -62,16 +65,22 @@ namespace rep = redund::report;
 
 namespace {
 
-/// Minimal --key value argument parser; flags take "true".
+/// Minimal --key value argument parser; flags take "true". `known` lists
+/// every key the subcommand reads; any other key is rejected up front.
 class Args {
  public:
-  Args(int argc, char** argv) {
+  Args(int argc, char** argv, std::vector<std::string> known)
+      : known_(std::move(known)) {
     for (int i = 2; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
         throw std::invalid_argument("expected --option, got '" + key + "'");
       }
       key.erase(0, 2);
+      if (!is_known_(key)) {
+        throw std::invalid_argument("unknown option --" + key + " for " +
+                                    argv[1]);
+      }
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[key] = argv[++i];
       } else {
@@ -81,6 +90,10 @@ class Args {
   }
 
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
+    if (!is_known_(key)) {
+      throw std::logic_error("redundctl reads --" + key +
+                             " without declaring it");
+    }
     const auto it = values_.find(key);
     return it == values_.end() ? std::nullopt
                                : std::optional<std::string>(it->second);
@@ -138,6 +151,11 @@ class Args {
   }
 
  private:
+  [[nodiscard]] bool is_known_(const std::string& key) const {
+    return std::find(known_.begin(), known_.end(), key) != known_.end();
+  }
+
+  std::vector<std::string> known_;
   std::map<std::string, std::string> values_;
 };
 
@@ -308,9 +326,6 @@ int cmd_run_async(const Args& args) {
     config.journal.path = *journal;
     config.journal.checkpoint_interval =
         args.integer("checkpoint-interval", 4096);
-    config.journal.full_snapshot_every =
-        args.integer("full-snapshot-every", 8);
-    config.journal.wal = !args.flag("no-wal");
   }
   const std::string queue_name = args.get("queue").value_or("calendar");
   if (queue_name == "heap") {
@@ -329,9 +344,9 @@ int cmd_run_async(const Args& args) {
       throw std::invalid_argument("run-async: --resume requires --journal");
     }
     if (shards > 1) {
-      // Fleet resume: each shard restores from its own journal, falls
-      // back to the partner copy (L3) in the next shard's journal, and
-      // re-runs from scratch as a last resort — bit-identical either way.
+      // Fleet resume: each shard resumes from its own journal, or is
+      // re-run from its seed when that journal is lost — bit-identical
+      // either way.
       redund::parallel::ThreadPool pool(
           static_cast<std::size_t>(args.integer("threads", 0)));
       const runtime::RuntimeReport report =
@@ -417,8 +432,7 @@ subcommands:
            [--adaptive [--replan-interval N]]
            [--queue heap|calendar] [--fault-plan FILE] [--max-sim-time T]
            [--recompute-budget N]
-           [--journal FILE [--checkpoint-interval N]
-            [--full-snapshot-every N] [--no-wal] [--resume]]
+           [--journal FILE [--checkpoint-interval N] [--resume]]
            [--shards S [--threads T]]
   budget   --tasks N --budget B [--adversary P]
   audit    [--quick] [--seed S] [--tasks N] [--scratch DIR]
@@ -435,13 +449,33 @@ int main(int argc, char** argv) {
     if (command == "help" || command == "--help" || command == "-h") {
       return cmd_help();
     }
-    const Args args(argc, argv);
-    if (command == "plan") return cmd_plan(args);
-    if (command == "analyze") return cmd_analyze(args);
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "run-async") return cmd_run_async(args);
-    if (command == "budget") return cmd_budget(args);
-    if (command == "audit") return cmd_audit(args);
+    struct Command {
+      const char* name;
+      int (*run)(const Args&);
+      std::vector<std::string> options;  ///< Every --key `run` reads.
+    };
+    const Command commands[] = {
+        {"plan", cmd_plan,
+         {"tasks", "epsilon", "scheme", "min-mult", "lp-dim", "no-ringers",
+          "out"}},
+        {"analyze", cmd_analyze, {"plan", "epsilon"}},
+        {"simulate", cmd_simulate,
+         {"plan", "adversary", "replicas", "seed", "strategy", "threads"}},
+        {"run-async", cmd_run_async,
+         {"plan", "tasks", "epsilon", "scheme", "participants", "sybils",
+          "strategy", "stragglers", "slowdown", "dropout", "speed-sigma",
+          "deadline", "retries", "benign-rate", "sample-interval",
+          "no-adaptive", "no-reactive", "adaptive", "replan-interval", "seed",
+          "queue", "fault-plan", "max-sim-time", "recompute-budget",
+          "journal", "checkpoint-interval", "resume", "shards", "threads"}},
+        {"budget", cmd_budget, {"tasks", "budget", "adversary"}},
+        {"audit", cmd_audit, {"quick", "seed", "tasks", "scratch"}},
+    };
+    for (const Command& candidate : commands) {
+      if (command == candidate.name) {
+        return candidate.run(Args(argc, argv, candidate.options));
+      }
+    }
     std::cerr << "unknown subcommand '" << command << "' (try: help)\n";
     return 2;
   } catch (const std::exception& error) {
