@@ -195,8 +195,9 @@ class FileLinter {
           contains_token(code, "make_stream(")) {
         report_(i, "scalar-draw-in-wave",
                 "make_stream() per loop iteration — a wave of independent "
-                "keyed draws belongs in an rng::bulk_* kernel (four streams "
-                "per instruction), not a scalar loop");
+                "keyed draws belongs in an rng::bulk_* kernel (the "
+                "first_draw closed form skips building a full engine per "
+                "stream), not a scalar loop");
       }
       if (line_opens_loop) pending_loop = true;
       for (const char c : code) {

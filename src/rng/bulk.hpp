@@ -1,27 +1,18 @@
-// Vectorized bulk draws over keyed streams.
+// Bulk draws over keyed streams.
 //
 // Every coin the async runtime burns is keyed: stream k of master seed s
 // yields a draw that depends only on (s, k), never on call order (see
 // rng/engines.hpp first_draw). That independence is what makes *bulk*
-// generation legal — a whole attempt wave's draws can be filled into one
+// generation legal — a whole wave's draws can be filled into one
 // contiguous buffer up front and consumed later, and the outcome is
 // byte-identical to issuing each scalar draw at its natural call site.
-// The buffer is a pure cache over pure functions: it carries no state, so
-// it is never checkpointed and resume cannot observe it.
 //
-// The kernels below evaluate the first_draw closed form (four SplitMix64
-// steps + the xoshiro** output scramble) four streams at a time using
-// GCC/Clang u64 vector lanes — all integer multiply/xor/shift, so the
-// vector and scalar paths are bit-exact by construction. REDUND_SIMD=OFF
-// compiles the scalar loop only.
-//
-// On top of the raw draws sit wave samplers for the single-uniform
-// inversion distributions (Bernoulli, binomial BINV, hypergeometric,
-// Poisson): each element i is drawn from stream keys[i], consuming the
-// bulk-generated first uniform; the rare element whose sampler needs more
-// than one uniform (binomial's waiting-time regime, a Poisson that walks
-// past its first draw) falls back to the full engine for that element —
-// still bit-identical to the scalar keyed call, pinned by
+// The kernels below are plain loops over the first_draw closed form (four
+// SplitMix64 steps + the xoshiro** output scramble), which skips building
+// a full engine per stream. On top of the raw draws sit wave samplers for
+// the single-uniform inversion distributions (Bernoulli, hypergeometric):
+// element i is drawn from stream keys[i] off its bulk-generated first
+// uniform — bit-identical to the scalar keyed call, pinned by
 // tests/test_bulk_rng.cpp.
 #pragma once
 
@@ -31,89 +22,14 @@
 #include "rng/distributions.hpp"
 #include "rng/engines.hpp"
 
-#ifndef REDUND_SIMD_ENABLED
-#if defined(__GNUC__) || defined(__clang__)
-#define REDUND_SIMD_ENABLED 1
-#else
-#define REDUND_SIMD_ENABLED 0
-#endif
-#endif
-
 namespace redund::rng {
-
-namespace detail {
-
-#if REDUND_SIMD_ENABLED
-
-// The 32-byte vector type predates any -mavx flag; since every helper here
-// is inlined into this translation unit, the ABI-change warning is moot.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
-
-using v4u64 = std::uint64_t __attribute__((vector_size(32)));
-
-/// One SplitMix64 output step on four lane states (advances the states).
-inline v4u64 splitmix_step(v4u64& state) noexcept {
-  state += 0x9E3779B97F4A7C15ULL;
-  v4u64 z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-/// first_draw(master_seed, key) on four keys at once; bit-identical to the
-/// scalar closed form lane by lane.
-inline v4u64 first_draw4(std::uint64_t master_seed, v4u64 keys) noexcept {
-  v4u64 mixer = (keys + 1) * 0x9E3779B97F4A7C15ULL ^ master_seed;
-  const v4u64 derived = splitmix_step(mixer) ^ splitmix_step(mixer);
-  v4u64 seeder = derived;
-  (void)splitmix_step(seeder);            // state_[0]: unused by draw one.
-  const v4u64 s1 = splitmix_step(seeder);  // state_[1]: the whole draw.
-  const v4u64 scaled = s1 * 5;
-  return ((scaled << 7) | (scaled >> 57)) * 9;
-}
-
-#endif  // REDUND_SIMD_ENABLED
-
-}  // namespace detail
 
 /// out[i] = first_draw(master_seed, keys[i]) for i in [0, n).
 inline void bulk_first_draw(std::uint64_t master_seed,
                             const std::uint64_t* keys, std::size_t n,
                             std::uint64_t* out) noexcept {
-  std::size_t i = 0;
-#if REDUND_SIMD_ENABLED
-  for (; i + 4 <= n; i += 4) {
-    detail::v4u64 k;
-    __builtin_memcpy(&k, keys + i, sizeof(k));
-    const detail::v4u64 draws = detail::first_draw4(master_seed, k);
-    __builtin_memcpy(out + i, &draws, sizeof(draws));
-  }
-#endif
-  for (; i < n; ++i) out[i] = first_draw(master_seed, keys[i]);
-}
-
-/// out[i] = first_draw(master_seed, base + i * stride) — the strided form
-/// the (unit, attempt) key layouts use, without materializing the keys.
-inline void bulk_first_draw_strided(std::uint64_t master_seed,
-                                    std::uint64_t base, std::uint64_t stride,
-                                    std::size_t n,
-                                    std::uint64_t* out) noexcept {
-  std::size_t i = 0;
-#if REDUND_SIMD_ENABLED
-  detail::v4u64 k = {base, base + stride, base + 2 * stride,
-                     base + 3 * stride};
-  const detail::v4u64 step = {4 * stride, 4 * stride, 4 * stride,
-                              4 * stride};
-  for (; i + 4 <= n; i += 4) {
-    const detail::v4u64 draws = detail::first_draw4(master_seed, k);
-    __builtin_memcpy(out + i, &draws, sizeof(draws));
-    k += step;
-  }
-#endif
-  for (; i < n; ++i) {
-    out[i] = first_draw(master_seed, base + static_cast<std::uint64_t>(i) *
-                                                stride);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = first_draw(master_seed, keys[i]);
   }
 }
 
@@ -122,22 +38,7 @@ inline void bulk_first_draw_strided(std::uint64_t master_seed,
   return static_cast<double>(draw >> 11) * 0x1.0p-53;
 }
 
-/// out[i] = first_bernoulli(p, master_seed, base + i * stride) as 0/1
-/// bytes — the dropout-coin wave kernel.
-inline void bulk_first_bernoulli_strided(double p, std::uint64_t master_seed,
-                                         std::uint64_t base,
-                                         std::uint64_t stride, std::size_t n,
-                                         std::uint64_t* draw_scratch,
-                                         std::uint8_t* out) noexcept {
-  bulk_first_draw_strided(master_seed, base, stride, n, draw_scratch);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = draw_to_uniform01(draw_scratch[i]) < p ? 1 : 0;
-  }
-}
-
-/// out[i] = first_bernoulli(p, master_seed, keys[i]) as 0/1 bytes — the
-/// arbitrary-key wave form (mid-campaign reissue waves, where each unit
-/// sits at its own attempt).
+/// out[i] = first_bernoulli(p, master_seed, keys[i]) as 0/1 bytes.
 inline void bulk_first_bernoulli(double p, std::uint64_t master_seed,
                                  const std::uint64_t* keys, std::size_t n,
                                  std::uint64_t* draw_scratch,
@@ -145,50 +46,6 @@ inline void bulk_first_bernoulli(double p, std::uint64_t master_seed,
   bulk_first_draw(master_seed, keys, n, draw_scratch);
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = draw_to_uniform01(draw_scratch[i]) < p ? 1 : 0;
-  }
-}
-
-/// out[i] = binomial(trials, p, make_stream(master_seed, keys[i])).
-/// The BINV inversion regime (trials * min(p, 1-p) < 30) consumes exactly
-/// one uniform, served from the vectorized bulk draw; the waiting-time
-/// regime re-derives the full engine per element.
-inline void bulk_binomial(std::int64_t trials, double p,
-                          std::uint64_t master_seed,
-                          const std::uint64_t* keys, std::size_t n,
-                          std::uint64_t* draw_scratch,
-                          std::int64_t* out) noexcept {
-  if (trials <= 0 || p <= 0.0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  if (p >= 1.0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = trials;
-    return;
-  }
-  const bool flipped = p > 0.5;
-  const double q = flipped ? 1.0 - p : p;
-  if (!(static_cast<double>(trials) * q < 30.0)) {
-    for (std::size_t i = 0; i < n; ++i) {
-      auto engine = make_stream(master_seed, keys[i]);
-      out[i] = binomial(trials, p, engine);
-    }
-    return;
-  }
-  bulk_first_draw(master_seed, keys, n, draw_scratch);
-  const double s = q / (1.0 - q);
-  const double base = std::pow(1.0 - q, static_cast<double>(trials));
-  for (std::size_t i = 0; i < n; ++i) {
-    const double u = draw_to_uniform01(draw_scratch[i]);
-    double pmf = base;
-    double cdf = base;
-    std::int64_t successes = 0;
-    while (cdf < u && successes < trials) {
-      ++successes;
-      pmf *= s * static_cast<double>(trials - successes + 1) /
-             static_cast<double>(successes);
-      cdf += pmf;
-    }
-    out[i] = flipped ? trials - successes : successes;
   }
 }
 
@@ -216,47 +73,4 @@ inline void bulk_hypergeometric(std::int64_t population, std::int64_t marked,
   }
 }
 
-/// out[i] = poisson(gamma, make_stream(master_seed, keys[i])). The Knuth
-/// walk's first uniform comes from the bulk draw; an element whose product
-/// walk needs more uniforms (or gamma > 30, the chunked regime) re-derives
-/// its full engine and replays from the second draw — bit-identical either
-/// way.
-inline void bulk_poisson(double gamma, std::uint64_t master_seed,
-                         const std::uint64_t* keys, std::size_t n,
-                         std::uint64_t* draw_scratch,
-                         std::int64_t* out) noexcept {
-  if (!(gamma > 0.0)) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  if (gamma > 30.0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      auto engine = make_stream(master_seed, keys[i]);
-      out[i] = poisson(gamma, engine);
-    }
-    return;
-  }
-  bulk_first_draw(master_seed, keys, n, draw_scratch);
-  const double limit = std::exp(-gamma);
-  for (std::size_t i = 0; i < n; ++i) {
-    double product = draw_to_uniform01(draw_scratch[i]);
-    if (product <= limit) {
-      out[i] = 0;
-      continue;
-    }
-    auto engine = make_stream(master_seed, keys[i]);
-    (void)engine();  // Already consumed as the bulk first draw.
-    std::int64_t count = 0;
-    while (product > limit) {
-      product *= uniform01(engine);
-      ++count;
-    }
-    out[i] = count;
-  }
-}
-
 }  // namespace redund::rng
-
-#if REDUND_SIMD_ENABLED
-#pragma GCC diagnostic pop
-#endif

@@ -80,37 +80,12 @@ class ParticipantPool {
   Issue issue(platform::ParticipantId id, double now, double demand,
               std::uint64_t unit, std::int64_t attempt);
 
-  /// Pre-draws the dropout coins of units [0, unit_count) at `attempt`
-  /// into per-unit primed slots that subsequent issue() calls at that
-  /// attempt consume instead of re-deriving a stream each. The whole wave
-  /// is generated by the vectorized bulk kernel (rng/bulk.hpp). A pure
-  /// cache over keyed coins: outcomes are byte-identical with or without
-  /// it. No-op when dropouts are disabled.
-  void prime_dropout_coins(std::uint64_t unit_count, std::int64_t attempt);
-
-  /// Wave form for mid-campaign reissue storms: pre-draws the coins of an
-  /// arbitrary batch of (unit, attempt) pairs (each unit at its own next
-  /// attempt). Same pure-cache contract as prime_dropout_coins; a unit's
-  /// primed slot is valid only for the exact attempt it was primed at.
-  void prime_dropout_coins_wave(const std::uint64_t* units,
-                                const std::int32_t* attempts, std::size_t n);
-
  private:
   const LatencyModel model_;
   const std::uint64_t seed_;
   std::vector<double> speed_;
   std::vector<char> straggler_;
   std::vector<double> free_at_;
-  void ensure_primed_storage_(std::size_t unit_count);
-
-  // Batched dropout coins (see prime_dropout_coins): unit u's coin in
-  // primed_coins_[u] is valid when primed_attempt_for_[u] matches the
-  // issue's attempt. Derived cache.
-  std::vector<std::uint8_t> primed_coins_;
-  std::vector<std::int32_t> primed_attempt_for_;
-  std::vector<std::uint64_t> draw_scratch_;
-  std::vector<std::uint64_t> key_scratch_;
-  std::vector<std::uint8_t> coin_scratch_;
 };
 
 }  // namespace redund::runtime

@@ -10,7 +10,6 @@
 #include "core/contracts.hpp"
 #include "platform/registry.hpp"
 #include "platform/scheduler.hpp"
-#include "platform/simd.hpp"
 #include "rng/distributions.hpp"
 #include "runtime/event_queue.hpp"
 #include "runtime/journal.hpp"
@@ -382,10 +381,6 @@ class Runner {
       queue_.schedule(config_.faults.events[i].time, EventKind::kFault,
                       static_cast<std::int64_t>(i));
     }
-    // The t = 0 mass issue is the one spot where every unit draws its
-    // dropout coin at a known attempt (the first); batch the draws into
-    // one contiguous pass before the issue loop consumes them.
-    pool_->prime_dropout_coins(units_.size(), 1);
     for (std::size_t u = 0; u < units_.size(); ++u) issue_unit(u, 0.0);
     if (config_.adaptive.enabled) {
       for (std::size_t t = 0; t < tasks_.size(); ++t) {
@@ -407,12 +402,12 @@ class Runner {
   /// checks run at batch boundaries.
   ///
   /// When compiled invariants do not observe the per-event order,
-  /// same-timestamp deadline waves take a vectorized fast path:
-  /// drain_deadline_segment_ classifies whole lanes of units stale/live
-  /// with one SIMD pass and dispatches only the live minority through the
-  /// full handler. Handler calls, counters, and every draw are identical
-  /// either way — the fast path only skips per-event dispatch of events
-  /// whose handler would return immediately.
+  /// same-timestamp deadline waves on consecutive subjects go through
+  /// drain_deadline_segment_, which counts the whole run at once and
+  /// dispatches only its live minority through the full handler. Handler
+  /// calls, counters, and every draw are identical either way — the
+  /// segment filter only skips per-event dispatch of events whose handler
+  /// would return immediately.
   LoopExit loop_(std::int64_t max_events) {
 #if REDUND_ENABLE_INVARIANTS
     // Pop-order contract: the queue must deliver events in strictly
@@ -464,7 +459,6 @@ class Runner {
         }
       }
       report_.end_time = std::max(report_.end_time, batch_time);
-      prime_reissue_wave_(batch);
       std::size_t i = 0;
       while (i < batch.size()) {
         const Event& event = batch[i];
@@ -524,59 +518,23 @@ class Runner {
     return LoopExit::kDrained;
   }
 
-  /// Pre-draws the dropout coins a batch of live kReissue events is about
-  /// to burn, in one vectorized pass. Coins are keyed off (unit, attempt) —
-  /// pure functions of the seed — so priming is unconditionally safe: a
-  /// primed coin that goes unconsumed (the reissue lands on recompute
-  /// instead) is just a cache entry nobody reads, and a consumed one is the
-  /// byte-identical value issue() would have derived on its own.
-  void prime_reissue_wave_(std::span<const Event> batch) {
-    if (batch.size() < 16 || batch.front().kind != EventKind::kReissue) {
-      return;
-    }
-    wave_units_.clear();
-    wave_attempts_.clear();
-    for (const Event& event : batch) {
-      if (event.kind != EventKind::kReissue) continue;
-      const auto u = static_cast<std::size_t>(event.subject);
-      if (units_.state[u] != UnitState::kTimedOut ||
-          units_.epoch[u] != event.epoch) {
-        continue;  // Stale: on_reissue will drop it without a draw.
-      }
-      wave_units_.push_back(static_cast<std::uint64_t>(u));  // redund-lint: allow(hot-alloc)
-      wave_attempts_.push_back(units_.attempts[u] + 1);  // redund-lint: allow(hot-alloc)
-    }
-    if (wave_units_.size() >= 8) {
-      pool_->prime_dropout_coins_wave(wave_units_.data(),
-                                      wave_attempts_.data(),
-                                      wave_units_.size());
-    }
-  }
-
-  /// Vectorized drain of a same-timestamp run of kDeadline events on
-  /// consecutive subjects u0, u0+1, ...: one SIMD pass over the state and
-  /// epoch lanes classifies every unit stale/live, stale events (the
+  /// Drain of a same-timestamp run of kDeadline events on consecutive
+  /// subjects u0, u0+1, ...: the run is counted in bulk, stale events (the
   /// overwhelming majority — every completed unit still has its deadline
-  /// timer pending) are counted in bulk, and the live minority goes
-  /// through the full on_deadline handler one by one. on_deadline re-checks
-  /// liveness itself, so the lane mask is purely a dispatch filter — state
-  /// changes and draws happen only inside the handler, in event order.
-  /// (Deadline handling never sets stop_, so the segment is atomic.)
+  /// timer pending) are skipped by one state/epoch test, and the live
+  /// minority goes through the full on_deadline handler one by one.
+  /// on_deadline re-checks liveness itself, so the test is purely a
+  /// dispatch filter — state changes and draws happen only inside the
+  /// handler, in event order. (Deadline handling never sets stop_, so the
+  /// segment is atomic.)
   void drain_deadline_segment_(const Event* events, std::size_t n) {
-    const auto u0 = static_cast<std::size_t>(events[0].subject);
-    epoch_scratch_.resize(n);  // redund-lint: allow(hot-alloc)
-    live_scratch_.resize(n);   // redund-lint: allow(hot-alloc)
-    for (std::size_t i = 0; i < n; ++i) {
-      epoch_scratch_[i] = static_cast<std::uint32_t>(events[i].epoch);
-    }
-    platform::simd::lanes_live(
-        reinterpret_cast<const std::uint8_t*>(units_.state.data()) + u0,
-        static_cast<std::uint8_t>(UnitState::kInProgress),
-        units_.epoch.data() + u0, epoch_scratch_.data(), n,
-        live_scratch_.data());
     report_.events_processed += static_cast<std::int64_t>(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (live_scratch_[i] != 0) on_deadline(events[i]);
+      const auto u = static_cast<std::size_t>(events[i].subject);
+      if (units_.state[u] == UnitState::kInProgress &&
+          units_.epoch[u] == events[i].epoch) {
+        on_deadline(events[i]);
+      }
     }
   }
 
@@ -594,10 +552,9 @@ class Runner {
     }
     report_.outcome = outcome_;
     report_.tasks_unfinished = static_cast<std::int64_t>(
-        tasks_.size() -
-        platform::simd::count_eq_u8(
-            reinterpret_cast<const std::uint8_t*>(tasks_.state.data()),
-            tasks_.size(), static_cast<std::uint8_t>(TaskState::kValid)));
+        tasks_.size() - static_cast<std::size_t>(std::count(
+                            tasks_.state.begin(), tasks_.state.end(),
+                            TaskState::kValid)));
     report_.min_live_fleet = min_live_;
     report_.progress_rate = ewma_;
     report_.end_time = std::max(report_.end_time, report_.makespan);
@@ -758,18 +715,16 @@ class Runner {
     if (!was_offline && is_offline) {
       ++report_.churn_leaves;
       registry_.set_blacklisted(id, true);
-      // Two-lane SIMD sweep: the assignee and state lanes are all this
-      // scan reads; collect_matches compresses the (held by id,
-      // in-progress) units into an index list in ascending unit order —
-      // the same order the scalar walk visited them.
-      collect_scratch_.resize(units_.size());  // redund-lint: allow(hot-alloc)
-      const std::size_t hits = platform::simd::collect_matches(
-          units_.assignee.data(), static_cast<std::uint32_t>(id),
-          reinterpret_cast<const std::uint8_t*>(units_.state.data()),
-          static_cast<std::uint8_t>(UnitState::kInProgress), units_.size(),
-          collect_scratch_.data());
-      for (std::size_t i = 0; i < hits; ++i) {
-        const auto u = static_cast<std::size_t>(collect_scratch_[i]);
+      // Ascending unit order, so the lost units' reissues queue in unit
+      // order. A blackout runs this sweep once per leaving identity over
+      // every unit, so it scans the assignee lane alone (std::find is
+      // unrolled) and reads a unit's state only on a hit.
+      const auto first = units_.assignee.begin();
+      const auto last = units_.assignee.end();
+      for (auto it = std::find(first, last, id); it != last;
+           it = std::find(it + 1, last, id)) {
+        const auto u = static_cast<std::size_t>(it - first);
+        if (units_.state[u] != UnitState::kInProgress) continue;
         units_.state[u] = UnitState::kTimedOut;
         units_.epoch[u] += 1;  // In-flight completion drains as late.
         ++report_.results_lost;
@@ -793,9 +748,9 @@ class Runner {
     if (config_.retry.deadline > 0.0) return;
     const std::int64_t live = std::max<std::int64_t>(
         1, registry_.active_count());
-    const auto inflight = static_cast<std::int64_t>(platform::simd::count_eq_u8(
-        reinterpret_cast<const std::uint8_t*>(units_.state.data()),
-        units_.size(), static_cast<std::uint8_t>(UnitState::kInProgress)));
+    const auto inflight = static_cast<std::int64_t>(
+        std::count(units_.state.begin(), units_.state.end(),
+                   UnitState::kInProgress));
     const double depth = std::max(1.0, static_cast<double>(inflight) /
                                            static_cast<double>(live));
     effective_deadline_ = config_.latency.network_delay +
@@ -1559,11 +1514,6 @@ class Runner {
   std::vector<std::int64_t> offline_count_; ///< Churn nesting per identity.
   std::vector<char> window_active_;         ///< Open windows per fault event.
   std::vector<Event> batch_;                ///< Same-timestamp drain scratch.
-  std::vector<std::uint32_t> epoch_scratch_;  ///< Gathered wave epochs.
-  std::vector<std::uint8_t> live_scratch_;    ///< SIMD stale/live lane mask.
-  std::vector<std::uint32_t> collect_scratch_;  ///< Offline-sweep hit list.
-  std::vector<std::uint64_t> wave_units_;     ///< Reissue-wave coin units.
-  std::vector<std::int32_t> wave_attempts_;   ///< ... and their attempts.
   std::vector<std::pair<std::uint64_t, int>> vote_scratch_;
   std::vector<control::ResidualClass> residual_scratch_;
   std::vector<char> moved_scratch_;         ///< Per-task moved-this-round.

@@ -51,7 +51,7 @@ TwoPhaseAggregate run_two_phase_monte_carlo(parallel::ThreadPool& pool,
   if (method == TwoPhaseMethod::kHypergeometric) {
     // Replica r's engine is make_stream(master_seed, r) and the
     // hypergeometric inversion consumes exactly one uniform from it, so
-    // each block's overlaps can be filled by one vectorized bulk draw over
+    // each block's overlaps can be filled by one bulk first_draw pass over
     // the contiguous key range [begin, end) — byte-identical to the scalar
     // per-replica engines, folded in the same replica order.
     if (task_count < 1 || adversary_work < 0 || adversary_work > task_count) {
