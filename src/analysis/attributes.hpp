@@ -78,7 +78,7 @@ class AttributeMap {
   }
 
   /// Chain explaining why a node excludes a mutex ("run -> parallel_for
-  /// (call at pool.cpp:80) -> ... (acquires sleep_mutex_)").
+  /// (call at pool.cpp:80) -> ... (acquires mutex_)").
   [[nodiscard]] std::string exclude_chain(std::size_t node,
                                           const std::string& mutex,
                                           const CallGraph& graph) const;

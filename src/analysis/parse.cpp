@@ -277,8 +277,24 @@ class Parser {
     GuardedField field;
     field.class_name = innermost_class_();
     field.line = tok_(i).line;
-    // Field name: nearest preceding identifier.
-    for (std::size_t j = i; j-- > 0;) {
+    // Field name: the declarator's identifier. Skip trailing `[extent]`
+    // and `(parameter)` groups first, so `int buf_[kN]` names `buf_`, not
+    // `kN`; in a function pointer, `void (*fn_)(void*)`, the name sits
+    // inside the first group skipped.
+    std::size_t name_end = i;
+    while (name_end > 0 &&
+           (punct_(name_end - 1, ")") || punct_(name_end - 1, "]"))) {
+      int depth = 0;
+      do {
+        --name_end;
+        if (punct_(name_end, ")") || punct_(name_end, "]")) ++depth;
+        if (punct_(name_end, "(") || punct_(name_end, "[")) --depth;
+      } while (depth > 0 && name_end > 0);
+    }
+    if (name_end < i && punct_(name_end, "(")) {
+      name_end = skip_parens_(name_end);
+    }
+    for (std::size_t j = name_end; j-- > 0;) {
       if (tokens_[j].kind == Token::Kind::kIdent) {
         field.field = tokens_[j].text;
         break;

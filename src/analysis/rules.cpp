@@ -484,8 +484,8 @@ void check_guarded_by_(const std::vector<ParsedFile>& files,
         // that declared the field (same file stem, pairing a header with
         // its .cpp) — guarded fields are implementation details, and the
         // name-only match would otherwise snag unrelated fields that
-        // happen to share the name (e.g. RuntimeConfig::queue vs.
-        // ThreadPool's Worker::queue).
+        // happen to share the name (e.g. another component's `pending_`
+        // vs. ThreadPool's guarded one).
         if (!member && field->class_name != fn->class_name) continue;
         if (member && field->class_name != fn->class_name && decl.stem != stem)
           continue;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "math/binomial.hpp"
+
 namespace redund::control {
 
 namespace {
@@ -55,8 +57,8 @@ double beta_cdf(double x, double a, double b) noexcept {
   if (!(a > 0.0) || !(b > 0.0)) return 0.0;
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  const double log_front = std::lgamma(a + b) - std::lgamma(a) -
-                           std::lgamma(b) + a * std::log(x) +
+  const double log_front = math::log_gamma(a + b) - math::log_gamma(a) -
+                           math::log_gamma(b) + a * std::log(x) +
                            b * std::log1p(-x);
   const double front = std::exp(log_front);
   // The continued fraction converges fastest for x < (a+1)/(a+b+2); use

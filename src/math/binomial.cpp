@@ -43,7 +43,7 @@ double log_factorial(std::int64_t n) noexcept {
   if (n < static_cast<std::int64_t>(kFactorialTable.size())) {
     return std::log(kFactorialTable[static_cast<std::size_t>(n)]);
   }
-  return std::lgamma(static_cast<double>(n) + 1.0);
+  return log_gamma(static_cast<double>(n) + 1.0);
 }
 
 double factorial(std::int64_t n) noexcept {
@@ -51,7 +51,7 @@ double factorial(std::int64_t n) noexcept {
   if (n < static_cast<std::int64_t>(kFactorialTable.size())) {
     return kFactorialTable[static_cast<std::size_t>(n)];
   }
-  return std::exp(std::lgamma(static_cast<double>(n) + 1.0));
+  return std::exp(log_gamma(static_cast<double>(n) + 1.0));
 }
 
 double log_binomial(std::int64_t n, std::int64_t k) noexcept {

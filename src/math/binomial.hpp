@@ -6,14 +6,23 @@
 // (paper, Section 2.2) where i can reach a few hundred for extreme parameter
 // values (N = 1e7, epsilon = 0.99). C(i, k) overflows double for i beyond
 // ~1030 and loses precision well before that when computed by naive repeated
-// multiplication, so the library computes log C(i, k) via lgamma and
+// multiplication, so the library computes log C(i, k) via log-gamma and
 // exponentiates only ratios that are known to be representable.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 
 namespace redund::math {
+
+/// ln|Gamma(x)|, the value std::lgamma returns. std::lgamma also stores the
+/// sign of Gamma(x) in the global `signgam`, a data race when pool workers
+/// call it concurrently; lgamma_r returns the sign through a local instead.
+[[nodiscard]] inline double log_gamma(double x) noexcept {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
 
 /// Natural log of the binomial coefficient C(n, k).
 ///
@@ -39,7 +48,7 @@ namespace redund::math {
 /// Natural log of n! (n >= 0).
 [[nodiscard]] double log_factorial(std::int64_t n) noexcept;
 
-/// n! as a double; exact through n = 22, lgamma-based beyond.
+/// n! as a double; exact through n = 22, log_gamma-based beyond.
 [[nodiscard]] double factorial(std::int64_t n) noexcept;
 
 }  // namespace redund::math

@@ -12,15 +12,15 @@
 // Scheduling is dynamic: blocks are claimed from an atomic ticket counter,
 // so a slow block (straggler replica, NUMA miss) never idles the other
 // workers the way the old static per-thread decomposition did. The calling
-// thread participates in the block loop itself, so these entry points never
-// deadlock even on a saturated pool.
+// thread drains blocks too, inside one ThreadPool::run region; a call that
+// finds the pool busy (nested, or from a second thread) drains every block
+// itself, so these entry points never deadlock.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <exception>
-#include <future>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -68,7 +68,7 @@ void parallel_for_blocks(
     const std::vector<std::pair<std::size_t, std::size_t>>& blocks,
     BlockBody&& body) {
   if (blocks.empty()) return;
-  if (blocks.size() == 1) {  // Fast path: no scheduling, no futures.
+  if (blocks.size() == 1) {  // Fast path: no scheduling, no region.
     body(std::size_t{0}, blocks[0].first, blocks[0].second);
     return;
   }
@@ -77,7 +77,7 @@ void parallel_for_blocks(
   std::mutex error_mutex;
   std::exception_ptr error;
 
-  const auto drain = [&] {
+  auto drain = [&] {  // Must not throw: ThreadPool::run's contract.
     while (!failed.load(std::memory_order_acquire)) {
       const std::size_t b = ticket.fetch_add(1, std::memory_order_relaxed);
       if (b >= blocks.size()) return;
@@ -103,13 +103,7 @@ void parallel_for_blocks(
   const std::size_t cpus = available_parallelism();
   const std::size_t helpers =
       std::min({pool.size(), blocks.size() - 1, cpus - 1});
-  std::vector<std::future<void>> futures;
-  futures.reserve(helpers);
-  for (std::size_t i = 0; i < helpers; ++i) {
-    futures.push_back(pool.submit(drain));
-  }
-  drain();  // The calling thread works too; never idles on a busy pool.
-  for (auto& future : futures) future.get();
+  pool.run(helpers, drain);
   if (error) std::rethrow_exception(error);
 }
 

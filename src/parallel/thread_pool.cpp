@@ -44,110 +44,64 @@ void ThreadPool::pin_workers() noexcept {
 }
 
 ThreadPool::ThreadPool(std::size_t thread_count) {
-  if (thread_count == 0) {
-    thread_count = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(thread_count);
-  for (std::size_t i = 0; i < thread_count; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
+  if (thread_count == 0) thread_count = available_parallelism();
   threads_.reserve(thread_count);
   for (std::size_t i = 0; i < thread_count; ++i) {
-    threads_.emplace_back([this, i] { worker_loop_(i); });
+    threads_.emplace_back([this] { worker_loop_(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  stopping_.store(true, std::memory_order_seq_cst);
   {
-    // Taking the sleep mutex orders the flag against any worker that is
-    // between its predicate check and the actual sleep.
-    const std::scoped_lock lock(sleep_mutex_);
+    const std::scoped_lock lock(mutex_);
+    stopping_ = true;
   }
   wake_.notify_all();
   for (std::thread& thread : threads_) thread.join();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(sleep_mutex_);
-  idle_.wait(lock, [this] {
-    return in_flight_.load(std::memory_order_acquire) == 0;
-  });
-}
-
-void ThreadPool::push_(TaskFunction task) {
-  const std::size_t index =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
+void ThreadPool::run_(std::size_t helpers, JobFn job, void* target) {
+  helpers = std::min(helpers, threads_.size());
+  if (helpers == 0 || busy_.exchange(true)) {
+    job(target);  // No helpers wanted, or the pool is busy: run alone.
+    return;
+  }
   {
-    const std::scoped_lock lock(workers_[index]->mutex);
-    workers_[index]->queue.push_back(std::move(task));
+    const std::scoped_lock lock(mutex_);
+    ++generation_;
+    unclaimed_ = helpers;
+    pending_ = helpers;
+    job_ = job;
+    target_ = target;
   }
-  queued_.fetch_add(1, std::memory_order_seq_cst);
-  // Wake a sleeper only when one exists: the common steady-state submit
-  // (all workers busy) never touches the global mutex. The seq_cst pair
-  // (queued_ store above / sleepers_ load here vs. sleepers_ store /
-  // queued_ load in worker_loop_) guarantees at least one side sees the
-  // other, so no wakeup is lost.
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    { const std::scoped_lock lock(sleep_mutex_); }
-    wake_.notify_one();
-  }
-}
-
-bool ThreadPool::try_pop_(std::size_t self, TaskFunction& out) {
-  const std::size_t n = workers_.size();
-  // Own queue first (FIFO), then steal (from the victim's back, LIFO).
+  // Each notify wakes a distinct sleeping worker. A worker that is not
+  // asleep here (before its first wait, or woken spuriously) re-checks the
+  // predicate under the lock and claims a slot itself.
+  for (std::size_t i = 0; i < helpers; ++i) wake_.notify_one();
+  job(target);
   {
-    Worker& own = *workers_[self];
-    const std::scoped_lock lock(own.mutex);
-    if (!own.queue.empty()) {
-      out = std::move(own.queue.front());
-      own.queue.pop_front();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
+    std::unique_lock lock(mutex_);
+    done_.wait(lock, [this] { return pending_ == 0; });
   }
-  for (std::size_t k = 1; k < n; ++k) {
-    Worker& victim = *workers_[(self + k) % n];
-    // try_lock: a contended victim means somebody is already working that
-    // queue; skip instead of convoying.
-    std::unique_lock lock(victim.mutex, std::try_to_lock);
-    if (!lock.owns_lock() || victim.queue.empty()) continue;
-    out = std::move(victim.queue.back());
-    victim.queue.pop_back();
-    queued_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
+  busy_.store(false);
 }
 
-void ThreadPool::run_(TaskFunction task) {
-  task();
-  if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    { const std::scoped_lock lock(sleep_mutex_); }
-    idle_.notify_all();
-  }
-}
-
-void ThreadPool::worker_loop_(std::size_t self) {
+void ThreadPool::worker_loop_() {
+  std::uint64_t seen = 0;  // Last region this worker looked at.
+  std::unique_lock lock(mutex_);
   while (true) {
-    TaskFunction task;
-    if (try_pop_(self, task)) {
-      run_(std::move(task));
-      continue;
-    }
-    std::unique_lock lock(sleep_mutex_);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    wake_.wait(lock, [this] {
-      return stopping_.load(std::memory_order_seq_cst) ||
-             queued_.load(std::memory_order_seq_cst) > 0;
+    wake_.wait(lock, [&] {
+      return stopping_ || (generation_ != seen && unclaimed_ > 0);
     });
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
-    if (stopping_.load(std::memory_order_seq_cst) &&
-        queued_.load(std::memory_order_seq_cst) == 0) {
-      return;
-    }
+    if (stopping_) return;
+    seen = generation_;
+    --unclaimed_;
+    const JobFn job = job_;
+    void* const target = target_;
+    lock.unlock();
+    job(target);
+    lock.lock();
+    if (--pending_ == 0) done_.notify_one();
   }
 }
 

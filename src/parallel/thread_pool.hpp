@@ -1,31 +1,24 @@
-// A task-based thread pool (C++ Core Guidelines CP.4: think in terms of
-// tasks, not threads; CP.41: minimize thread creation/destruction).
+// A fixed set of worker threads that join the calling thread in one
+// fork-join region at a time (C++ Core Guidelines CP.41: minimize thread
+// creation/destruction).
 //
-// The pool is the execution substrate for the Monte Carlo simulation driver.
-// Worker threads are created once, never detached (CP.26), and joined in the
-// destructor (CP.23/CP.25 — the pool behaves as a scoped container of
-// joining threads).
+// The pool is the execution substrate for parallel_for and the Monte Carlo
+// reductions. Worker threads are created once, never detached (CP.26), and
+// joined in the destructor (CP.23/CP.25 — the pool behaves as a scoped
+// container of joining threads).
 //
-// Dispatch is lock-light: every worker owns its own deque and takes only
-// that deque's mutex on the fast path; an idle worker steals from the other
-// queues (FIFO from its own front, LIFO from a victim's back, the classic
-// work-stealing discipline). Tasks are carried by TaskFunction, a move-only
-// callable wrapper with inline small-buffer storage, so a submit() costs one
-// allocation (the future's shared state) instead of the three forced by the
-// old std::function + shared_ptr<packaged_task> encoding.
+// The pool's only operation is run(helpers, job): the caller and up to
+// `helpers` workers each call job() once. Work distribution inside a region
+// is the job's business (parallel_for_blocks drains an atomic block
+// ticket), so a region costs one broadcast and one completion wait.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <future>
-#include <memory>
+#include <cstdint>
 #include <mutex>
-#include <new>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/thread_annotations.hpp"
@@ -36,138 +29,19 @@ namespace redund::parallel {
 /// affinity mask when the platform exposes one (a container pinned to one
 /// core reports 1 here even when hardware_concurrency() sees the host's
 /// full socket), hardware_concurrency() otherwise, and never less than 1.
-/// This is the oversubscription bound parallel_for uses to cap how many
-/// pool workers it wakes per region.
+/// This sizes a default pool and bounds how many workers parallel_for
+/// wakes per region.
 [[nodiscard]] std::size_t available_parallelism() noexcept;
 
-/// Move-only type-erased nullary callable with small-buffer optimization.
+/// Fixed-size pool of worker threads running one fork-join region at a time.
 ///
-/// Replaces std::function<void()> as the pool's task carrier: std::function
-/// requires copyable targets, which forced move-only payloads (futures,
-/// packaged_task) behind an extra shared_ptr. Targets up to kInlineSize
-/// bytes that are nothrow-move-constructible live inline; larger ones fall
-/// back to a single heap cell.
-class TaskFunction {
- public:
-  TaskFunction() noexcept = default;
-
-  template <typename Fn,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<Fn>, TaskFunction>>>
-  TaskFunction(Fn&& fn) {  // NOLINT(google-explicit-constructor)
-    using Decayed = std::decay_t<Fn>;
-    if constexpr (fits_inline_<Decayed>()) {
-      target_ = ::new (static_cast<void*>(storage_))
-          Decayed(std::forward<Fn>(fn));
-      vtable_ = inline_vtable_<Decayed>();
-    } else {
-      target_ = new Decayed(std::forward<Fn>(fn));
-      vtable_ = heap_vtable_<Decayed>();
-    }
-  }
-
-  TaskFunction(TaskFunction&& other) noexcept { move_from_(other); }
-
-  TaskFunction& operator=(TaskFunction&& other) noexcept {
-    if (this != &other) {
-      reset_();
-      move_from_(other);
-    }
-    return *this;
-  }
-
-  TaskFunction(const TaskFunction&) = delete;
-  TaskFunction& operator=(const TaskFunction&) = delete;
-
-  ~TaskFunction() { reset_(); }
-
-  [[nodiscard]] explicit operator bool() const noexcept {
-    return vtable_ != nullptr;
-  }
-
-  void operator()() { vtable_->invoke(target_); }
-
- private:
-  struct VTable {
-    void (*invoke)(void*);
-    /// Move-constructs the target into `to` and destroys the source; null
-    /// for heap targets (the pointer itself is stolen instead).
-    void (*relocate)(void* from, void* to) noexcept;
-    void (*destroy)(void*) noexcept;
-  };
-
-  static constexpr std::size_t kInlineSize = 48;
-  static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
-
-  template <typename Fn>
-  static constexpr bool fits_inline_() noexcept {
-    return sizeof(Fn) <= kInlineSize && alignof(Fn) <= kInlineAlign &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
-
-  template <typename Fn>
-  static const VTable* inline_vtable_() noexcept {
-    static constexpr VTable table = {
-        [](void* target) { (*static_cast<Fn*>(target))(); },
-        [](void* from, void* to) noexcept {
-          ::new (to) Fn(std::move(*static_cast<Fn*>(from)));
-          static_cast<Fn*>(from)->~Fn();
-        },
-        [](void* target) noexcept { static_cast<Fn*>(target)->~Fn(); },
-    };
-    return &table;
-  }
-
-  template <typename Fn>
-  static const VTable* heap_vtable_() noexcept {
-    static constexpr VTable table = {
-        [](void* target) { (*static_cast<Fn*>(target))(); },
-        nullptr,
-        [](void* target) noexcept { delete static_cast<Fn*>(target); },
-    };
-    return &table;
-  }
-
-  void move_from_(TaskFunction& other) noexcept {
-    vtable_ = other.vtable_;
-    if (vtable_ == nullptr) return;
-    if (vtable_->relocate != nullptr) {  // Inline target.
-      vtable_->relocate(other.target_, storage_);
-      target_ = storage_;
-    } else {  // Heap target: steal the pointer.
-      target_ = other.target_;
-    }
-    other.vtable_ = nullptr;
-    other.target_ = nullptr;
-  }
-
-  void reset_() noexcept {
-    if (vtable_ != nullptr) vtable_->destroy(target_);
-    vtable_ = nullptr;
-    target_ = nullptr;
-  }
-
-  alignas(kInlineAlign) unsigned char storage_[kInlineSize];
-  void* target_ = nullptr;
-  const VTable* vtable_ = nullptr;
-};
-
-/// Fixed-size pool of worker threads with per-worker queues + work stealing.
-///
-/// Thread-safe: submit() may be called concurrently from any thread,
-/// including from inside a running task. A task must not *block* on tasks it
-/// submitted unless workers remain to run them (no fibers) — but note that
-/// parallel_for / parallel_reduce never block this way: the calling thread
-/// participates in the chunk loop itself.
-///
-/// Ordering: submissions are distributed round-robin over the per-worker
-/// queues and each queue is FIFO for its owner, so overall order is
-/// near-FIFO but not globally total — callers needing strict sequencing
-/// must chain futures.
+/// Thread-safe: run() may be called from any thread, including from inside
+/// a running job. Only one region runs at a time; a run() that finds the
+/// pool busy (a second caller, or a nested parallel_for inside a job) calls
+/// job() alone on its own thread instead of waiting, so it cannot deadlock.
 class ThreadPool {
  public:
-  /// Creates `thread_count` workers; 0 means std::thread::hardware_concurrency()
-  /// (minimum 1).
+  /// Creates `thread_count` workers; 0 means available_parallelism().
   explicit ThreadPool(std::size_t thread_count = 0);
 
   /// Pins worker i to the (i mod k)-th CPU of the process's affinity mask
@@ -178,7 +52,7 @@ class ThreadPool {
   /// hint only, part of no determinism contract.
   void pin_workers() noexcept;
 
-  /// Outstanding tasks are completed, then workers join.
+  /// Workers join. Must not run concurrently with run().
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -187,47 +61,37 @@ class ThreadPool {
   ThreadPool& operator=(ThreadPool&&) = delete;
 
   /// Number of worker threads.
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return threads_.size(); }
 
-  /// Submits a nullary callable; returns a future for its result.
-  template <typename Fn>
-  [[nodiscard]] auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
-    using Result = std::invoke_result_t<Fn>;
-    std::packaged_task<Result()> task(std::forward<Fn>(fn));
-    std::future<Result> future = task.get_future();
-    push_(TaskFunction(std::move(task)));
-    return future;
+  /// Calls job() on the calling thread and on min(helpers, size()) workers,
+  /// once each, and returns when every call has returned. When the pool is
+  /// already running a region, calls job() once on this thread only.
+  /// `job` must not throw (a throw terminates): catch inside and forward.
+  template <class Job>
+  void run(std::size_t helpers, Job& job) {
+    run_(helpers, [](void* target) noexcept { (*static_cast<Job*>(target))(); },
+         static_cast<void*>(&job));
   }
 
-  /// Blocks until every task submitted so far has finished executing.
-  /// Sleeps on sleep_mutex_/idle_, so it must not be called while holding
-  /// the pool's sleep mutex (a task calling it deadlocks anyway — no
-  /// worker is left to signal idle).
-  void wait_idle() REDUND_EXCLUDES(sleep_mutex_);
-
  private:
-  /// One worker's queue; heap-allocated so the vector of workers can be
-  /// built without moving mutexes.
-  struct Worker {
-    std::mutex mutex;
-    std::deque<TaskFunction> queue REDUND_GUARDED_BY(mutex);
-  };
+  using JobFn = void (*)(void*) noexcept;
 
-  void push_(TaskFunction task);
-  bool try_pop_(std::size_t self, TaskFunction& out);
-  void run_(TaskFunction task);
-  void worker_loop_(std::size_t self);
+  void run_(std::size_t helpers, JobFn job, void* target);
+  void worker_loop_();
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-  std::atomic<std::size_t> next_queue_{0};  ///< Round-robin submit cursor.
-  std::atomic<std::int64_t> queued_{0};     ///< Tasks sitting in queues.
-  std::atomic<std::int64_t> in_flight_{0};  ///< Queued + executing.
-  std::atomic<std::int64_t> sleepers_{0};   ///< Workers inside wake_.wait.
-  std::atomic<bool> stopping_{false};
-  std::mutex sleep_mutex_;
-  std::condition_variable wake_;
-  std::condition_variable idle_;
+  /// Set while a region runs: the region try-lock. Not a std::mutex, whose
+  /// try_lock is undefined on the thread that owns it (a nested run()).
+  std::atomic<bool> busy_{false};
+  std::mutex mutex_;
+  std::condition_variable wake_;  ///< Workers: a new region or stopping.
+  std::condition_variable done_;  ///< Caller: every helper has returned.
+  std::uint64_t generation_ REDUND_GUARDED_BY(mutex_) = 0;  ///< Region id.
+  std::size_t unclaimed_ REDUND_GUARDED_BY(mutex_) = 0;  ///< Helper slots left.
+  std::size_t pending_ REDUND_GUARDED_BY(mutex_) = 0;    ///< Helpers running.
+  JobFn job_ REDUND_GUARDED_BY(mutex_) = nullptr;
+  void* target_ REDUND_GUARDED_BY(mutex_) = nullptr;
+  bool stopping_ REDUND_GUARDED_BY(mutex_) = false;
+  std::vector<std::thread> threads_;  ///< Last: the workers use the above.
 };
 
 }  // namespace redund::parallel

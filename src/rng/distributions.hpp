@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "math/binomial.hpp"
 #include "rng/engines.hpp"
 
 namespace redund::rng {
@@ -164,9 +165,9 @@ template <typename Engine>
             static_cast<double>(population - marked - sample + k + 1));
   };
   const auto lchoose = [](std::int64_t n, std::int64_t k) noexcept {
-    return std::lgamma(static_cast<double>(n) + 1.0) -
-           std::lgamma(static_cast<double>(k) + 1.0) -
-           std::lgamma(static_cast<double>(n - k) + 1.0);
+    return math::log_gamma(static_cast<double>(n) + 1.0) -
+           math::log_gamma(static_cast<double>(k) + 1.0) -
+           math::log_gamma(static_cast<double>(n - k) + 1.0);
   };
   const std::int64_t mode = std::clamp(
       (sample + 1) * (marked + 1) / (population + 2), lo, hi);

@@ -167,9 +167,11 @@ JournalContents read_journal(const std::string& path) {
     if (header.empty() || header[0] != kMagic) {
       // Name what was found, so a journal of another format version
       // reads as a version mismatch rather than as garbage.
-      const std::string found =
-          header.empty() ? std::string("an empty line")
-                         : "'" + header[0].substr(0, 32) + "'";
+      std::string found = "an empty line";
+      if (!header.empty()) {
+        found = "'";
+        found.append(header[0], 0, 32).push_back('\'');
+      }
       throw std::runtime_error("journal: " + path + " has header " + found +
                                "; this build reads only " + kMagic);
     }

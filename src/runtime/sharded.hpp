@@ -1,6 +1,6 @@
 // Sharded parallel campaigns: one large asynchronous campaign split into S
-// independent sub-campaigns that run concurrently on a work-stealing
-// ThreadPool and merge into one RuntimeReport.
+// independent sub-campaigns that run concurrently on a ThreadPool and
+// merge into one RuntimeReport.
 //
 // The split is by *fleet*, not by lock: each shard gets a slice of the
 // realized plan's multiplicity classes, of the ringers, and of the honest /
@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/thread_annotations.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/report.hpp"
 #include "runtime/supervisor.hpp"
@@ -61,11 +60,9 @@ class ShardedSupervisor {
   /// Runs every shard's event loop across `pool` (the calling thread
   /// participates) and returns the merged report. Bit-identical output for
   /// any pool size. Blocks inside parallel_for until every shard
-  /// completes, so it must not be called while holding the pool's sleep
-  /// mutex (i.e. never from inside a pool task that owns pool
-  /// synchronization state).
-  [[nodiscard]] RuntimeReport run(parallel::ThreadPool& pool) const
-      REDUND_EXCLUDES(sleep_mutex_);
+  /// completes. Safe to call from inside a pool job: the pool is then
+  /// busy, so the shards run inline on the calling thread.
+  [[nodiscard]] RuntimeReport run(parallel::ThreadPool& pool) const;
 
   /// Resumes every shard from its journal and merges. A shard whose
   /// journal is missing or unusable is re-run from its seed instead:
@@ -73,10 +70,9 @@ class ShardedSupervisor {
   /// bit-identical to run()'s either way, and losing any number of
   /// journal files costs only their verification. A journal that
   /// diverges from the re-run is also unusable and is replaced. Throws
-  /// std::invalid_argument when journaling is not configured. Same
-  /// sleep-mutex exclusion as run().
-  [[nodiscard]] RuntimeReport resume(parallel::ThreadPool& pool) const
-      REDUND_EXCLUDES(sleep_mutex_);
+  /// std::invalid_argument when journaling is not configured. Like run(),
+  /// safe to call from inside a pool job.
+  [[nodiscard]] RuntimeReport resume(parallel::ThreadPool& pool) const;
 
   /// Folds per-shard reports (in the given order) into one campaign-level
   /// report: counters sum, makespan/end_time are the max, first detection

@@ -1,12 +1,10 @@
-// Unit tests for redund_parallel: pool lifecycle, task execution, exception
-// propagation, and the determinism contract of parallel_reduce.
+// Unit tests for redund_parallel: pool lifecycle, fork-join regions,
+// exception propagation, and the determinism contract of parallel_reduce.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <future>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -30,61 +28,39 @@ TEST(ThreadPool, ExplicitSizeHonoured) {
   EXPECT_EQ(pool.size(), 3u);
 }
 
-TEST(ThreadPool, SubmitReturnsResult) {
-  p::ThreadPool pool(2);
-  auto future = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(future.get(), 42);
+TEST(ThreadPool, RunCallsJobOnCallerAndHelpers) {
+  p::ThreadPool pool(3);
+  std::atomic<int> calls{0};
+  auto job = [&calls] { calls.fetch_add(1, std::memory_order_relaxed); };
+  pool.run(2, job);
+  EXPECT_EQ(calls.load(), 3);  // The caller plus two workers.
+  calls.store(0);
+  pool.run(0, job);
+  EXPECT_EQ(calls.load(), 1);  // The caller alone.
 }
 
-TEST(ThreadPool, ManyTasksAllRun) {
-  p::ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 500; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 500);
-}
-
-TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
-  p::ThreadPool pool(2);
-  auto future = pool.submit(
-      []() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, WaitIdleDrainsQueue) {
-  p::ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 20; ++i) {
-    (void)pool.submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ++done;
+TEST(ThreadPool, NestedAndConcurrentParallelForComplete) {
+  // Two threads share one pool, and each body runs a parallel_for of its
+  // own. Only one region runs at a time; a call that finds the pool busy
+  // drains its blocks inline, so nothing deadlocks and every index is
+  // still visited once per thread.
+  p::ThreadPool pool(3);
+  constexpr std::size_t kOuter = 16;
+  constexpr std::size_t kInner = 64;
+  std::vector<std::atomic<int>> visits(kOuter * kInner);
+  const auto nested = [&] {
+    p::parallel_for(pool, kOuter, [&](std::size_t i) {
+      p::parallel_for(pool, kInner, [&](std::size_t j) {
+        visits[i * kInner + j].fetch_add(1, std::memory_order_relaxed);
+      });
     });
+  };
+  std::thread other(nested);
+  nested();
+  other.join();
+  for (std::size_t k = 0; k < visits.size(); ++k) {
+    EXPECT_EQ(visits[k].load(), 2) << "index " << k;
   }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 20);
-}
-
-TEST(ThreadPool, DestructorCompletesOutstandingWork) {
-  std::atomic<int> done{0};
-  {
-    p::ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      (void)pool.submit([&done] { ++done; });
-    }
-  }  // Destructor joins after draining.
-  EXPECT_EQ(done.load(), 50);
-}
-
-TEST(ThreadPool, TasksCanSubmitTasks) {
-  p::ThreadPool pool(2);
-  auto outer = pool.submit([&pool] {
-    auto inner = pool.submit([] { return 7; });
-    return inner;
-  });
-  EXPECT_EQ(outer.get().get(), 7);
 }
 
 // ---------------------------------------------------------------- decompose
@@ -222,36 +198,10 @@ TEST(ParallelReduceBlocks, BlockStateStaysWithinOneBlock) {
   EXPECT_EQ(result, "01234567891011");
 }
 
-TEST(ThreadPool, MoveOnlyTasksAndResults) {
-  // The task wrapper is move-only type erasure: submitting a lambda that
-  // owns a unique_ptr (non-copyable) must compile and run.
-  p::ThreadPool pool(2);
-  auto payload = std::make_unique<int>(41);
-  auto future = pool.submit(
-      [owned = std::move(payload)]() mutable { return *owned + 1; });
-  EXPECT_EQ(future.get(), 42);
-}
-
-TEST(ThreadPool, StressManySmallTasksAcrossQueues) {
-  // Round-robin submission plus work stealing: a burst of tiny tasks far
-  // exceeding the queue count must all run exactly once.
-  p::ThreadPool pool(4);
-  constexpr int kTasks = 5000;
-  std::atomic<int> executed{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.submit(
-        [&executed] { executed.fetch_add(1, std::memory_order_relaxed); }));
-  }
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(executed.load(), kTasks);
-}
-
 TEST(ThreadPool, UnbalancedBlocksFinishViaStealing) {
-  // One long block plus many short ones: dynamic ticket scheduling must let
-  // the other workers drain the short blocks while one chews the long one,
-  // and every index must still be visited exactly once.
+  // One long block plus many short ones: the block ticket must let the
+  // other threads of the region drain the short blocks while one chews the
+  // long one, and every index must still be visited exactly once.
   p::ThreadPool pool(4);
   constexpr std::size_t kCount = 400;
   std::vector<std::atomic<int>> visits(kCount);

@@ -435,6 +435,25 @@ const Fixture kFixtures[] = {
      "  return q.depth;\n"
      "}\n",
      "guarded-by", 6},
+    {"guarded-by-function-pointer-fires", "src/parallel/x.cpp",
+     "struct Q {\n"
+     "  std::mutex mutex_;\n"
+     "  int (*hook)(int) REDUND_GUARDED_BY(mutex_);\n"
+     "};\n"
+     "int peek(Q& q) {\n"
+     "  return q.hook(1);\n"
+     "}\n",
+     "guarded-by", 6},
+    {"guarded-by-array-fires", "src/parallel/x.cpp",
+     "constexpr int kN = 4;\n"
+     "struct Q {\n"
+     "  std::mutex mutex_;\n"
+     "  int slots[kN] REDUND_GUARDED_BY(mutex_);\n"
+     "};\n"
+     "int peek(Q& q) {\n"
+     "  return q.slots[kN - 1];\n"
+     "}\n",
+     "guarded-by", 7},
     {"guarded-by-lock-clean", "src/parallel/x.cpp",
      "struct Q {\n"
      "  std::mutex mutex_;\n"
