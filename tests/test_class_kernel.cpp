@@ -209,6 +209,44 @@ TEST(ClassKernel, MonteCarloByteIdenticalAcrossPoolSizes) {
   }
 }
 
+TEST(ClassKernel, AllocationsPinnedOnMixedWorkload) {
+  // Exact counters of 200 replicas per kernel, recorded once: the sampler
+  // and the per-task ablations' task walk must not move one draw.
+  struct Pinned {
+    sim::Allocation allocation;
+    std::int64_t tasks_held, cheat_attempts, detected_cheats,
+        successful_cheats, fully_controlled_tasks;
+    std::vector<std::int64_t> attempts_by_held, detected_by_held;
+  };
+  const std::vector<Pinned> pinned{
+      {sim::Allocation::kClassAggregated, 62234, 49834, 35356, 14478, 18137,
+       {0, 40322, 8223, 1154, 124, 11}, {0, 28163, 6284, 785, 124, 0}},
+      {sim::Allocation::kSequentialHypergeometric, 62000, 49693, 35275, 14418,
+       18094, {0, 39883, 8523, 1150, 126, 11}, {0, 27854, 6518, 777, 126, 0}},
+      {sim::Allocation::kPoolShuffle, 62075, 49641, 35204, 14437, 18148,
+       {0, 40032, 8253, 1225, 121, 10}, {0, 27943, 6300, 840, 121, 0}},
+  };
+  const auto workload = mixed_workload();
+  const sim::AdversaryConfig adversary{
+      .proportion = 0.25,
+      .strategy = sim::CheatStrategy::kAlwaysCheat,
+      .cheat_probability = 0.8};
+  for (const Pinned& p : pinned) {
+    const auto result = accumulate(workload, adversary, p.allocation, 2026, 200);
+    EXPECT_EQ(result.replicas, 200);
+    EXPECT_EQ(result.adversary_assignments, 76000);
+    EXPECT_EQ(result.tasks_held, p.tasks_held);
+    EXPECT_EQ(result.cheat_attempts, p.cheat_attempts);
+    EXPECT_EQ(result.detected_cheats, p.detected_cheats);
+    EXPECT_EQ(result.successful_cheats, p.successful_cheats);
+    EXPECT_EQ(result.fully_controlled_tasks, p.fully_controlled_tasks);
+    EXPECT_EQ(result.replicas_with_detection, 200);
+    EXPECT_EQ(result.replicas_with_corruption, 200);
+    EXPECT_EQ(result.attempts_by_held, p.attempts_by_held);
+    EXPECT_EQ(result.detected_by_held, p.detected_by_held);
+  }
+}
+
 TEST(ClassKernel, ScratchReuseMatchesFreshScratch) {
   // The same seed must give the same replica whether the scratch is reused
   // (hot path) or freshly constructed (wrapper): scratch carries no state

@@ -240,6 +240,50 @@ TEST(Hypergeometric, VarianceMatchesTheory) {
   EXPECT_NEAR(var, expected_var, 0.05 * expected_var);
 }
 
+TEST(Hypergeometric, DrawsArePinned) {
+  // Exact draws on make_stream(7, i), recorded once: any change to the
+  // sampler's arithmetic (log-gamma source, operand order, walk order)
+  // shows here as a moved draw. Covers the trivial lo >= hi exit, mode
+  // hits, long two-sided walks, log-gamma arguments on each side of 2^16,
+  // and populations near plan_verify's N = 10^6 outer deals.
+  struct Case {
+    std::int64_t population, marked, sample, draw;
+  };
+  constexpr std::array<Case, 24> kCases{{
+      {10, 0, 5, 0},  // lo == hi
+      {10, 10, 3, 3},  // lo == hi
+      {10, 4, 10, 4},  // lo == hi
+      {5, 3, 0, 0},  // lo == hi
+      {20, 1, 1, 0},  // mode hit
+      {30, 2, 5, 2},
+      {50, 10, 10, 1},
+      {1000, 3, 2, 0},  // mode hit
+      {1000, 500, 500, 252},
+      {100000, 50000, 50000, 25024},
+      {65535, 30000, 20000, 9063},
+      {65536, 30000, 20000, 9112},
+      {65537, 30000, 20000, 9075},
+      {65535, 65534, 100, 100},  // mode hit
+      {131072, 65535, 65536, 32819},
+      {131072, 65536, 65537, 32864},
+      {131073, 65537, 65535, 32848},
+      {200000, 65535, 1000, 325},
+      {1400000, 700000, 140000, 70282},
+      {1399999, 1000000, 140000, 100145},
+      {1400001, 3000, 140000, 317},
+      {1400000, 1300000, 1200000, 1114356},
+      {1400000, 140000, 1399000, 139908},
+      {1400000, 50, 140000, 10},
+  }};
+  for (std::size_t i = 0; i < kCases.size(); ++i) {
+    const Case& c = kCases[i];
+    auto engine = r::make_stream(7, i);
+    EXPECT_EQ(r::hypergeometric(c.population, c.marked, c.sample, engine),
+              c.draw)
+        << "case " << i;
+  }
+}
+
 // ------------------------------------------------------------------ poisson
 
 TEST(PoissonSampler, MeanMatchesForSmallGamma) {
