@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace redund::math {
 
@@ -36,7 +37,23 @@ constexpr std::array<double, 23> kFactorialTable = {
     1124000727777607680000.0,
 };
 
+// log_gamma_int serves n < kLogGammaTableSize from the table.
+constexpr std::int64_t kLogGammaTableSize = std::int64_t{1} << 16;
+
 }  // namespace
+
+double log_gamma_int(std::int64_t n) noexcept {
+  // Function-local static: built once, on first use, thread-safely.
+  static const std::vector<double> table = [] {
+    std::vector<double> values(static_cast<std::size_t>(kLogGammaTableSize));
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      values[i] = log_gamma(static_cast<double>(i) + 1.0);
+    }
+    return values;
+  }();
+  if (n < kLogGammaTableSize) return table[static_cast<std::size_t>(n)];
+  return log_gamma(static_cast<double>(n) + 1.0);
+}
 
 double log_factorial(std::int64_t n) noexcept {
   if (n < 0) return -std::numeric_limits<double>::infinity();

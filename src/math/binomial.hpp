@@ -24,6 +24,17 @@ namespace redund::math {
   return ::lgamma_r(x, &sign);
 }
 
+/// ln(n!) for n >= 0, bit-identical to log_gamma(static_cast<double>(n) + 1.0).
+/// Below 2^16 the value is read from a table of exactly those doubles, built
+/// on first use (512 KB; a process that never calls this never builds it);
+/// above, it calls log_gamma. The hypergeometric sampler spends most of its
+/// time here.
+///
+/// Not log_factorial: for n <= 22 that returns std::log of the exact
+/// factorial, which differs from log_gamma in the last bits, and the
+/// sampler's draws are pinned to log_gamma's values.
+[[nodiscard]] double log_gamma_int(std::int64_t n) noexcept;
+
 /// Natural log of the binomial coefficient C(n, k).
 ///
 /// Preconditions: n >= 0, k >= 0. Returns -infinity when k > n (the

@@ -43,14 +43,6 @@ template <typename Engine>
   }
 }
 
-/// Uniform integer in the closed range [lo, hi].
-template <typename Engine>
-[[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi,
-                                       Engine& engine) noexcept {
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform_below(span, engine));
-}
-
 /// Bernoulli(p) draw.
 template <typename Engine>
 [[nodiscard]] bool bernoulli(double p, Engine& engine) noexcept {
@@ -165,9 +157,8 @@ template <typename Engine>
             static_cast<double>(population - marked - sample + k + 1));
   };
   const auto lchoose = [](std::int64_t n, std::int64_t k) noexcept {
-    return math::log_gamma(static_cast<double>(n) + 1.0) -
-           math::log_gamma(static_cast<double>(k) + 1.0) -
-           math::log_gamma(static_cast<double>(n - k) + 1.0);
+    return math::log_gamma_int(n) - math::log_gamma_int(k) -
+           math::log_gamma_int(n - k);
   };
   const std::int64_t mode = std::clamp(
       (sample + 1) * (marked + 1) / (population + 2), lo, hi);
@@ -201,36 +192,6 @@ template <typename Engine>
   }
   // Rounding left a sliver of unclaimed mass; the mode is the safe answer.
   return mode;
-}
-
-/// Poisson(gamma) sampler. Knuth multiplication below gamma = 30, else the
-/// simple normal-rounding approximation is avoided in favour of splitting:
-/// Poisson(a+b) = Poisson(a) + Poisson(b) with a <= 30 chunks (exact).
-template <typename Engine>
-[[nodiscard]] std::int64_t poisson(double gamma, Engine& engine) noexcept {
-  if (!(gamma > 0.0)) return 0;
-  std::int64_t total = 0;
-  while (gamma > 30.0) {
-    // Split off an exact Poisson(30) component.
-    constexpr double kChunk = 30.0;
-    const double limit = std::exp(-kChunk);
-    double product = uniform01(engine);
-    std::int64_t count = 0;
-    while (product > limit) {
-      product *= uniform01(engine);
-      ++count;
-    }
-    total += count;
-    gamma -= kChunk;
-  }
-  const double limit = std::exp(-gamma);
-  double product = uniform01(engine);
-  std::int64_t count = 0;
-  while (product > limit) {
-    product *= uniform01(engine);
-    ++count;
-  }
-  return total + count;
 }
 
 /// In-place Fisher–Yates shuffle.

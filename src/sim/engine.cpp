@@ -61,20 +61,24 @@ void ensure_width(ReplicaResult& result, std::int64_t max_multiplicity) {
 /// Per-task held-copy counts via sequential conditional hypergeometric
 /// sampling: after deciding tasks 0..t-1, task t's held count given the
 /// remaining picks is Hypergeometric(remaining pool, m_t, remaining picks).
+/// Tasks are numbered in class order (see Workload).
 void sample_held_hypergeometric(const Workload& workload, std::int64_t picks,
                                 rng::Xoshiro256StarStar& engine,
                                 std::vector<std::int64_t>& held) {
   std::int64_t remaining_pool = workload.total_assignments();
   std::int64_t remaining_picks = picks;
-  const auto& tasks = workload.tasks();
-  held.assign(tasks.size(), 0);
-  for (std::size_t t = 0; t < tasks.size() && remaining_picks > 0; ++t) {
-    const std::int64_t m = tasks[t].multiplicity;
-    const std::int64_t h =
-        rng::hypergeometric(remaining_pool, m, remaining_picks, engine);
-    held[t] = h;
-    remaining_pool -= m;
-    remaining_picks -= h;
+  held.assign(static_cast<std::size_t>(workload.task_count()), 0);
+  std::size_t t = 0;
+  for (const TaskClass& cls : workload.classes()) {
+    const std::int64_t m = cls.multiplicity;
+    for (std::int64_t i = 0; i < cls.count; ++i, ++t) {
+      if (remaining_picks <= 0) return;
+      const std::int64_t h =
+          rng::hypergeometric(remaining_pool, m, remaining_picks, engine);
+      held[t] = h;
+      remaining_pool -= m;
+      remaining_picks -= h;
+    }
   }
 }
 
@@ -85,15 +89,15 @@ void sample_held_pool(const Workload& workload, std::int64_t picks,
                       rng::Xoshiro256StarStar& engine,
                       std::vector<std::int64_t>& held,
                       std::vector<std::uint32_t>& pool) {
-  const auto& tasks = workload.tasks();
   pool.clear();
   pool.reserve(static_cast<std::size_t>(workload.total_assignments()));
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    for (std::int64_t c = 0; c < tasks[t].multiplicity; ++c) {
-      pool.push_back(static_cast<std::uint32_t>(t));
+  std::uint32_t t = 0;
+  for (const TaskClass& cls : workload.classes()) {
+    for (std::int64_t i = 0; i < cls.count; ++i, ++t) {
+      pool.insert(pool.end(), static_cast<std::size_t>(cls.multiplicity), t);
     }
   }
-  held.assign(tasks.size(), 0);
+  held.assign(static_cast<std::size_t>(workload.task_count()), 0);
   const auto n = static_cast<std::uint64_t>(pool.size());
   const auto w = static_cast<std::uint64_t>(picks);
   for (std::uint64_t i = 0; i < w && i < n; ++i) {
@@ -108,27 +112,29 @@ void tally_per_task(ReplicaResult& result, const Workload& workload,
                     const AdversaryConfig& adversary,
                     rng::Xoshiro256StarStar& engine,
                     const std::vector<std::int64_t>& held) {
-  const auto& tasks = workload.tasks();
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    const std::int64_t h = held[t];
-    if (h < 1) continue;
-    ++result.tasks_held;
-    if (h == tasks[t].multiplicity) ++result.fully_controlled_tasks;
-    if (!adversary.should_cheat(h)) continue;
-    if (adversary.cheat_probability < 1.0 &&
-        !rng::bernoulli(adversary.cheat_probability, engine)) {
-      continue;
-    }
+  std::size_t t = 0;
+  for (const TaskClass& cls : workload.classes()) {
+    for (std::int64_t i = 0; i < cls.count; ++i, ++t) {
+      const std::int64_t h = held[t];
+      if (h < 1) continue;
+      ++result.tasks_held;
+      if (h == cls.multiplicity) ++result.fully_controlled_tasks;
+      if (!adversary.should_cheat(h)) continue;
+      if (adversary.cheat_probability < 1.0 &&
+          !rng::bernoulli(adversary.cheat_probability, engine)) {
+        continue;
+      }
 
-    ++result.cheat_attempts;
-    ++result.attempts_by_held[static_cast<std::size_t>(h)];
-    // Detection: an honest copy exists, or the supervisor knows the answer.
-    const bool detected = h < tasks[t].multiplicity || tasks[t].is_ringer;
-    if (detected) {
-      ++result.detected_cheats;
-      ++result.detected_by_held[static_cast<std::size_t>(h)];
-    } else {
-      ++result.successful_cheats;
+      ++result.cheat_attempts;
+      ++result.attempts_by_held[static_cast<std::size_t>(h)];
+      // Detection: an honest copy exists, or the supervisor knows the answer.
+      const bool detected = h < cls.multiplicity || cls.is_ringer;
+      if (detected) {
+        ++result.detected_cheats;
+        ++result.detected_by_held[static_cast<std::size_t>(h)];
+      } else {
+        ++result.successful_cheats;
+      }
     }
   }
 }

@@ -8,38 +8,30 @@ namespace redund::sim {
 Workload::Workload(const std::vector<std::int64_t>& counts,
                    std::int64_t ringer_count,
                    std::int64_t ringer_multiplicity) {
-  std::int64_t expected = 0;
   for (const std::int64_t count : counts) {
     if (count < 0) {
       throw std::invalid_argument("Workload: negative task count");
     }
-    expected += count;
   }
   if (ringer_count < 0 || (ringer_count > 0 && ringer_multiplicity < 1)) {
     throw std::invalid_argument("Workload: bad ringer configuration");
   }
-  tasks_.reserve(static_cast<std::size_t>(expected + ringer_count));
 
   for (std::size_t i = 0; i < counts.size(); ++i) {
-    const auto multiplicity = static_cast<std::int64_t>(i + 1);
-    for (std::int64_t t = 0; t < counts[i]; ++t) {
-      tasks_.push_back({multiplicity, false});
-      total_assignments_ += multiplicity;
-    }
     if (counts[i] > 0) {
+      const auto multiplicity = static_cast<std::int64_t>(i + 1);
       classes_.push_back(
           {multiplicity, false, counts[i], counts[i] * multiplicity});
-      max_multiplicity_ = std::max(max_multiplicity_, multiplicity);
     }
-  }
-  for (std::int64_t t = 0; t < ringer_count; ++t) {
-    tasks_.push_back({ringer_multiplicity, true});
-    total_assignments_ += ringer_multiplicity;
   }
   if (ringer_count > 0) {
     classes_.push_back({ringer_multiplicity, true, ringer_count,
                         ringer_count * ringer_multiplicity});
-    max_multiplicity_ = std::max(max_multiplicity_, ringer_multiplicity);
+  }
+  for (const TaskClass& cls : classes_) {
+    task_count_ += cls.count;
+    total_assignments_ += cls.assignments;
+    max_multiplicity_ = std::max(max_multiplicity_, cls.multiplicity);
   }
   ringer_count_ = ringer_count;
 }

@@ -2,8 +2,10 @@
 //
 // A workload is the supervisor-side view of one computation: the task
 // multiset implied by a realized redundancy plan (real tasks, the tail
-// partition, and precomputed ringers). Tasks are identified by dense indices
-// so per-replica state is flat arrays.
+// partition, and precomputed ringers), stored as its exchangeability
+// classes. Task t is the t-th task of the classes taken in order, so a
+// kernel that needs per-task state walks classes() with an inner loop over
+// each class's count; nothing is stored per task.
 #pragma once
 
 #include <cstdint>
@@ -13,24 +15,18 @@
 
 namespace redund::sim {
 
-/// One task in the computation.
-struct TaskSpec {
-  std::int64_t multiplicity = 0;  ///< How many copies enter the pool.
-  bool is_ringer = false;         ///< Supervisor precomputed the answer.
-};
-
 /// One equivalence class of tasks: all tasks sharing (multiplicity,
 /// is_ringer) are exchangeable under the adversary's uniform pick of
 /// assignments, so per-replica sampling can work on classes instead of
 /// tasks (Allocation::kClassAggregated — O(#classes), not O(N)).
 struct TaskClass {
-  std::int64_t multiplicity = 0;
-  bool is_ringer = false;
+  std::int64_t multiplicity = 0;  ///< Copies of each task in the pool.
+  bool is_ringer = false;         ///< Supervisor precomputed the answer.
   std::int64_t count = 0;        ///< Tasks in this class.
   std::int64_t assignments = 0;  ///< count * multiplicity.
 };
 
-/// The full task multiset plus cached totals.
+/// The task multiset as its classes, plus cached totals.
 class Workload {
  public:
   Workload() = default;
@@ -44,11 +40,8 @@ class Workload {
   explicit Workload(const core::RealizedPlan& plan)
       : Workload(plan.counts, plan.ringer_count, plan.ringer_multiplicity) {}
 
-  [[nodiscard]] const std::vector<TaskSpec>& tasks() const noexcept {
-    return tasks_;
-  }
   [[nodiscard]] std::int64_t task_count() const noexcept {
-    return static_cast<std::int64_t>(tasks_.size());
+    return task_count_;
   }
   [[nodiscard]] std::int64_t total_assignments() const noexcept {
     return total_assignments_;
@@ -67,8 +60,8 @@ class Workload {
   }
 
  private:
-  std::vector<TaskSpec> tasks_;
   std::vector<TaskClass> classes_;
+  std::int64_t task_count_ = 0;
   std::int64_t total_assignments_ = 0;
   std::int64_t ringer_count_ = 0;
   std::int64_t max_multiplicity_ = 0;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "math/binomial.hpp"
@@ -145,6 +146,38 @@ TEST(Factorial, TableAndLgammaAgreeAtBoundary) {
   EXPECT_DOUBLE_EQ(m::factorial(20), 2432902008176640000.0);
   EXPECT_NEAR(m::factorial(23) / (23.0 * m::factorial(22)), 1.0, 1e-12);
   EXPECT_DOUBLE_EQ(m::factorial(-1), 0.0);
+}
+
+TEST(LogGammaInt, MatchesLogGammaBitwise) {
+  // Table entries (below 2^16) and the log_gamma fallback above it must
+  // both return exactly log_gamma(n + 1): the sampler's draws depend on it.
+  for (const std::int64_t n :
+       {0, 1, 22, 23, 65535, 65536, 65537, 1'400'000}) {
+    EXPECT_EQ(m::log_gamma_int(n), m::log_gamma(static_cast<double>(n) + 1.0))
+        << "n=" << n;
+  }
+}
+
+TEST(LogGammaInt, ConcurrentFirstUse) {
+  // Four threads race to the table's first use; every one must read the
+  // same values (under TSan, this also checks the build is race-free).
+  constexpr std::int64_t kEnd = std::int64_t{1} << 16;
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<double>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&values = seen[i]] {
+      values.reserve(static_cast<std::size_t>(kEnd) + 1);
+      for (std::int64_t n = 0; n <= kEnd; ++n) {
+        values.push_back(m::log_gamma_int(n));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t i = 1; i < kThreads; ++i) {
+    EXPECT_EQ(seen[i], seen[0]) << "thread " << i;
+  }
+  EXPECT_EQ(seen[0][65535], m::log_gamma(65536.0));
 }
 
 TEST(LogFactorial, MonotoneAndConsistent) {

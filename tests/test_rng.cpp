@@ -120,21 +120,6 @@ TEST(UniformBelow, IsUnbiasedOverSmallRange) {
   EXPECT_LT(chi2, 22.46);
 }
 
-TEST(UniformInt, CoversClosedRangeEndpoints) {
-  r::Xoshiro256StarStar engine(9);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 10000; ++i) {
-    const auto v = r::uniform_int(-3, 3, engine);
-    ASSERT_GE(v, -3);
-    ASSERT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 // ---------------------------------------------------------------- binomial
 
 class BinomialMoments
@@ -282,30 +267,6 @@ TEST(Hypergeometric, DrawsArePinned) {
               c.draw)
         << "case " << i;
   }
-}
-
-// ------------------------------------------------------------------ poisson
-
-TEST(PoissonSampler, MeanMatchesForSmallGamma) {
-  r::Xoshiro256StarStar engine(31);
-  constexpr double kGamma = 0.6931;
-  constexpr int kDraws = 100000;
-  double sum = 0.0;
-  for (int i = 0; i < kDraws; ++i) {
-    sum += static_cast<double>(r::poisson(kGamma, engine));
-  }
-  EXPECT_NEAR(sum / kDraws, kGamma, 0.01);
-}
-
-TEST(PoissonSampler, SplittingPreservesMeanForLargeGamma) {
-  r::Xoshiro256StarStar engine(32);
-  constexpr double kGamma = 95.0;  // Exercises the chunked path.
-  constexpr int kDraws = 20000;
-  double sum = 0.0;
-  for (int i = 0; i < kDraws; ++i) {
-    sum += static_cast<double>(r::poisson(kGamma, engine));
-  }
-  EXPECT_NEAR(sum / kDraws, kGamma, 0.5);
 }
 
 // ------------------------------------------------------------------ shuffle

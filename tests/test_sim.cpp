@@ -28,8 +28,8 @@ TEST(Workload, CountsTasksAndAssignments) {
   EXPECT_EQ(w.task_count(), 8);
   EXPECT_EQ(w.total_assignments(), 3 + 4 + 3 + 8);
   EXPECT_EQ(w.ringer_count(), 2);
-  int ringers = 0;
-  for (const auto& task : w.tasks()) ringers += task.is_ringer ? 1 : 0;
+  std::int64_t ringers = 0;
+  for (const auto& cls : w.classes()) ringers += cls.is_ringer ? cls.count : 0;
   EXPECT_EQ(ringers, 2);
 }
 
