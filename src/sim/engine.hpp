@@ -13,8 +13,8 @@
 //  * kPoolShuffle — materializes the assignment multiset and samples the
 //    adversary's subset by partial Fisher-Yates; O(total assignments).
 //    Exactness ablation.
-//  * kSequentialHypergeometric — walks the task list drawing each task's
-//    held count from the exact conditional hypergeometric law;
+//  * kSequentialHypergeometric — walks the tasks class by class, drawing
+//    each task's held count from the exact conditional hypergeometric law;
 //    O(task count), no pool materialization. Exactness ablation.
 //  * kClassAggregated — tasks with identical (multiplicity, is_ringer) are
 //    exchangeable, so the kernel samples per *class*: an outer multivariate
