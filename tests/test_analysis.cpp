@@ -1,9 +1,9 @@
-// Unit tests for the static-analysis library (src/analysis/) behind
-// redund_lint v2. The linter's own --self-test pins end-to-end rule
-// behaviour on fixture files; these tests pin the layers underneath —
-// scrubber, tokenizer, function parser, call graph, attribute fixpoint —
-// at API granularity, where a regression would otherwise only show up
-// as a mysteriously silent rule.
+// Unit tests for the analyzer (tools/lint/) behind redund_lint. The
+// linter's own --self-test pins end-to-end rule behaviour on fixture
+// files; these tests pin the layers underneath — scrubber, tokenizer,
+// function parser, call graph, attribute fixpoint — at API granularity,
+// where a regression would otherwise only show up as a mysteriously
+// silent rule.
 #include <algorithm>
 #include <sstream>
 #include <string>
@@ -11,14 +11,14 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/attributes.hpp"
-#include "analysis/callgraph.hpp"
-#include "analysis/parse.hpp"
-#include "analysis/project.hpp"
-#include "analysis/rules.hpp"
-#include "analysis/source.hpp"
+#include "lint/attributes.hpp"
+#include "lint/callgraph.hpp"
+#include "lint/parse.hpp"
+#include "lint/project.hpp"
+#include "lint/rules.hpp"
+#include "lint/source.hpp"
 
-namespace redund::analysis {
+namespace redund::lint {
 namespace {
 
 // ---------------------------------------------------------------------
@@ -221,8 +221,8 @@ TEST(ParseFile, NestedLambdaLinesBelongToEnclosingFunction) {
       "}\n");
   ASSERT_EQ(pf.functions.size(), 1U);
   EXPECT_EQ(pf.functions[0].name, "driver");
-  EXPECT_EQ(pf.functions[0].body_begin, 0U);
-  EXPECT_EQ(pf.functions[0].body_end, 6U);
+  EXPECT_EQ(pf.tokens[pf.functions[0].body_open].line, 0U);
+  EXPECT_EQ(pf.tokens[pf.functions[0].body_close].line, 6U);
 }
 
 TEST(ParseFile, HotAndDeterministicAnnotationsBind) {
@@ -519,7 +519,7 @@ TEST(OptionsFor, PathScoping) {
 }
 
 // ---------------------------------------------------------------------
-// Project end-to-end: the v1 blind spot, closed.
+// Project end-to-end: an allocation one call away from a hot function.
 
 TEST(Project, TransitiveHotAllocAcrossFiles) {
   Project project;
@@ -560,4 +560,4 @@ TEST(Project, FindingsSortedAndSuppressible) {
 }
 
 }  // namespace
-}  // namespace redund::analysis
+}  // namespace redund::lint

@@ -1,10 +1,10 @@
-#include "analysis/callgraph.hpp"
+#include "lint/callgraph.hpp"
 
 #include <algorithm>
 #include <map>
 #include <ostream>
 
-namespace redund::analysis {
+namespace redund::lint {
 
 namespace {
 
@@ -51,18 +51,16 @@ bool qualified_suffix_match(const std::string& qualified,
 void CallGraph::build(std::vector<ParsedFile>& files) {
   files_ = &files;
   nodes_.clear();
-  unresolved_ = 0;
 
-  // Merge declaration-only annotations (REQUIRES/EXCLUDES on header
-  // prototypes) into the matching definitions, keyed by (class, name).
-  std::map<std::pair<std::string, std::string>, std::vector<FunctionInfo*>>
-      by_key;
+  // Merge declaration-only annotations (hot, REQUIRES/EXCLUDES on header
+  // prototypes) into the matching definitions, keyed by qualified name.
+  std::map<std::string, std::vector<FunctionInfo*>> by_name;
   for (ParsedFile& file : files) {
     for (FunctionInfo& fn : file.functions) {
-      by_key[{fn.class_name, fn.name}].push_back(&fn);
+      by_name[fn.qualified].push_back(&fn);
     }
   }
-  for (auto& [key, fns] : by_key) {
+  for (auto& [name, fns] : by_name) {
     std::vector<std::string> req;
     std::vector<std::string> excl;
     bool hot = false;
@@ -102,11 +100,9 @@ void CallGraph::build(std::vector<ParsedFile>& files) {
     const FunctionInfo& caller = fn_of_(node);
     for (const CallSite& call : caller.calls) {
       const std::size_t callee = resolve_(call, node);
-      if (callee == npos) {
-        ++unresolved_;
-        continue;
+      if (callee != npos) {
+        node.edges.push_back(Edge{callee, call.line, call.in_loop});
       }
-      node.edges.push_back(Edge{callee, call.line, call.in_loop});
     }
   }
 }
@@ -216,4 +212,4 @@ const FunctionInfo& CallGraph::fn_of_(const Node& node) const {
   return (*files_)[node.file].functions[node.function];
 }
 
-}  // namespace redund::analysis
+}  // namespace redund::lint

@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/parse.hpp"
+#include "lint/parse.hpp"
 
-namespace redund::analysis {
+namespace redund::lint {
 
 /// One resolved call edge.
 struct Edge {
@@ -45,11 +45,6 @@ class CallGraph {
   /// npos. Exposed for tests.
   [[nodiscard]] std::size_t find(const std::string& qualified_suffix) const;
 
-  /// Calls that matched no unique definition (counted for --dump stats).
-  [[nodiscard]] std::size_t unresolved_calls() const {
-    return unresolved_;
-  }
-
   /// Emits the graph as GraphViz DOT, one node per definition (labelled
   /// with annotations) and one edge per resolved call.
   void dump_dot(std::ostream& out) const;
@@ -63,7 +58,6 @@ class CallGraph {
 
   std::vector<ParsedFile>* files_ = nullptr;
   std::vector<Node> nodes_;
-  std::size_t unresolved_ = 0;
 };
 
 /// True when the components of `name` (split on ::) are a suffix of the
@@ -71,4 +65,4 @@ class CallGraph {
 [[nodiscard]] bool qualified_suffix_match(const std::string& qualified,
                                           const std::string& name);
 
-}  // namespace redund::analysis
+}  // namespace redund::lint

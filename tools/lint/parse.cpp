@@ -1,9 +1,9 @@
-#include "analysis/parse.hpp"
+#include "lint/parse.hpp"
 
 #include <algorithm>
 #include <array>
 
-namespace redund::analysis {
+namespace redund::lint {
 
 namespace {
 
@@ -41,8 +41,7 @@ bool is_lock_tag(const std::string& word) {
 
 class Parser {
  public:
-  explicit Parser(ParsedFile& out)
-      : out_(out), tokens_(tokenize(out.source.lines)) {}
+  explicit Parser(ParsedFile& out) : out_(out), tokens_(out.tokens) {}
 
   void run() {
     const std::size_t n = tokens_.size();
@@ -517,7 +516,7 @@ class Parser {
 
     if (has_body) {
       fn.has_body = true;
-      fn.body_begin = tok_(j).line;
+      fn.body_open = j;
       next = scan_body_(j, fn);
     } else {
       next = j + 1;  // Past the ';'.
@@ -542,10 +541,8 @@ class Parser {
     };
     std::vector<OpenRegion> open_regions;
     std::size_t i = open;
-    std::size_t last_line = tok_(open).line;
     while (i < n) {
       const Token& t = tokens_[i];
-      last_line = t.line;
       if (t.kind == Token::Kind::kPunct) {
         if (t.text == "{") {
           ++depth;
@@ -572,7 +569,7 @@ class Parser {
           --depth;
           ++i;
           if (depth == 0) {
-            fn.body_end = t.line;
+            fn.body_close = i - 1;
             return i;
           }
           continue;
@@ -662,13 +659,12 @@ class Parser {
       }
       ++i;
     }
-    fn.body_end = last_line;
+    fn.body_close = n;  // Unterminated body: runs to the end of file.
     return i;
   }
 
   /// Maps `// redund: hot` / `// redund: deterministic` comment lines to
-  /// the next function body, mirroring v1's forward scan: the annotation
-  /// binds to the next '{' with no intervening top-level ';'.
+  /// the next function header, unless a ';' lies between the two.
   void attach_annotations_() {
     std::vector<std::pair<std::size_t, bool>> markers;  // line, is_hot
     for (std::size_t li = 0; li < out_.source.lines.size(); ++li) {
@@ -699,8 +695,8 @@ class Parser {
         }
       }
       if (best == nullptr) continue;
-      // The annotation must not cross a top-level ';' (a declaration
-      // between it and the body), mirroring v1's bail-out.
+      // The annotation must not cross a ';' (a declaration between it
+      // and the header).
       bool crossed = false;
       for (std::size_t li = line; li < best->header_line && !crossed; ++li) {
         crossed = out_.source.lines[li].code.find(';') != std::string::npos;
@@ -712,19 +708,31 @@ class Parser {
   }
 
   ParsedFile& out_;
-  std::vector<Token> tokens_;
+  const std::vector<Token>& tokens_;
   std::vector<Scope> scopes_;
 };
 
 }  // namespace
 
+bool mutex_matches(const std::string& held, const std::string& wanted) {
+  const auto last_component = [](const std::string& expr) {
+    std::size_t pos = expr.rfind("->");
+    std::size_t start = pos == std::string::npos ? 0 : pos + 2;
+    pos = expr.rfind('.');
+    if (pos != std::string::npos && pos + 1 > start) start = pos + 1;
+    return expr.substr(start);
+  };
+  return held == wanted || last_component(held) == wanted ||
+         last_component(wanted) == held;
+}
+
 bool FunctionInfo::holds_at(const std::string& m, std::size_t line) const {
   for (const std::string& held : requires_locks) {
-    if (held == m) return true;
+    if (mutex_matches(held, m)) return true;
   }
   for (const LockRegion& region : lock_regions) {
-    if (region.mutex == m && region.first_line <= line &&
-        line <= region.last_line) {
+    if (region.first_line <= line && line <= region.last_line &&
+        mutex_matches(region.mutex, m)) {
       return true;
     }
   }
@@ -734,9 +742,10 @@ bool FunctionInfo::holds_at(const std::string& m, std::size_t line) const {
 ParsedFile parse_file(std::string path, const std::string& text) {
   ParsedFile parsed;
   parsed.source = SourceFile::parse(std::move(path), text);
+  parsed.tokens = tokenize(parsed.source.lines);
   Parser parser(parsed);
   parser.run();
   return parsed;
 }
 
-}  // namespace redund::analysis
+}  // namespace redund::lint

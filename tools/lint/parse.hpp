@@ -18,9 +18,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/source.hpp"
+#include "lint/source.hpp"
 
-namespace redund::analysis {
+namespace redund::lint {
 
 /// One call site inside a function body.
 struct CallSite {
@@ -43,8 +43,8 @@ struct FunctionInfo {
   std::string qualified;   ///< Fully scope-qualified ("ns::Class::name").
   std::string class_name;  ///< Innermost enclosing class ("" if free).
   std::size_t header_line = 0;  ///< 0-based line of the name token.
-  std::size_t body_begin = 0;   ///< 0-based line of the opening '{'.
-  std::size_t body_end = 0;     ///< 0-based line of the closing '}'.
+  std::size_t body_open = 0;    ///< Token index of the opening '{'.
+  std::size_t body_close = 0;   ///< Token index of the closing '}'.
   bool has_body = false;
   bool is_ctor = false;
   bool is_dtor = false;
@@ -55,10 +55,21 @@ struct FunctionInfo {
   std::vector<LockRegion> lock_regions;     ///< RAII-guard hold regions.
   std::vector<CallSite> calls;
 
+  /// True when token `t` lies strictly between the body braces.
+  [[nodiscard]] bool in_body(std::size_t t) const {
+    return has_body && body_open < t && t < body_close;
+  }
+
   /// True when mutex `m` is held at `line`: inside a guard region or
-  /// declared held by REDUND_REQUIRES.
+  /// declared held by REDUND_REQUIRES, matched by mutex_matches().
   [[nodiscard]] bool holds_at(const std::string& m, std::size_t line) const;
 };
+
+/// True when a held-mutex expression satisfies a wanted mutex name:
+/// exact match, or the last member component matches ("own.mutex" holds
+/// "mutex").
+[[nodiscard]] bool mutex_matches(const std::string& held,
+                                 const std::string& wanted);
 
 /// A field declaration carrying REDUND_GUARDED_BY(m).
 struct GuardedField {
@@ -70,6 +81,7 @@ struct GuardedField {
 
 struct ParsedFile {
   SourceFile source;
+  std::vector<Token> tokens;
   std::vector<FunctionInfo> functions;
   std::vector<GuardedField> guarded_fields;
 };
@@ -77,4 +89,4 @@ struct ParsedFile {
 /// Parses one file: scrub, tokenize, extract functions/annotations.
 [[nodiscard]] ParsedFile parse_file(std::string path, const std::string& text);
 
-}  // namespace redund::analysis
+}  // namespace redund::lint

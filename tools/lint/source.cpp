@@ -1,10 +1,8 @@
-#include "analysis/source.hpp"
+#include "lint/source.hpp"
 
 #include <cctype>
-#include <regex>
-#include <sstream>
 
-namespace redund::analysis {
+namespace redund::lint {
 
 std::vector<ScrubbedLine> scrub_source(const std::string& text) {
   enum class State { kCode, kLineComment, kBlockComment, kString, kChar, kRaw };
@@ -111,18 +109,28 @@ std::vector<ScrubbedLine> scrub_source(const std::string& text) {
 }
 
 std::vector<std::string> allowed_rules(const std::string& comment) {
+  static constexpr const char kMarker[] = "redund-lint:";
+  static constexpr const char kSpace[] = " \t\r\f\v";
   std::vector<std::string> rules;
-  static const std::regex kAllow(R"(redund-lint:\s*allow\(([^)]*)\))");
-  auto begin = std::sregex_iterator(comment.begin(), comment.end(), kAllow);
-  for (auto it = begin; it != std::sregex_iterator(); ++it) {
-    std::stringstream list((*it)[1].str());
-    std::string rule;
-    while (std::getline(list, rule, ',')) {
-      const auto first = rule.find_first_not_of(" \t");
-      const auto last = rule.find_last_not_of(" \t");
-      if (first != std::string::npos) {
-        rules.push_back(rule.substr(first, last - first + 1));
+  for (std::size_t at = comment.find(kMarker); at != std::string::npos;
+       at = comment.find(kMarker, at + 1)) {
+    std::size_t open = comment.find_first_not_of(kSpace,
+                                                 at + sizeof(kMarker) - 1);
+    if (open == std::string::npos || comment.compare(open, 6, "allow(") != 0) {
+      continue;
+    }
+    open += 6;
+    const std::size_t close = comment.find(')', open);
+    if (close == std::string::npos) break;
+    for (std::size_t start = open; start <= close;) {
+      std::size_t end = comment.find(',', start);
+      if (end == std::string::npos || end > close) end = close;
+      const std::size_t first = comment.find_first_not_of(" \t", start);
+      if (first < end) {
+        const std::size_t last = comment.find_last_not_of(" \t", end - 1);
+        rules.push_back(comment.substr(first, last - first + 1));
       }
+      start = end + 1;
     }
   }
   return rules;
@@ -149,28 +157,6 @@ bool has_annotation(const std::string& comment, const char* kind) {
   return end >= comment.size() || !is_identifier_char(comment[end]);
 }
 
-bool contains_token(const std::string& text, const std::string& token) {
-  const bool want_call = !token.empty() && token.back() == '(';
-  const std::string word =
-      want_call ? token.substr(0, token.size() - 1) : token;
-  std::size_t pos = 0;
-  while ((pos = text.find(word, pos)) != std::string::npos) {
-    const bool start_ok = pos == 0 || !is_identifier_char(text[pos - 1]);
-    std::size_t end = pos + word.size();
-    const bool end_ok = end >= text.size() || !is_identifier_char(text[end]);
-    if (start_ok && end_ok) {
-      if (!want_call) return true;
-      while (end < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[end]))) {
-        ++end;
-      }
-      if (end < text.size() && text[end] == '(') return true;
-    }
-    pos += word.size();
-  }
-  return false;
-}
-
 SourceFile SourceFile::parse(std::string path, const std::string& text) {
   SourceFile file;
   file.path = std::move(path);
@@ -178,11 +164,6 @@ SourceFile SourceFile::parse(std::string path, const std::string& text) {
   file.allow.reserve(file.lines.size());
   for (const ScrubbedLine& line : file.lines) {
     file.allow.push_back(allowed_rules(line.comment));
-  }
-  const std::size_t dot = file.path.rfind('.');
-  if (dot != std::string::npos) {
-    const std::string ext = file.path.substr(dot);
-    file.is_header = ext == ".hpp" || ext == ".h";
   }
   return file;
 }
@@ -270,4 +251,4 @@ std::vector<Token> tokenize(const std::vector<ScrubbedLine>& lines) {
   return tokens;
 }
 
-}  // namespace redund::analysis
+}  // namespace redund::lint

@@ -1,12 +1,10 @@
-// Source-text layer of the static-analysis library: comment/string/raw-
-// literal scrubbing, `redund-lint: allow(...)` suppression parsing, and a
-// light identifier tokenizer.
+// Source-text layer of the analyzer: comment/string/raw-literal
+// scrubbing, `redund-lint: allow(...)` suppression parsing, and a light
+// identifier tokenizer.
 //
-// This is the foundation the rest of src/analysis/ builds on. The scrubber
-// is the proven one from redund_lint v1 (it handled every comment/string
-// corner the tree ever threw at it); v2 moves it into a library so the
-// function parser, the call graph, and the lint rules all see the same
-// scrubbed view of a file.
+// Everything else in tools/lint/ reads a file through this layer, so the
+// function parser, the pattern matcher and the rules all see the same
+// scrubbed view of it.
 //
 // Scrubbing contract: `code` keeps the original column positions (string
 // and comment bodies are blanked with spaces) so line/column diagnostics
@@ -19,7 +17,7 @@
 #include <string>
 #include <vector>
 
-namespace redund::analysis {
+namespace redund::lint {
 
 /// One source line after comment/string stripping.
 struct ScrubbedLine {
@@ -48,23 +46,17 @@ struct ScrubbedLine {
 [[nodiscard]] bool has_annotation(const std::string& comment,
                                   const char* kind);
 
-/// True when `text` contains `token` as a whole identifier (not a substring
-/// of a longer identifier). `token` may end in '(' to require a call.
-[[nodiscard]] bool contains_token(const std::string& text,
-                                  const std::string& token);
-
 /// A file loaded, scrubbed, and annotated with per-line allow() sets.
 struct SourceFile {
   std::string path;
   std::vector<ScrubbedLine> lines;
   std::vector<std::vector<std::string>> allow;  ///< Per line, parallel.
-  bool is_header = false;
 
   [[nodiscard]] static SourceFile parse(std::string path,
                                         const std::string& text);
 
   /// True when `rule` (or `all`) is allowed on `line` or the line directly
-  /// above it — the v1 suppression contract, unchanged in v2.
+  /// above it.
   [[nodiscard]] bool allows(std::size_t line, const std::string& rule) const;
 };
 
@@ -83,4 +75,4 @@ struct Token {
 [[nodiscard]] std::vector<Token> tokenize(
     const std::vector<ScrubbedLine>& lines);
 
-}  // namespace redund::analysis
+}  // namespace redund::lint

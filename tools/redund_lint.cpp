@@ -1,30 +1,23 @@
-// redund_lint v2 — project-specific static checker for the redundancy
-// simulator, now a thin CLI over the src/analysis library (tokenizer,
-// function extractor, project-wide call graph, attribute fixpoint).
+// redund_lint — project-specific static checker for the redundancy
+// simulator: a thin CLI over the analyzer in tools/lint/ (tokenizer,
+// function extractor, project-wide call graph, one pattern table,
+// attribute fixpoint).
 //
-// File rules (v1, unchanged semantics — see docs/correctness.md):
-//   nondeterministic-rng, unordered-iteration, hot-alloc,
-//   hot-per-element-insert, blocking-io-in-hot, scalar-draw-in-wave,
-//   include-c-header, include-iostream, using-namespace.
-//
-// Interprocedural rules (v2 — see docs/analysis.md):
-//   transitive-hot-alloc            `redund: hot` function calls a helper
-//                                   that (transitively) allocates. The v1
-//                                   same-body scan cannot see through the
-//                                   call; the diagnostic prints the whole
-//                                   chain down to the allocating line.
-//   transitive-blocking-io-in-hot   Same, for blocking file I/O.
-//   determinism-taint               A nondeterminism source (clock read,
-//                                   unordered-container iteration,
-//                                   pointer-as-integer, std::random_device)
-//                                   reaches a `redund: deterministic`
-//                                   serialization function through any
-//                                   call path.
-//   guarded-by / lock-requires /    REDUND_GUARDED_BY / REDUND_REQUIRES /
-//   lock-excludes                   REDUND_EXCLUDES annotations
-//                                   (src/core/thread_annotations.hpp)
-//                                   checked against RAII guard regions
-//                                   and the call graph.
+// One pass. Each pattern-table hit gives its function an attribute and
+// raises its local rule where that rule applies; the attributes then
+// propagate over the call graph to the interprocedural rules.
+//   local (depth 0)    nondeterministic-rng, unordered-iteration,
+//                      hot-alloc, hot-per-element-insert,
+//                      blocking-io-in-hot, scalar-draw-in-wave
+//   directives         include-c-header, include-iostream, using-namespace
+//   interprocedural    transitive-hot-alloc, transitive-blocking-io-in-hot,
+//                      determinism-taint; the diagnostic prints the whole
+//                      call chain down to the offending line
+//   lock annotations   guarded-by, lock-requires, lock-excludes
+//                      (REDUND_GUARDED_BY / REQUIRES / EXCLUDES from
+//                      src/core/thread_annotations.hpp)
+// See docs/correctness.md for the rule table and docs/analysis.md for
+// the analyzer.
 //
 // Suppression: `// redund-lint: allow(rule)` (comma list or `all`) on the
 // reported line or the line directly above — for interprocedural rules
@@ -42,12 +35,12 @@
 #include <string>
 #include <vector>
 
-#include "analysis/project.hpp"
+#include "lint/project.hpp"
 
 namespace {
 
-using redund::analysis::Finding;
-using redund::analysis::Project;
+using redund::lint::Finding;
+using redund::lint::Project;
 
 bool is_source_path(const std::filesystem::path& path) {
   const std::string ext = path.extension().string();
@@ -67,7 +60,7 @@ struct Fixture {
 };
 
 const Fixture kFixtures[] = {
-    // ------------------------------------------------- v1 file rules.
+    // ------------------------------------------------- local rules.
     {"rng-fires", "src/math/x.cpp",
      "int f() {\n  return rand() % 6;\n}\n", "nondeterministic-rng", 2},
     {"rng-std-time-fires", "src/core/x.cpp",
@@ -85,6 +78,17 @@ const Fixture kFixtures[] = {
      "// rand() is banned here\nint f() { return 4; }\n", nullptr, 0},
     {"rng-in-string-ignored", "src/math/x.cpp",
      "const char* k = \"rand()\";\n", nullptr, 0},
+    {"rng-std-time-zero-fires", "src/core/x.cpp",
+     "long f() {\n  return std::time(0);\n}\n", "nondeterministic-rng", 2},
+    {"rng-time-null-fires", "src/core/x.cpp",
+     "long f() {\n  return time(NULL);\n}\n", "nondeterministic-rng", 2},
+    {"rng-qualified-time-clean", "src/core/x.cpp",
+     "long f() {\n  return Clock::time();\n}\n", nullptr, 0},
+    {"rng-allow-spaced-list-suppresses", "src/math/x.cpp",
+     "int f() {\n"
+     "  return rand() % 6;  // redund-lint: allow( nondeterministic-rng , all )\n"
+     "}\n",
+     nullptr, 0},
     {"unordered-range-for-fires", "src/runtime/x.cpp",
      "std::unordered_map<int, int> table_;\n"
      "void f() {\n"
@@ -123,6 +127,17 @@ const Fixture kFixtures[] = {
      "std::unordered_map<int, int> table_;\n"
      "int f(int k) { return table_.at(k); }\n",
      nullptr, 0},
+    {"unordered-nested-pointer-fires", "src/runtime/x.cpp",
+     "void f(std::unordered_map<int, std::vector<int>>* ptr) {\n"
+     "  for (const auto& kv : *ptr) { use(kv); }\n"
+     "}\n",
+     "unordered-iteration", 2},
+    {"unordered-index-loop-clean", "src/runtime/x.cpp",
+     "std::unordered_map<int, int> table_;\n"
+     "void f() {\n"
+     "  for (std::size_t i = 0; i < table_.size(); ++i) use(i);\n"
+     "}\n",
+     nullptr, 0},
     {"hot-alloc-fires", "src/runtime/x.cpp",
      "// redund: hot\n"
      "void f(std::vector<int>& v) {\n"
@@ -152,6 +167,34 @@ const Fixture kFixtures[] = {
      "  v.push_back(1);\n"
      "}\n",
      nullptr, 0},
+    {"hot-alloc-placement-new-clean", "src/runtime/x.cpp",
+     "// redund: hot\n"
+     "int* f(void* slot) {\n"
+     "  return ::new (slot) int(4);\n"
+     "}\n",
+     nullptr, 0},
+    {"hot-alloc-new-prefixed-name-clean", "src/runtime/x.cpp",
+     "// redund: hot\n"
+     "int f(int new_size) {\n"
+     "  return new_size + 1;\n"
+     "}\n",
+     nullptr, 0},
+    // The line that opens a hot body is part of it.
+    {"hot-alloc-one-line-body-fires", "src/runtime/x.cpp",
+     "// redund: hot\n"
+     "void f(std::vector<int>& v) { v.push_back(1); }\n",
+     "hot-alloc", 2},
+    {"hot-alloc-brace-line-fires", "src/runtime/x.cpp",
+     "// redund: hot\n"
+     "void f(std::vector<int>& v)\n"
+     "{ v.push_back(1);\n"
+     "}\n",
+     "hot-alloc", 3},
+    {"hot-loop-one-line-body-fires", "src/runtime/x.cpp",
+     "// redund: hot\n"
+     "void f(std::vector<int>& v, int n) { for (int i = 0; i < n; ++i) "
+     "v.push_back(i); }\n",
+     "hot-per-element-insert", 2},
     {"hot-loop-push-fires", "src/runtime/x.cpp",
      "// redund: hot\n"
      "void f(std::vector<int>& v, int n) {\n"
@@ -279,6 +322,8 @@ const Fixture kFixtures[] = {
     {"c-header-allow-suppresses", "src/core/x.cpp",
      "#include <stdio.h>  // redund-lint: allow(include-c-header)\n",
      nullptr, 0},
+    {"c-header-spaced-directive-fires", "src/core/x.cpp",
+     "#  include <stdio.h>\n", "include-c-header", 1},
     {"iostream-header-fires", "src/core/x.hpp",
      "#include <iostream>\n", "include-iostream", 1},
     {"iostream-in-cpp-clean", "src/core/x.cpp",
@@ -288,11 +333,10 @@ const Fixture kFixtures[] = {
     {"using-namespace-cpp-clean", "src/core/x.cpp",
      "using namespace std::chrono_literals;\n", nullptr, 0},
 
-    // ---------------------------------- v2: transitive hot-path rules.
+    // ------------------------------------- transitive hot-path rules.
     //
-    // The planted v1 blind spot: the hot function's own body is clean —
-    // the allocation hides one call away, where the same-body scan of
-    // v1 provably cannot see it.
+    // The hot function's own body is clean: the allocation hides one call
+    // away, where no local rule can see it.
     {"transitive-alloc-one-hop-fires", "src/runtime/x.cpp",
      "// redund: hot\n"
      "void tick(std::vector<int>& v) {\n"
@@ -371,7 +415,7 @@ const Fixture kFixtures[] = {
      "}\n",
      nullptr, 0},
 
-    // ------------------------------------ v2: determinism taint.
+    // ----------------------------------------- determinism taint.
     {"det-taint-clock-via-helper-fires", "src/report/x.cpp",
      "// redund: deterministic\n"
      "void write_report(std::ostream& out) {\n"
@@ -425,7 +469,7 @@ const Fixture kFixtures[] = {
      "}\n",
      nullptr, 0},
 
-    // -------------------------- v2: thread-safety annotations.
+    // ------------------------------------ thread-safety annotations.
     {"guarded-by-fires", "src/parallel/x.cpp",
      "struct Q {\n"
      "  std::mutex mutex_;\n"
@@ -653,7 +697,7 @@ int run_self_test() {
                      "}\n");
     project.analyze();
     std::ostringstream dot;
-    project.dump_callgraph(dot);
+    project.graph().dump_dot(dot);
     const std::string text = dot.str();
     if (text.find("digraph") == std::string::npos ||
         text.find("->") == std::string::npos ||
@@ -745,7 +789,7 @@ int main(int argc, char** argv) {
   project.analyze();
 
   if (dump_callgraph) {
-    project.dump_callgraph(std::cout);
+    project.graph().dump_dot(std::cout);
     return 0;
   }
 
