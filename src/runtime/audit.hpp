@@ -20,8 +20,8 @@
 // shards draw from different derived seeds); everything else must match
 // bit-for-bit.
 //
-// Exposed as `tools/determinism_audit` and `redundctl audit`; the quick
-// matrix runs in CI on every push.
+// Exposed as `redundctl audit`; the quick matrix runs in CI on every
+// push.
 #pragma once
 
 #include <cstdint>

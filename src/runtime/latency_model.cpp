@@ -19,9 +19,6 @@ ParticipantPool::ParticipantPool(const LatencyModel& model, std::int64_t count,
   if (count < 1) {
     throw std::invalid_argument("ParticipantPool: count >= 1");
   }
-  if (!(model.mean_service > 0.0)) {
-    throw std::invalid_argument("ParticipantPool: mean_service > 0");
-  }
   if (model.straggler_fraction < 0.0 || model.straggler_fraction > 1.0 ||
       model.dropout_probability < 0.0 || model.dropout_probability > 1.0) {
     throw std::invalid_argument(
@@ -29,9 +26,6 @@ ParticipantPool::ParticipantPool(const LatencyModel& model, std::int64_t count,
   }
   if (!(model.straggler_slowdown >= 1.0)) {
     throw std::invalid_argument("ParticipantPool: straggler_slowdown >= 1");
-  }
-  if (model.network_delay < 0.0) {
-    throw std::invalid_argument("ParticipantPool: network_delay >= 0");
   }
 
   const auto n = static_cast<std::size_t>(count);
@@ -75,7 +69,7 @@ ParticipantPool::Issue ParticipantPool::issue(platform::ParticipantId id,
   }
   const double service = demand / speed_[id];
   const double start = std::max(now, free_at_[id]);
-  const double finish = start + service + model_.network_delay;
+  const double finish = start + service + LatencyModel::kNetworkDelay;
   free_at_[id] = finish;
   return {true, finish};
 }

@@ -15,7 +15,8 @@
 //   * no-reply faults: each *issue* of a unit independently never returns
 //     with probability dropout_probability — the completion event is simply
 //     never scheduled and only the unit's deadline fires;
-//   * a fixed network_delay added to every successful round trip.
+//   * a fixed network delay (kNetworkDelay) added to every successful
+//     round trip.
 //
 // Every draw is keyed off (seed, participant) or (seed, unit, attempt)
 // SplitMix64 streams, so outcomes are independent of event ordering and the
@@ -33,9 +34,10 @@ namespace redund::runtime {
 struct LatencyModel {
   /// Mean task service demand; per-task demands are exponential(mean) and
   /// shared by all copies of a task (same code, same data).
-  double mean_service = 1.0;
-  /// Deterministic demands instead of exponential (all = mean_service).
-  bool deterministic_service = false;
+  static constexpr double kMeanService = 1.0;
+  /// Fixed supervisor<->participant round-trip added to each completion.
+  static constexpr double kNetworkDelay = 0.0;
+
   /// Lognormal sigma of base participant speeds (0 = homogeneous).
   double speed_sigma = 0.0;
   /// Probability a participant is a straggler.
@@ -44,8 +46,6 @@ struct LatencyModel {
   double straggler_slowdown = 8.0;
   /// Per-issue probability the result never comes back.
   double dropout_probability = 0.0;
-  /// Fixed supervisor<->participant round-trip added to each completion.
-  double network_delay = 0.0;
 };
 
 /// Materialized per-participant state: speeds, straggler flags, and the

@@ -46,6 +46,13 @@ std::uint64_t truth_value(std::uint64_t seed, std::int64_t task) {
   return mixer();
 }
 
+/// The automatic per-unit deadline at FCFS queue depth `queue_depth`: the
+/// round trip plus four mean service times per queued unit.
+double automatic_deadline(double queue_depth) {
+  return LatencyModel::kNetworkDelay +
+         4.0 * LatencyModel::kMeanService * queue_depth;
+}
+
 /// The colluders' agreed wrong value is truth ^ kCollusionMask: identical
 /// across all their copies, derivable from the precomputed truth lane.
 constexpr std::uint64_t kCollusionMask = 0xBAD0BEEFCAFEF00DULL;
@@ -60,16 +67,10 @@ void validate_config(const RuntimeConfig& config) {
     throw std::invalid_argument(
         "run_async_campaign: bad adversary/error settings");
   }
-  if (config.retry.max_retries < 0 || config.retry.backoff_base < 0.0 ||
-      !(config.retry.backoff_factor >= 1.0)) {
+  if (config.retry.max_retries < 0) {
     throw std::invalid_argument("run_async_campaign: bad retry policy");
   }
-  if (config.adaptive.max_extra_replicas < 0 ||
-      config.adaptive.reliability_floor < 0.0 ||
-      config.adaptive.reliability_floor > 1.0 ||
-      config.adaptive.score_init < 0.0 || config.adaptive.score_init > 1.0 ||
-      config.adaptive.score_gain < 0.0 || config.adaptive.score_gain > 1.0 ||
-      config.adaptive.score_loss < 0.0 || config.adaptive.score_loss > 1.0) {
+  if (config.adaptive.max_extra_replicas < 0) {
     throw std::invalid_argument("run_async_campaign: bad adaptive settings");
   }
   if (config.sample_interval < 0.0) {
@@ -78,10 +79,6 @@ void validate_config(const RuntimeConfig& config) {
   control::validate(config.control);
   config.faults.validate(config.honest_participants +
                          config.sybil_identities);
-  if (config.health.stall_checks < 1 || !(config.health.ewma_alpha > 0.0) ||
-      config.health.ewma_alpha > 1.0) {
-    throw std::invalid_argument("run_async_campaign: bad health settings");
-  }
   if (!config.journal.path.empty() && config.journal.checkpoint_interval < 1) {
     throw std::invalid_argument(
         "run_async_campaign: journal checkpoint_interval must be >= 1");
@@ -105,24 +102,14 @@ std::uint64_t config_fingerprint(const RuntimeConfig& config) {
   w.f64(config.benign_error_rate);
   w.i64(static_cast<std::int64_t>(config.resolution));
   w.boolean(config.reactive);
-  w.f64(config.latency.mean_service);
-  w.boolean(config.latency.deterministic_service);
   w.f64(config.latency.speed_sigma);
   w.f64(config.latency.straggler_fraction);
   w.f64(config.latency.straggler_slowdown);
   w.f64(config.latency.dropout_probability);
-  w.f64(config.latency.network_delay);
   w.f64(config.retry.deadline);
   w.i64(config.retry.max_retries);
-  w.f64(config.retry.backoff_base);
-  w.f64(config.retry.backoff_factor);
   w.boolean(config.adaptive.enabled);
-  w.f64(config.adaptive.check_interval);
-  w.f64(config.adaptive.reliability_floor);
   w.i64(config.adaptive.max_extra_replicas);
-  w.f64(config.adaptive.score_init);
-  w.f64(config.adaptive.score_gain);
-  w.f64(config.adaptive.score_loss);
   w.boolean(config.control.enabled);
   w.f64(config.control.epsilon);
   w.f64(config.control.quantile);
@@ -146,9 +133,6 @@ std::uint64_t config_fingerprint(const RuntimeConfig& config) {
     w.f64(fault.duration);
     w.f64(fault.probability);
   }
-  w.f64(config.health.check_interval);
-  w.i64(config.health.stall_checks);
-  w.f64(config.health.ewma_alpha);
   w.i64(config.health.recompute_budget);
   w.f64(config.health.max_sim_time);
   w.f64(config.sample_interval);
@@ -197,9 +181,7 @@ class Runner {
     demand_.resize(task_count);
     auto demand_engine = rng::make_stream(config.seed ^ kDemandSalt, 0);
     for (double& d : demand_) {
-      d = config.latency.deterministic_service
-              ? config.latency.mean_service
-              : rng::exponential(config.latency.mean_service, demand_engine);
+      d = rng::exponential(LatencyModel::kMeanService, demand_engine);
     }
 
     // Pre-size the event queue and unit table from the plan: every live
@@ -271,7 +253,7 @@ class Runner {
       tasks_.is_ringer[t] = scheduler_.tasks()[t].is_ringer ? 1 : 0;
     }
     score_.assign(static_cast<std::size_t>(registry_.size()),
-                  config.adaptive.score_init);
+                  AdaptiveConfig::kScoreInit);
     flagged_.assign(static_cast<std::size_t>(registry_.size()), 0);
     offline_count_.assign(static_cast<std::size_t>(registry_.size()), 0);
     window_active_.assign(config.faults.events.size(), 0);
@@ -282,17 +264,13 @@ class Runner {
     const double queue_depth =
         std::max(1.0, static_cast<double>(unit_count) /
                           static_cast<double>(registry_.size()));
-    effective_deadline_ =
-        config.retry.deadline > 0.0
-            ? config.retry.deadline
-            : config.latency.network_delay +
-                  4.0 * config.latency.mean_service * queue_depth;
-    check_interval_ = config.adaptive.check_interval > 0.0
-                          ? config.adaptive.check_interval
-                          : 0.5 * effective_deadline_;
-    health_interval_ = config.health.check_interval > 0.0
-                           ? config.health.check_interval
-                           : 2.0 * effective_deadline_;
+    effective_deadline_ = config.retry.deadline > 0.0
+                              ? config.retry.deadline
+                              : automatic_deadline(queue_depth);
+    // Review periods derive from the starting deadline: straggler reviews
+    // twice per deadline, health checks every two deadlines.
+    check_interval_ = 0.5 * effective_deadline_;
+    health_interval_ = 2.0 * effective_deadline_;
     replan_period_ = config.control.check_interval > 0.0
                          ? config.control.check_interval
                          : 0.5 * effective_deadline_;
@@ -753,8 +731,7 @@ class Runner {
                    UnitState::kInProgress));
     const double depth = std::max(1.0, static_cast<double>(inflight) /
                                            static_cast<double>(live));
-    effective_deadline_ = config_.latency.network_delay +
-                          4.0 * config_.latency.mean_service * depth;
+    effective_deadline_ = automatic_deadline(depth);
   }
 
   void update_min_live_() {
@@ -788,8 +765,8 @@ class Runner {
       ewma_ = rate;
       ewma_init_ = true;
     } else {
-      ewma_ = config_.health.ewma_alpha * rate +
-              (1.0 - config_.health.ewma_alpha) * ewma_;
+      ewma_ = HealthConfig::kEwmaAlpha * rate +
+              (1.0 - HealthConfig::kEwmaAlpha) * ewma_;
     }
     if (progress == last_progress_) {
       ++stall_streak_;
@@ -797,9 +774,9 @@ class Runner {
       // Hard backstop: pending completions kept appearing but no progress
       // ever landed (e.g. deadline < service time with infinite retries —
       // every result arrives late, forever).
-      const bool soft = stall_streak_ >= config_.health.stall_checks &&
+      const bool soft = stall_streak_ >= HealthConfig::kStallChecks &&
                         completions_pending_ == 0;
-      const bool hard = stall_streak_ >= 10 * config_.health.stall_checks;
+      const bool hard = stall_streak_ >= 10 * HealthConfig::kStallChecks;
       if (soft || hard) {
         outcome_ = CampaignOutcome::kStalled;
         stop_ = true;
@@ -910,7 +887,7 @@ class Runner {
       if (fault.kind != FaultKind::kDuplication) continue;
       if (fault_coin_(kDupSalt, i, unit_stream_(u, attempt),
                       fault.probability)) {
-        queue_.schedule(event.time + config_.latency.network_delay,
+        queue_.schedule(event.time + LatencyModel::kNetworkDelay,
                         EventKind::kCompletion,
                         static_cast<std::int64_t>(u), event.epoch);
         ++completions_pending_;
@@ -935,10 +912,9 @@ class Runner {
     const std::int64_t retries_used = units_.attempts[u] - 1;
     if (retries_used < config_.retry.max_retries) {
       const double backoff =
-          std::max(config_.retry.backoff_base *
-                       std::pow(config_.retry.backoff_factor,
-                                static_cast<double>(retries_used)),
-                   RetryPolicy::kMinReissueDelay);
+          RetryPolicy::kBackoffBase *
+          std::pow(RetryPolicy::kBackoffFactor,
+                   static_cast<double>(retries_used));
       queue_.schedule(event.time + backoff, EventKind::kReissue,
                       static_cast<std::int64_t>(u), units_.epoch[u]);
     } else {
@@ -1289,7 +1265,7 @@ class Runner {
     }
     if (outstanding > 0 &&
         score_total / static_cast<double>(outstanding) <
-            config_.adaptive.reliability_floor &&
+            AdaptiveConfig::kReliabilityFloor &&
         tasks_.extra_replicas[t] < config_.adaptive.max_extra_replicas) {
       if (const auto nu =
               scheduler_.try_add_replica(static_cast<std::int64_t>(t),
@@ -1477,10 +1453,10 @@ class Runner {
   }
 
   void score_up(ParticipantId id) {
-    score_[id] += config_.adaptive.score_gain * (1.0 - score_[id]);
+    score_[id] += AdaptiveConfig::kScoreGain * (1.0 - score_[id]);
   }
   void score_down(ParticipantId id) {
-    score_[id] *= 1.0 - config_.adaptive.score_loss;
+    score_[id] *= 1.0 - AdaptiveConfig::kScoreLoss;
   }
 
   void record_sample(double time) {

@@ -46,66 +46,54 @@ namespace redund::runtime {
 
 /// Deadline / retry policy of the work-issue loop.
 struct RetryPolicy {
-  /// Floor on the effective re-issue delay. backoff_base == 0 would
-  /// otherwise re-issue at the timeout instant itself for *every* retry
-  /// (0 · factor^k = 0) — a zero-delay re-issue storm that floods the
-  /// event queue at a single timestamp. Any configured backoff is
-  /// clamped up to this minimum rather than rejected, so legacy configs
-  /// keep working with a bounded re-issue rate.
-  static constexpr double kMinReissueDelay = 1e-3;
+  /// First re-issue delay after a timeout; each further attempt multiplies
+  /// it by kBackoffFactor (exponential backoff).
+  static constexpr double kBackoffBase = 0.5;
+  static constexpr double kBackoffFactor = 2.0;
 
   /// Per-unit report deadline measured from issue time. <= 0 selects the
-  /// automatic deadline: network_delay + 4 * mean_service * expected
-  /// queue depth (units / participants, at least 1).
+  /// automatic deadline: LatencyModel::kNetworkDelay + 4 *
+  /// LatencyModel::kMeanService * expected queue depth (units /
+  /// participants, at least 1).
   double deadline = 0.0;
   /// Re-issues allowed per unit before the supervisor recomputes it itself.
   std::int64_t max_retries = 3;
-  /// First re-issue delay after a timeout; grows by backoff_factor each
-  /// further attempt (exponential backoff). Effective delay is
-  /// max(backoff_base * backoff_factor^k, kMinReissueDelay).
-  double backoff_base = 0.5;
-  double backoff_factor = 2.0;
 };
 
-/// Reliability-score-gated adaptive replication.
+/// Reliability-score-gated adaptive replication. Straggling tasks are
+/// reviewed every half of the campaign's starting effective deadline.
 struct AdaptiveConfig {
-  bool enabled = true;
-  /// Review period for straggling tasks. <= 0 selects half the effective
-  /// deadline.
-  double check_interval = 0.0;
   /// Replicate a straggling task when the mean reliability score of the
   /// identities holding its outstanding copies falls below this floor.
-  double reliability_floor = 0.4;
-  /// Cap on extra replicas per task (adaptive + INCONCLUSIVE combined).
-  std::int64_t max_extra_replicas = 2;
+  static constexpr double kReliabilityFloor = 0.4;
   /// Score dynamics: start value, gain toward 1 on a validated-correct
   /// result, multiplicative decay on a timeout or rejected result.
-  double score_init = 0.7;
-  double score_gain = 0.1;
-  double score_loss = 0.3;
+  static constexpr double kScoreInit = 0.7;
+  static constexpr double kScoreGain = 0.1;
+  static constexpr double kScoreLoss = 0.3;
+
+  bool enabled = true;
+  /// Cap on extra replicas per task (adaptive + INCONCLUSIVE combined).
+  std::int64_t max_extra_replicas = 2;
 };
 
 /// Campaign health monitoring and graceful degradation.
 ///
-/// The monitor runs as a periodic kHealthCheck event. At each check it
-/// folds the progress made since the previous check (completions,
-/// supervisor recomputes, validations) into an EWMA progress rate and
-/// tracks the live-fleet low-water mark. A campaign is declared
-/// *stalled* — CampaignOutcome::kStalled, partial report — when
-/// `stall_checks` consecutive checks observe zero progress while no
-/// completion is in flight (nothing pending that could produce any).
-/// This is deliberately conservative: a configuration whose only
-/// pending work is hours away (e.g. an enormous backoff) is reported
-/// stalled rather than waited out; raise check_interval or stall_checks
-/// to wait longer.
+/// The monitor runs as a periodic kHealthCheck event, every two starting
+/// effective deadlines. At each check it folds the progress made since the
+/// previous check (completions, supervisor recomputes, validations) into
+/// an EWMA progress rate and tracks the live-fleet low-water mark. A
+/// campaign is declared *stalled* — CampaignOutcome::kStalled, partial
+/// report — when kStallChecks consecutive checks observe zero progress
+/// while no completion is in flight (nothing pending that could produce
+/// any).
 struct HealthConfig {
-  /// Review period. <= 0 selects twice the effective deadline.
-  double check_interval = 0.0;
   /// Consecutive zero-progress reviews (with nothing in flight) that
   /// declare the campaign stalled.
-  std::int64_t stall_checks = 3;
-  /// EWMA smoothing factor for the progress rate, in (0, 1].
-  double ewma_alpha = 0.3;
+  static constexpr std::int64_t kStallChecks = 3;
+  /// EWMA smoothing factor for the progress rate.
+  static constexpr double kEwmaAlpha = 0.3;
+
   /// Supervisor recomputes allowed per campaign; < 0 is unlimited (the
   /// pre-fault-model behaviour, where recompute guarantees termination).
   /// With a finite budget, a unit whose budget ran out parks until the

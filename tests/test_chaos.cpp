@@ -238,7 +238,8 @@ TEST(ChaosDegradation, FleetCollapseStallsInBoundedTime) {
   runtime::RuntimeConfig config;
   config.plan = flat_plan(40, 2);
   config.honest_participants = 6;
-  config.latency.mean_service = 5.0;  // Nothing completes before t=0.5.
+  config.latency.straggler_fraction = 1.0;  // Service times x5: little
+  config.latency.straggler_slowdown = 5.0;  // completes before t=0.5.
   config.health.recompute_budget = 0;
   config.retry.max_retries = 1;
   config.seed = 0xDEADULL;

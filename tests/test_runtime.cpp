@@ -215,8 +215,6 @@ TEST(AsyncRuntime, AdaptiveReplicationTriggersOnUnreliableHolders) {
   config.latency.straggler_fraction = 0.5;
   config.latency.straggler_slowdown = 30.0;  // Deep straggler tail.
   config.adaptive.enabled = true;
-  config.adaptive.reliability_floor = 0.99;  // Above score_init: any
-                                             // straggling task qualifies.
   config.seed = 3;
 
   const auto with_adaptive = runtime::run_async_campaign(config);
@@ -290,27 +288,6 @@ TEST(AsyncRuntime, TotalDropoutStallsInsteadOfLivelocking) {
   EXPECT_EQ(recovered.tasks_valid, recovered.tasks);
 }
 
-TEST(AsyncRuntime, ZeroBackoffBaseIsClampedToTheMinimumReissueDelay) {
-  runtime::RuntimeConfig config;
-  config.plan = balanced_plan(200, 0.5);
-  config.honest_participants = 20;
-  config.latency.dropout_probability = 0.3;
-  config.retry.max_retries = 5;
-  config.retry.backoff_base = 0.0;  // Would re-issue at the timeout instant.
-  config.seed = 23;
-
-  const auto clamped = runtime::run_async_campaign(config);
-  EXPECT_GT(clamped.units_reissued, 0);
-  EXPECT_EQ(clamped.tasks_valid, clamped.tasks);
-
-  // The clamp makes base 0 equivalent to a flat backoff at the minimum
-  // delay: max(0 * f^k, min) == max(min * 1^k, min) for every retry k.
-  config.retry.backoff_base = runtime::RetryPolicy::kMinReissueDelay;
-  config.retry.backoff_factor = 1.0;
-  const auto flat = runtime::run_async_campaign(config);
-  EXPECT_EQ(rendered(clamped), rendered(flat));
-}
-
 TEST(AsyncRuntime, RecomputeBudgetCapsSupervisorRecomputes) {
   runtime::RuntimeConfig config;
   config.plan = flat_plan(40, 2);
@@ -341,8 +318,6 @@ TEST(AsyncRuntime, ReliabilityScoresDecayUnderHeavyDropout) {
   config.latency.dropout_probability = 0.5;
   config.retry.max_retries = 6;
   config.adaptive.enabled = true;
-  config.adaptive.reliability_floor = 0.65;  // Below score_init (0.7): only
-                                             // decayed holders qualify.
   config.seed = 29;
 
   const auto report = runtime::run_async_campaign(config);
@@ -372,11 +347,7 @@ TEST(AsyncRuntime, RejectsBadConfig) {
   EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
 
   bad = good;
-  bad.retry.backoff_factor = 0.5;
-  EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
-
-  bad = good;
-  bad.adaptive.reliability_floor = 1.5;
+  bad.adaptive.max_extra_replicas = -1;
   EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
 
   bad = good;
@@ -386,10 +357,6 @@ TEST(AsyncRuntime, RejectsBadConfig) {
   bad = good;
   bad.latency.dropout_probability = 1.5;
   EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
-
-  bad = good;
-  bad.latency.mean_service = 0.0;
-  EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
 }
 
 TEST(AsyncRuntime, RejectsBadHealthJournalAndFaultConfig) {
@@ -397,19 +364,7 @@ TEST(AsyncRuntime, RejectsBadHealthJournalAndFaultConfig) {
   good.plan = flat_plan(10, 2);
   good.honest_participants = 5;
 
-  auto bad = good;
-  bad.health.stall_checks = 0;
-  EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
-
-  bad = good;
-  bad.health.ewma_alpha = 0.0;
-  EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
-
-  bad = good;
-  bad.health.ewma_alpha = 1.5;
-  EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
-
-  bad = good;  // A journal needs a sane checkpoint cadence.
+  auto bad = good;  // A journal needs a sane checkpoint cadence.
   bad.journal.path = testing::TempDir() + "redund_badcfg.wal";
   bad.journal.checkpoint_interval = 0;
   EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);

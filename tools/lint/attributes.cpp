@@ -73,6 +73,7 @@ constexpr Pattern kPatterns[] = {
     allocating_call("resize ("),
     allocating_call("reserve ("),
     allocating_call("make_unique ("),
+    allocating_call("make_unique_for_overwrite ("),
     allocating_call("make_shared ("),
     allocating_call("to_string ("),
     allocating_call("std :: string ("),
@@ -126,15 +127,34 @@ bool is_(const std::vector<Token>& t, std::size_t i, std::string_view text) {
   return i < t.size() && t[i].text == text;
 }
 
-/// True when the space-separated token sequence `seq` starts at `i`.
-bool match_sequence(const std::vector<Token>& t, std::size_t i,
-                    std::string_view seq) {
+/// When the space-separated token sequence `seq` starts at `i`, the index
+/// just past it; otherwise 0 (no match can end there).
+std::size_t match_sequence(const std::vector<Token>& t, std::size_t i,
+                           std::string_view seq) {
   while (true) {
     const std::size_t space = seq.find(' ');
-    if (!is_(t, i++, seq.substr(0, space))) return false;
-    if (space == std::string_view::npos) return true;
+    if (!is_(t, i++, seq.substr(0, space))) return 0;
+    if (space == std::string_view::npos) return i;
     seq.remove_prefix(space + 1);
   }
+}
+
+/// The index just past a template argument list opening at `i` (`<` ...
+/// balanced `>`), or `i` itself when none opens there.
+std::size_t skip_template_args(const std::vector<Token>& t, std::size_t i) {
+  if (!is_(t, i, "<")) return i;
+  int depth = 0;
+  for (std::size_t k = i; k < t.size(); ++k) {
+    const std::string& text = t[k].text;
+    if (text == "<") {
+      ++depth;
+    } else if (text == ">") {
+      if (--depth == 0) return k + 1;
+    } else if (text == ";" || text == "{" || text == "}") {
+      break;
+    }
+  }
+  return i;
 }
 
 /// The range of a range-for whose `for` is token `i`: the tokens after
@@ -168,7 +188,7 @@ std::vector<std::string> unordered_names(const std::vector<Token>& t) {
   std::vector<std::string> names;
   for (std::size_t i = 0; i + 3 < t.size(); ++i) {
     const std::string& type = t[i + 2].text;
-    if (!match_sequence(t, i, "std ::") || type.size() <= 10 ||
+    if (match_sequence(t, i, "std ::") == 0 || type.size() <= 10 ||
         type.compare(0, 10, "unordered_") != 0 || !is_(t, i + 3, "<")) {
       continue;
     }
@@ -194,12 +214,20 @@ bool matches(const Pattern& p, const std::vector<Token>& t, std::size_t i,
              const std::vector<std::string>& names, std::string& subject) {
   const std::string& text = t[i].text;
   switch (p.shape) {
-    case Shape::kTokens:
-      if (!match_sequence(t, i, p.text)) return false;
+    case Shape::kTokens: {
+      // A call's name may carry template arguments: make_unique<T>(...).
+      std::string_view seq = p.text;
+      const bool call = seq.ends_with(" (");
+      if (call) seq.remove_suffix(2);
+      const std::size_t end = match_sequence(t, i, seq);
+      if (end == 0 || (call && !is_(t, skip_template_args(t, end), "("))) {
+        return false;
+      }
       subject = p.text;
       subject.erase(std::remove(subject.begin(), subject.end(), ' '),
                     subject.end());
       return true;
+    }
     case Shape::kNew:
       return text == "new" && (i == 0 || t[i - 1].text != "::") &&
              i + 1 < t.size() &&
@@ -207,6 +235,10 @@ bool matches(const Pattern& p, const std::vector<Token>& t, std::size_t i,
               t[i + 1].text == "<");
     case Shape::kTimeCall: {
       if (text != "time" || !is_(t, i + 1, "(")) return false;
+      // A member call (`e.time()`, `p->time()`) is the object's own clock.
+      if (i > 0 && (t[i - 1].text == "." || t[i - 1].text == "->")) {
+        return false;
+      }
       // `std::time` is the C clock; any other qualifier (`Clock::time`)
       // names a project function.
       if (i > 0 && t[i - 1].text == "::" &&
@@ -221,7 +253,7 @@ bool matches(const Pattern& p, const std::vector<Token>& t, std::size_t i,
     case Shape::kRandomDevice:
       // random_device(token) names its source; the default one draws OS
       // entropy.
-      return match_sequence(t, i, "std :: random_device") &&
+      return match_sequence(t, i, "std :: random_device") != 0 &&
              !(is_(t, i + 3, "(") && i + 4 < t.size() &&
                t[i + 4].text != ")");
     case Shape::kRangeForType: {

@@ -53,9 +53,11 @@ inline constexpr std::uint32_t kNondeterminismSources =
 
 /// How a pattern is recognized in the token stream.
 enum class Shape {
-  kTokens,        ///< `text`, a space-separated token sequence.
+  kTokens,        ///< `text`, a space-separated token sequence; a call
+                  ///< (`name (`) may carry `<template args>` before `(`.
   kNew,           ///< `new T` or `new (p) T`, not `::new`.
-  kTimeCall,      ///< time(), time(nullptr|NULL|0); bare or std::.
+  kTimeCall,      ///< time(), time(nullptr|NULL|0); bare or std::, not a
+                  ///< member call.
   kRandomDevice,  ///< std::random_device without a constructor argument.
   kRangeForType,  ///< Range-for whose range spells a std::unordered_* type.
   kRangeForName,  ///< Range-for over a declared unordered container.

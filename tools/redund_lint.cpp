@@ -84,6 +84,10 @@ const Fixture kFixtures[] = {
      "long f() {\n  return time(NULL);\n}\n", "nondeterministic-rng", 2},
     {"rng-qualified-time-clean", "src/core/x.cpp",
      "long f() {\n  return Clock::time();\n}\n", nullptr, 0},
+    {"rng-member-time-clean", "src/core/x.cpp",
+     "double f(const Event& e) {\n  return e.time();\n}\n", nullptr, 0},
+    {"rng-arrow-time-clean", "src/core/x.cpp",
+     "double f(const Event* e) {\n  return e->time();\n}\n", nullptr, 0},
     {"rng-allow-spaced-list-suppresses", "src/math/x.cpp",
      "int f() {\n"
      "  return rand() % 6;  // redund-lint: allow( nondeterministic-rng , all )\n"
@@ -165,6 +169,30 @@ const Fixture kFixtures[] = {
      "}\n"
      "void g(std::vector<int>& v) {\n"
      "  v.push_back(1);\n"
+     "}\n",
+     nullptr, 0},
+    {"hot-alloc-make-unique-template-fires", "src/runtime/x.cpp",
+     "// redund: hot\n"
+     "void f(std::unique_ptr<int>& p) {\n"
+     "  p = std::make_unique<int>(4);\n"
+     "}\n",
+     "hot-alloc", 3},
+    {"hot-alloc-make-shared-nested-template-fires", "src/runtime/x.cpp",
+     "// redund: hot\n"
+     "void f(std::shared_ptr<std::vector<int>>& p) {\n"
+     "  p = std::make_shared<std::vector<int>>(4);\n"
+     "}\n",
+     "hot-alloc", 3},
+    {"hot-alloc-make-unique-for-overwrite-fires", "src/runtime/x.cpp",
+     "// redund: hot\n"
+     "void f(std::unique_ptr<int[]>& p, std::size_t n) {\n"
+     "  p = std::make_unique_for_overwrite<int[]>(n);\n"
+     "}\n",
+     "hot-alloc", 3},
+    {"hot-alloc-comparison-clean", "src/runtime/x.cpp",
+     "// redund: hot\n"
+     "bool f(int reserve, int cap) {\n"
+     "  return reserve < cap;\n"
      "}\n",
      nullptr, 0},
     {"hot-alloc-placement-new-clean", "src/runtime/x.cpp",
