@@ -1,8 +1,10 @@
 #include "runtime/audit.hpp"
 
+#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -88,6 +90,18 @@ AuditOptions quick_audit_options() {
 }
 
 namespace {
+
+/// A fresh, uniquely named directory under the system temp path.
+std::string make_scratch_dir() {
+  std::string path =
+      (std::filesystem::temp_directory_path() / "redund-audit-XXXXXX")
+          .string();
+  if (::mkdtemp(path.data()) == nullptr) {
+    throw std::runtime_error(
+        "determinism audit: cannot create a scratch directory " + path);
+  }
+  return path;
+}
 
 const char* queue_name(QueueKind kind) {
   return kind == QueueKind::kBinaryHeap ? "binary-heap" : "calendar";
@@ -316,10 +330,16 @@ void audit_matrix(const AuditOptions& options, const RuntimeConfig& base,
 
 }  // namespace
 
-AuditResult run_determinism_audit(const AuditOptions& options,
+AuditResult run_determinism_audit(const AuditOptions& requested,
                                   std::ostream& log) {
   AuditResult result;
-  std::filesystem::create_directories(options.scratch_dir);
+  AuditOptions options = requested;
+  const bool own_scratch = options.scratch_dir.empty();
+  if (own_scratch) {
+    options.scratch_dir = make_scratch_dir();
+  } else {
+    std::filesystem::create_directories(options.scratch_dir);
+  }
 
   log << "determinism audit: " << options.queue_kinds.size()
       << " queue kind(s) x " << options.shard_counts.size()
@@ -341,6 +361,14 @@ AuditResult run_determinism_audit(const AuditOptions& options,
   log << "determinism audit: " << result.runs << " campaign run(s), "
       << result.groups << " agreement group(s), "
       << (result.passed ? "all agree" : "DIVERGENCE DETECTED") << "\n";
+  if (own_scratch) {
+    if (result.passed) {
+      std::filesystem::remove_all(options.scratch_dir);
+    } else {
+      log << "determinism audit: scratch journals kept in "
+          << options.scratch_dir << "\n";
+    }
+  }
   return result;
 }
 

@@ -57,8 +57,10 @@ struct AuditOptions {
   std::vector<double> kill_fractions = {0.25, 0.5};
 
   /// Directory for the scratch journals of the kill/resume legs; created
-  /// if missing.
-  std::string scratch_dir = "audit-scratch";
+  /// if missing and left in place. Empty: a fresh directory under the
+  /// system temp path, removed after a passing run and kept (its path
+  /// logged) after a failing one.
+  std::string scratch_dir;
 
   /// Run the whole matrix a second time with the online adaptive
   /// controller enabled over a drifting-adversary fault schedule, so

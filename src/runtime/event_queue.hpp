@@ -169,18 +169,22 @@ class EventQueue {
 /// sparse-queue fallback, also header-only.
 ///
 /// The arena is built in bulk — histogram, prefix-sum, scatter, per-slice
-/// insertion sort — from the staging buffer at the first pop (a cold
-/// campaign schedules every initial event up front) and again at every
-/// rebuild. Bulk building into one flat array replaces the per-bucket
-/// vector ring of the previous layout, whose initial distribution paid a
-/// malloc and a cache miss per bucket. Events scheduled after a build go
-/// to a small side min-heap (the overflow); pop compares the arena front
-/// with the overflow front, and a rebuild folds the overflow back into
-/// the arena whenever it outgrows a fraction of the live set (or the
-/// arena drains past the shrink band). Every event scheduled after a
-/// build carries a larger seq than every arena event, so on a shared
-/// timestamp the arena run drains strictly before the overflow run —
-/// (time, seq) order holds across the two stores by construction.
+/// sort — from the staging buffer at the first pop (a cold campaign
+/// schedules every initial event up front) and again at every rebuild.
+/// A build of n events costs O(n) plus O(k log k) per slice of k events:
+/// most slices hold a few events, but a fold of overflow re-arm waves
+/// puts thousands of same-time events in one slice, out of seq order
+/// (see sort_slice_). Bulk building into one flat array replaces the
+/// per-bucket vector ring of the previous layout, whose initial
+/// distribution paid a malloc and a cache miss per bucket. Events
+/// scheduled after a build go to a small side min-heap (the overflow);
+/// pop compares the arena front with the overflow front, and a rebuild
+/// folds the overflow back into the arena whenever it outgrows a fraction
+/// of the live set (or the arena drains past the shrink band). Every
+/// event scheduled after a build carries a larger seq than every arena
+/// event, so on a shared timestamp the arena run drains strictly before
+/// the overflow run — (time, seq) order holds across the two stores by
+/// construction.
 ///
 /// Days are compared as exact integers held in doubles; width_ is clamped
 /// so day numbers stay below 2^50 and the floor/step/compare arithmetic is
@@ -316,6 +320,8 @@ class CalendarQueue {
  private:
   static constexpr std::size_t kMinBuckets = 16;
   static constexpr std::size_t kNoBucket = ~std::size_t{0};
+  /// Longest slice the fold sorts by insertion (see sort_slice_).
+  static constexpr std::size_t kInsertionSortMax = 32;
 
   /// One day-ring header: the bucket's earliest pending time and its live
   /// event count. 16 bytes — four headers per cache line — so the day
@@ -422,10 +428,10 @@ class CalendarQueue {
     if (arena_live_ < rebuild_lo_ || overflow_heavy) rebuild_();
   }
 
-  /// Sizes the ring to ~size/2 buckets (~2 events per bucket — halves the
-  /// header footprint and the build's scatter misses, and the slice
-  /// insertion sort stays O(1) per bucket) and derives the width from the
-  /// time spread [lo, hi]: ~twice the mean gap (Brown's rule of thumb).
+  /// Sizes the ring to ~size/2 buckets (~2 events per bucket on average,
+  /// though one same-time wave fills a single bucket — halves the header
+  /// footprint and the build's scatter misses) and derives the width from
+  /// the time spread [lo, hi]: ~twice the mean gap (Brown's rule of thumb).
   /// Clamped below so day numbers remain exact integers (and day +
   /// lap-step sums exact) up to 2^50.
   void set_geometry_(std::size_t n, double lo, double hi) {
@@ -458,8 +464,8 @@ class CalendarQueue {
     peek_bucket_ = kNoBucket;
   }
 
-  /// Bulk build core: histogram, prefix-sum, scatter, per-slice insertion
-  /// sort. O(n) plus the (tiny, mostly-sorted) slice sorts; no per-bucket
+  /// Bulk build core: histogram, prefix-sum, scatter, per-slice sort.
+  /// O(n) plus O(k log k) per k-event slice (sort_slice_); no per-bucket
   /// allocation — the arena double-buffers through arena_spare_ and every
   /// auxiliary array recycles its storage across builds. `for_each` must
   /// visit the same n events in the same order on every invocation.
@@ -516,10 +522,24 @@ class CalendarQueue {
     });
   }
 
-  /// Insertion sort by (time, seq). Slices average ~2 events, and the one
-  /// large slice a campaign produces — the shared-deadline storm — arrives
-  /// already sorted (scatter preserves seq order), costing O(n).
+  /// Sorts one slice by (time, seq). Events from the old arena arrive
+  /// nearly in order (each old slice is sorted, and scatter keeps the
+  /// visit order), but events folded in from the overflow arrive in
+  /// heap-array order, which scrambles seq within a timestamp. A
+  /// same-time re-arm wave folds as thousands of events on a few
+  /// timestamps (a headline fold's largest slice held 8,234 events on 2
+  /// times), where insertion sort pays one shift per inversion: O(k^2).
+  /// So insertion sort handles only short slices; a longer one that is
+  /// out of order goes to std::sort, O(k log k) and in place. The order
+  /// is a strict total order (seq is unique), so any correct sort yields
+  /// the same slice.
   static void sort_slice_(Event* events, std::size_t n) noexcept {
+    if (n > kInsertionSortMax) {
+      if (!std::is_sorted(events, events + n, fires_before)) {
+        std::sort(events, events + n, fires_before);
+      }
+      return;
+    }
     for (std::size_t i = 1; i < n; ++i) {
       if (!fires_before(events[i], events[i - 1])) continue;
       const Event event = events[i];

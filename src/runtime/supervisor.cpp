@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -277,6 +278,8 @@ class Runner {
     if (config.control.enabled) {
       controller_ = control::CampaignController(config.control);
       moved_scratch_.assign(task_count, 0);
+      open_tasks_.resize(task_count);
+      std::iota(open_tasks_.begin(), open_tasks_.end(), std::size_t{0});
     }
     for (const FaultEvent& fault : config.faults.events) {
       if (fault.kind == FaultKind::kPDrift) has_drift_ = true;
@@ -693,22 +696,7 @@ class Runner {
     if (!was_offline && is_offline) {
       ++report_.churn_leaves;
       registry_.set_blacklisted(id, true);
-      // Ascending unit order, so the lost units' reissues queue in unit
-      // order. A blackout runs this sweep once per leaving identity over
-      // every unit, so it scans the assignee lane alone (std::find is
-      // unrolled) and reads a unit's state only on a hit.
-      const auto first = units_.assignee.begin();
-      const auto last = units_.assignee.end();
-      for (auto it = std::find(first, last, id); it != last;
-           it = std::find(it + 1, last, id)) {
-        const auto u = static_cast<std::size_t>(it - first);
-        if (units_.state[u] != UnitState::kInProgress) continue;
-        units_.state[u] = UnitState::kTimedOut;
-        units_.epoch[u] += 1;  // In-flight completion drains as late.
-        ++report_.results_lost;
-        queue_.schedule(now, EventKind::kReissue,
-                        static_cast<std::int64_t>(u), units_.epoch[u]);
-      }
+      report_.results_lost += requeue_units_of_(id, now);
     } else if (was_offline && !is_offline) {
       ++report_.churn_rejoins;
       // A rejoin clears the availability hold, never a validator verdict.
@@ -1234,15 +1222,30 @@ class Runner {
     flagged_[id] = 1;
     registry_.blacklist(id);
     ++report_.blacklisted_identities;
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      if (units_.assignee[u] != static_cast<std::uint32_t>(id)) continue;
+    requeue_units_of_(id, now);
+    update_min_live_();
+  }
+
+  /// Times out every in-progress unit `id` holds and schedules its
+  /// reissue at `now`; returns how many. Ascending unit order, so the
+  /// reissues queue in unit order. A blackout or a sybil sweep runs this
+  /// once per identity over every unit, so it scans the assignee lane
+  /// alone (std::find is unrolled) and reads a unit's state only on a hit.
+  std::int64_t requeue_units_of_(ParticipantId id, double now) {
+    std::int64_t requeued = 0;
+    const auto first = units_.assignee.begin();
+    const auto last = units_.assignee.end();
+    for (auto it = std::find(first, last, id); it != last;
+         it = std::find(it + 1, last, id)) {
+      const auto u = static_cast<std::size_t>(it - first);
       if (units_.state[u] != UnitState::kInProgress) continue;
       units_.state[u] = UnitState::kTimedOut;
-      units_.epoch[u] += 1;  // Invalidate its completion/deadline timers.
+      units_.epoch[u] += 1;  // Its completion/deadline timers drain stale.
+      ++requeued;
       queue_.schedule(now, EventKind::kReissue, static_cast<std::int64_t>(u),
                       units_.epoch[u]);
     }
-    update_min_live_();
+    return requeued;
   }
 
   void on_adaptive_check(const Event& event) {
@@ -1325,11 +1328,16 @@ class Runner {
         "controller posterior counts conserve the observed validator "
         "outcomes");
 
+    // kValid is terminal (only accept() sets it), so dropping the tasks
+    // validated since the last round leaves exactly the unfinished ones,
+    // still ascending: every walk below visits them in the order a full
+    // 0..N scan skipping valid tasks would.
+    std::erase_if(open_tasks_, [this](std::size_t t) {
+      return tasks_.state[t] == TaskState::kValid;
+    });
     residual_scratch_.clear();
-    std::int64_t unfinished = 0;
-    for (std::size_t t = 0; t < tasks_.size(); ++t) {
-      if (tasks_.state[t] == TaskState::kValid) continue;
-      ++unfinished;
+    const auto unfinished = static_cast<std::int64_t>(open_tasks_.size());
+    for (const std::size_t t : open_tasks_) {
       const auto target = static_cast<std::int64_t>(tasks_.target_copies[t]);
       control::ResidualClass* cls = nullptr;
       for (control::ResidualClass& existing : residual_scratch_) {
@@ -1362,10 +1370,11 @@ class Runner {
         controller_.budgets(top_verified));
 
     if (decision.empty()) return;
-    std::fill(moved_scratch_.begin(), moved_scratch_.end(), 0);
+    for (const std::size_t t : open_tasks_) moved_scratch_[t] = 0;
     for (const control::ClassDelta& delta : decision.promotions) {
       std::int64_t remaining = delta.count;
-      for (std::size_t t = 0; t < tasks_.size() && remaining > 0; ++t) {
+      for (const std::size_t t : open_tasks_) {
+        if (remaining <= 0) break;
         if (moved_scratch_[t] != 0 ||
             tasks_.target_copies[t] != delta.multiplicity ||
             !promotable_(t)) {
@@ -1385,7 +1394,8 @@ class Runner {
     }
     for (const control::ClassDelta& delta : decision.demotions) {
       std::int64_t remaining = delta.count;
-      for (std::size_t t = 0; t < tasks_.size() && remaining > 0; ++t) {
+      for (const std::size_t t : open_tasks_) {
+        if (remaining <= 0) break;
         if (moved_scratch_[t] != 0 ||
             tasks_.target_copies[t] != delta.multiplicity ||
             !demotable_(t)) {
@@ -1493,6 +1503,8 @@ class Runner {
   std::vector<std::pair<std::uint64_t, int>> vote_scratch_;
   std::vector<control::ResidualClass> residual_scratch_;
   std::vector<char> moved_scratch_;         ///< Per-task moved-this-round.
+  /// Ascending ids of the tasks not yet valid at the last re-plan round.
+  std::vector<std::size_t> open_tasks_;
 
   control::CampaignController controller_;
   double replan_period_ = 0.0;

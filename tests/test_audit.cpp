@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -127,6 +128,39 @@ TEST(DeterminismAudit, SmallMatrixAgreesAcrossTheBoard) {
   EXPECT_TRUE(again.passed);
   EXPECT_EQ(again.runs, result.runs);
   EXPECT_EQ(log2.str(), log.str());
+}
+
+TEST(DeterminismAudit, DefaultScratchLeavesNothingBehind) {
+  // No scratch_dir: the journals go to a fresh directory under the system
+  // temp path (TMPDIR, pointed at an empty directory here), and a passing
+  // run removes it.
+  const std::filesystem::path tmp =
+      std::filesystem::path(::testing::TempDir()) / "audit-default-tmp";
+  std::filesystem::remove_all(tmp);
+  std::filesystem::create_directories(tmp);
+  const char* saved = std::getenv("TMPDIR");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  ::setenv("TMPDIR", tmp.c_str(), 1);
+
+  runtime::AuditOptions options = runtime::quick_audit_options();
+  options.target_tasks = 120;
+  options.honest_participants = 24;
+  options.sybil_identities = 5;
+  options.shard_counts = {1};
+  options.thread_counts = {1};
+  options.include_adaptive = false;
+  std::ostringstream log;
+  const runtime::AuditResult result =
+      runtime::run_determinism_audit(options, log);
+
+  if (saved != nullptr) {
+    ::setenv("TMPDIR", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  EXPECT_TRUE(result.passed) << log.str();
+  EXPECT_TRUE(std::filesystem::is_empty(tmp));
+  std::filesystem::remove_all(tmp);
 }
 
 }  // namespace

@@ -434,4 +434,19 @@ TEST(AdaptiveControl, DeEscalatesWhenTheThreatRecedes) {
   EXPECT_EQ(report.tasks_valid, report.tasks);
 }
 
+TEST(AdaptiveControl, ReplanDecisionsArePinnedByFingerprint) {
+  // The re-plan round's task walks (residual mix, promotions, releases)
+  // must pick the same tasks in the same order whatever set they iterate:
+  // a boosting-then-releasing campaign is pinned to the fingerprint the
+  // full 0..N scan produced.
+  runtime::RuntimeConfig config = adaptive_scenario();
+  config.faults.events.clear();
+  config.faults.events.push_back(
+      {.time = 15.0, .kind = FaultKind::kPDrift, .fraction = 0.02});
+  const runtime::RuntimeReport report = runtime::run_async_campaign(config);
+  ASSERT_GT(report.control_boosts, 0);
+  ASSERT_GT(report.control_releases, 0);
+  EXPECT_EQ(runtime::report_fingerprint(report), 0xf095d37cb4ab005ULL);
+}
+
 }  // namespace

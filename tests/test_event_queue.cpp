@@ -152,6 +152,39 @@ TEST(EventQueueEquivalence, ReservedBulkLoadPopsIdentically) {
   EXPECT_TRUE(calendar.empty());
 }
 
+TEST(EventQueueEquivalence, ScrambledOverflowFoldPopsIdentically) {
+  // The fold's worst case: after the first pop ends staging, a large burst
+  // on a handful of timestamps lands in the overflow min-heap, whose array
+  // order scrambles seq within each timestamp. The fold then sorts a few
+  // huge slices that arrive far from sorted (the re-arm waves of a
+  // straggler-heavy campaign look like this).
+  auto engine = rng::make_stream(0xF01DULL, 5);
+  runtime::EventQueue heap;
+  runtime::CalendarQueue calendar;
+  heap.schedule(0.0, EventKind::kCompletion, -1);
+  calendar.schedule(0.0, EventKind::kCompletion, -1);
+  ASSERT_TRUE(same_event(heap.pop(), calendar.pop()));
+  constexpr std::int64_t kBurst = 50000;
+  for (std::int64_t s = 0; s < kBurst; ++s) {
+    const double t = 1.0 + static_cast<double>(rng::uniform_below(4, engine));
+    heap.schedule(t, EventKind::kReissue, s);
+    calendar.schedule(t, EventKind::kReissue, s);
+  }
+  std::int64_t drained = 0;
+  while (!heap.empty()) {
+    ASSERT_FALSE(calendar.empty());
+    const Event h = heap.pop();
+    const Event c = calendar.pop();
+    ASSERT_TRUE(same_event(h, c))
+        << "diverged at event " << drained << ": heap (t=" << h.time
+        << ", seq=" << h.seq << ") calendar (t=" << c.time
+        << ", seq=" << c.seq << ")";
+    ++drained;
+  }
+  EXPECT_EQ(drained, kBurst);
+  EXPECT_TRUE(calendar.empty());
+}
+
 // ------------------------------------------------------------- pop_run
 
 /// Drains `queue` via pop_run and checks against a reference drained via
