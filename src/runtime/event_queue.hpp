@@ -67,15 +67,24 @@ enum class QueueKind : std::uint8_t {
   kCalendar,    ///< Bucketed ring; O(1) amortized, same pop order.
 };
 
+/// Width of Event::seq: 2^56 schedules per queue, far past any campaign.
+inline constexpr int kSeqBits = 56;
+inline constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << kSeqBits) - 1;
+
 /// One scheduled event. `subject` is a unit index (task index for
-/// kAdaptiveCheck); `epoch` invalidates stale unit timers.
+/// kAdaptiveCheck, fault index for kFault/kFaultEnd); `epoch` invalidates
+/// stale unit timers. 24 bytes: seq and kind share one word, and subject
+/// and epoch hold 32 bits each — the supervisor rejects a campaign whose
+/// unit slots, tasks or faults would not fit (validate_sizes in
+/// supervisor.cpp), and unit epochs are 32-bit already (UnitTable::epoch).
 struct Event {
   double time = 0.0;
-  std::uint64_t seq = 0;
-  EventKind kind = EventKind::kCompletion;
-  std::int64_t subject = 0;
-  std::uint64_t epoch = 0;
+  std::uint64_t seq : kSeqBits = 0;
+  EventKind kind : 8 = EventKind::kCompletion;
+  std::int32_t subject = 0;
+  std::uint32_t epoch = 0;
 };
+static_assert(sizeof(Event) == 24);
 
 /// Strict event order: (time, seq) ascending. seq is unique, so this is a
 /// total order — the determinism contract both queues implement.
@@ -83,6 +92,19 @@ struct Event {
                                        const Event& b) noexcept {
   if (a.time != b.time) return a.time < b.time;
   return a.seq < b.seq;
+}
+
+/// Packs a schedule() call into an Event. The caller keeps subject and
+/// epoch within 32 bits; seq wraps at 2^56, which no campaign reaches.
+[[nodiscard]] inline Event make_event(double time, std::uint64_t seq,
+                                      EventKind kind, std::int64_t subject,
+                                      std::uint64_t epoch) {
+  REDUND_PRECONDITION(subject >= std::numeric_limits<std::int32_t>::min() &&
+                          subject <= std::numeric_limits<std::int32_t>::max() &&
+                          epoch <= std::numeric_limits<std::uint32_t>::max(),
+                      "event subject and epoch fit in 32 bits");
+  return Event{time, seq & kSeqMask, kind, static_cast<std::int32_t>(subject),
+               static_cast<std::uint32_t>(epoch)};
 }
 
 /// Min-heap over (time, seq).
@@ -97,7 +119,7 @@ class EventQueue {
   void schedule(double time, EventKind kind, std::int64_t subject,
                 std::uint64_t epoch = 0) {
     // Storage is pre-sized by reserve(); steady-state pushes never allocate.
-    heap_.push_back(Event{time, next_seq_++, kind, subject, epoch});  // redund-lint: allow(hot-alloc)
+    heap_.push_back(make_event(time, next_seq_++, kind, subject, epoch));  // redund-lint: allow(hot-alloc)
     std::push_heap(heap_.begin(), heap_.end(), After{});
   }
 
@@ -203,7 +225,7 @@ class CalendarQueue {
   // redund: hot
   void schedule(double time, EventKind kind, std::int64_t subject,
                 std::uint64_t epoch = 0) {
-    const Event event{time, next_seq_++, kind, subject, epoch};
+    const Event event = make_event(time, next_seq_++, kind, subject, epoch);
     ++size_;
     max_time_ = time > max_time_ ? time : max_time_;
     // Until the first pop the queue only accumulates (a cold campaign

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -58,6 +59,40 @@ double automatic_deadline(double queue_depth) {
 /// across all their copies, derivable from the precomputed truth lane.
 constexpr std::uint64_t kCollusionMask = 0xBAD0BEEFCAFEF00DULL;
 
+/// Event subjects are 32-bit (runtime::Event), so every unit slot, task
+/// and fault index a campaign can schedule must stay below INT32_MAX —
+/// which also keeps the drain's consecutive-subject test (`subject + 1`)
+/// free of overflow. Counted the way the scheduler and the slot table
+/// size themselves, saturating, so an oversized plan is rejected before
+/// anything is allocated from it.
+void validate_sizes(const RuntimeConfig& config) {
+  static constexpr std::int64_t kLimit =
+      std::numeric_limits<std::int32_t>::max();
+  // min(kLimit, acc + count * each) for non-negative arguments.
+  const auto grow = [](std::int64_t acc, std::int64_t count,
+                       std::int64_t each) {
+    if (count <= 0 || each <= 0) return acc;
+    if (count >= kLimit || each >= kLimit) return kLimit;
+    return std::min(kLimit, acc + count * each);
+  };
+  const core::RealizedPlan& plan = config.plan;
+  std::int64_t tasks = grow(0, plan.ringer_count, 1);
+  std::int64_t units = grow(0, plan.ringer_count, plan.ringer_multiplicity);
+  for (std::size_t i = 0; i < plan.counts.size(); ++i) {
+    tasks = grow(tasks, plan.counts[i], 1);
+    units = grow(units, plan.counts[i], static_cast<std::int64_t>(i + 1));
+  }
+  const std::int64_t slots =
+      grow(grow(units, tasks, config.adaptive.max_extra_replicas), tasks,
+           config.control.enabled ? config.control.max_boost : 0);
+  const auto faults = static_cast<std::int64_t>(config.faults.events.size());
+  if (slots >= kLimit || tasks >= kLimit || faults >= kLimit) {
+    throw std::invalid_argument(
+        "run_async_campaign: unit slots, tasks and faults must each stay "
+        "below 2^31 - 1 (32-bit event subjects)");
+  }
+}
+
 void validate_config(const RuntimeConfig& config) {
   if (config.honest_participants < 1) {
     throw std::invalid_argument(
@@ -84,6 +119,14 @@ void validate_config(const RuntimeConfig& config) {
     throw std::invalid_argument(
         "run_async_campaign: journal checkpoint_interval must be >= 1");
   }
+  validate_sizes(config);
+}
+
+/// The plan, once validate_config has passed: the Runner's member-init
+/// list sizes the scheduler from it, so the check must run first.
+const core::RealizedPlan& validated_plan(const RuntimeConfig& config) {
+  validate_config(config);
+  return config.plan;
 }
 
 /// Canonical fingerprint of everything that determines the event stream
@@ -158,12 +201,11 @@ class Runner {
  public:
   explicit Runner(const RuntimeConfig& config)
       : config_(config),
-        scheduler_(config.plan),
+        scheduler_(validated_plan(config)),
         deal_engine_(rng::make_stream(config.seed ^ kDealSalt, 0)),
         decision_{.proportion = 0.0,
                   .strategy = config.strategy,
                   .tuple_size = config.tuple_size} {
-    validate_config(config);
     config_hash_ = config_fingerprint(config);
 
     for (std::int64_t i = 0; i < config.honest_participants; ++i) {
@@ -187,10 +229,12 @@ class Runner {
 
     // Pre-size the event queue and unit table from the plan: every live
     // unit carries at most one completion and one deadline timer, each task
-    // one adaptive check, plus the fault schedule, the health timer, and
-    // slack for replication units added mid-campaign.
-    queue_.reserve(2 * unit_count + task_count + config.faults.events.size() +
-                   32);
+    // one adaptive check when adaptive replication is on, plus the fault
+    // schedule, the health timer, and slack for replication units added
+    // mid-campaign.
+    queue_.reserve(2 * unit_count +
+                   (config.adaptive.enabled ? task_count : 0) +
+                   config.faults.events.size() + 32);
     units_.reserve(unit_count + 64);
     units_.resize(unit_count);
     tasks_.resize(task_count);

@@ -5,8 +5,11 @@
 // queue selection cannot change a RuntimeReport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <string>
@@ -17,6 +20,7 @@
 #include "rng/distributions.hpp"
 #include "rng/engines.hpp"
 #include "runtime/event_queue.hpp"
+#include "runtime/journal.hpp"
 #include "runtime/supervisor.hpp"
 
 namespace core = redund::core;
@@ -290,6 +294,70 @@ TEST(EventQueuePopRun, InterleavedSchedulesKeepQueuesIdentical) {
   }
   EXPECT_TRUE(calendar.empty());
   EXPECT_GT(drained_runs, 4);
+}
+
+// --------------------------------------------------------- event layout
+
+constexpr EventKind kAllKinds[] = {
+    EventKind::kCompletion,    EventKind::kDeadline, EventKind::kReissue,
+    EventKind::kAdaptiveCheck, EventKind::kFault,    EventKind::kFaultEnd,
+    EventKind::kHealthCheck,   EventKind::kReplan,
+};
+
+TEST(EventLayout, ExtremeFieldsSurviveBothQueues) {
+  // The widest values the packed fields hold: the largest unit subject the
+  // supervisor admits, the last 32-bit epoch, and every kind. Two events
+  // per kind share a timestamp, so the seq tie-break is exercised too.
+  constexpr std::int64_t kSubject =
+      std::numeric_limits<std::int32_t>::max() - 1;
+  constexpr std::uint64_t kEpoch = std::numeric_limits<std::uint32_t>::max();
+  runtime::EventQueue heap;
+  runtime::CalendarQueue calendar;
+  std::vector<Event> scheduled;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t k = 0; k < std::size(kAllKinds); ++k) {
+      const double time = 8.0 - static_cast<double>(k);  // Reverse order.
+      heap.schedule(time, kAllKinds[k], kSubject, kEpoch);
+      calendar.schedule(time, kAllKinds[k], kSubject, kEpoch);
+      scheduled.push_back(runtime::make_event(time, scheduled.size(),
+                                              kAllKinds[k], kSubject, kEpoch));
+    }
+  }
+  std::vector<Event> expected = scheduled;
+  std::sort(expected.begin(), expected.end(), runtime::fires_before);
+  for (const Event& want : expected) {
+    ASSERT_FALSE(heap.empty());
+    ASSERT_FALSE(calendar.empty());
+    const Event h = heap.pop();
+    const Event c = calendar.pop();
+    EXPECT_TRUE(same_event(h, want)) << "heap seq " << h.seq;
+    EXPECT_TRUE(same_event(c, want)) << "calendar seq " << c.seq;
+    // `want` is packed by make_event too; check the fields against the
+    // schedule() arguments directly as well.
+    EXPECT_EQ(h.kind, kAllKinds[static_cast<std::size_t>(8.0 - h.time)]);
+    EXPECT_EQ(h.subject, kSubject);
+    EXPECT_EQ(h.epoch, kEpoch);
+  }
+  EXPECT_TRUE(heap.empty());
+  EXPECT_TRUE(calendar.empty());
+}
+
+TEST(EventLayout, FoldDigestMatchesTheUnpackedLayout) {
+  // Journals store fold_events digests. This value was computed with the
+  // earlier 40-byte Event (64-bit seq, subject and epoch), so journals
+  // written before the packing still resume.
+  const std::vector<Event> events = {
+      Event{0.0, 0, EventKind::kCompletion, 0, 0},
+      Event{0.5, 1, EventKind::kDeadline, 12, 3},
+      Event{1234.5, 2, EventKind::kReissue, 2147483646, 4294967295u},
+      Event{1e-300, 3, EventKind::kAdaptiveCheck, 7, 1},
+      Event{86400.25, 41, EventKind::kFault, 2, 0},
+      Event{86400.25, 42, EventKind::kFaultEnd, 2, 0},
+      Event{3.75, 72057594037927935ULL, EventKind::kHealthCheck, 0, 0},
+      Event{1e9, 1000000, EventKind::kReplan, -1, 65536},
+  };
+  EXPECT_EQ(runtime::fold_events(runtime::kEmptyDigest, events),
+            0xaf5a9cd7ff77336bULL);
 }
 
 // --------------------------------------------------------- stale epochs

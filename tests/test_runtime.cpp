@@ -4,6 +4,7 @@
 // recompute fallback, and config validation.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -373,6 +374,35 @@ TEST(AsyncRuntime, RejectsBadHealthJournalAndFaultConfig) {
   bad.faults.events.push_back({.time = 1.0,
                                .kind = runtime::FaultKind::kLeave,
                                .participant = 5});
+  EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
+}
+
+TEST(AsyncRuntime, RejectsPlansBeyond32BitEventSubjects) {
+  // Event subjects are 32-bit. Each plan below would need gigabytes of
+  // task and unit tables, so a pass also shows the check runs before the
+  // scheduler sizes anything from the plan.
+  runtime::RuntimeConfig bad;
+  bad.honest_participants = 5;
+  bad.plan = flat_plan(std::int64_t{1} << 30, 2);  // 2^31 units.
+  EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
+  EXPECT_THROW((void)runtime::run_async_campaign_capped(bad, 0),
+               std::invalid_argument);
+
+  // 2^20 units, but the per-task replica budget adds 2^31 slots.
+  bad.plan = flat_plan(std::int64_t{1} << 20, 1);
+  bad.adaptive.max_extra_replicas = 1 << 11;
+  EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
+
+  // The same budget as controller escalation slots.
+  bad.adaptive.max_extra_replicas = 0;
+  bad.control.enabled = true;
+  bad.control.max_boost = 1 << 11;
+  EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
+
+  // Counts far past 2^63 / multiplicity saturate instead of overflowing.
+  bad.control = {};
+  bad.plan = core::RealizedPlan{};
+  bad.plan.counts = {0, 0, std::numeric_limits<std::int64_t>::max()};
   EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
 }
 
