@@ -16,64 +16,27 @@
 
 namespace redund::runtime {
 
+namespace {
+
+void put(StateWriter& w, std::int64_t value) { w.i64(value); }
+void put(StateWriter& w, double value) { w.f64(value); }
+void put(StateWriter& w, CampaignOutcome value) {
+  w.u64(static_cast<std::uint64_t>(value));
+}
+
+}  // namespace
+
 // redund: deterministic
 std::uint64_t report_fingerprint(const RuntimeReport& report) {
   StateWriter w;
   w.reserve(1024 + 96 * report.series.size());
-  w.i64(report.tasks);
-  w.i64(report.units_planned);
-  w.i64(report.participants);
-  w.i64(report.stragglers);
-  w.i64(report.units_issued);
-  w.i64(report.units_completed);
-  w.i64(report.units_timed_out);
-  w.i64(report.units_reissued);
-  w.i64(report.units_dropped);
-  w.i64(report.late_results);
-  w.i64(report.adaptive_replicas);
-  w.i64(report.quorum_replicas);
-  w.i64(report.supervisor_recomputes);
-  w.i64(report.tasks_valid);
-  w.i64(report.tasks_inconclusive);
-  w.i64(report.mismatches_detected);
-  w.i64(report.ringer_catches);
-  w.i64(report.blacklisted_identities);
-  w.i64(report.replan_rounds);
-  w.i64(report.control_boosts);
-  w.i64(report.control_releases);
-  w.i64(report.control_observations);
-  w.f64(report.p_hat_mean);
-  w.f64(report.p_hat_upper);
-  w.i64(report.adversary_cheat_attempts);
-  w.i64(report.false_accusations);
-  w.i64(report.final_correct_tasks);
-  w.i64(report.final_corrupt_tasks);
-  w.u64(static_cast<std::uint64_t>(report.outcome));
-  w.i64(report.tasks_unfinished);
-  w.i64(report.fault_events);
-  w.i64(report.churn_leaves);
-  w.i64(report.churn_rejoins);
-  w.i64(report.results_lost);
-  w.i64(report.results_corrupted);
-  w.i64(report.duplicate_results);
-  w.i64(report.min_live_fleet);
-  w.f64(report.progress_rate);
-  w.f64(report.makespan);
-  w.f64(report.end_time);
-  w.f64(report.first_detection_time);
-  w.f64(report.mean_detection_latency);
-  w.i64(report.detections);
-  w.i64(report.events_processed);
+  for_each_field([&](const FieldInfo&, const auto& value) { put(w, value); },
+                 report);
   w.u64(static_cast<std::uint64_t>(report.series.size()));
   for (const RuntimeSample& sample : report.series) {
     w.f64(sample.time);
-    w.i64(sample.units_issued);
-    w.i64(sample.units_completed);
-    w.i64(sample.units_timed_out);
-    w.i64(sample.units_reissued);
-    w.i64(sample.tasks_valid);
-    w.i64(sample.control_boosts);
-    w.i64(sample.control_releases);
+    for_each_counter([&](const char*, std::int64_t value) { w.i64(value); },
+                     sample);
   }
   return fnv1a_hash(w.text());
 }

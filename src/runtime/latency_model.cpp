@@ -62,9 +62,8 @@ ParticipantPool::Issue ParticipantPool::issue(platform::ParticipantId id,
                                               std::uint64_t unit,
                                               std::int64_t attempt) {
   if (model_.dropout_probability > 0.0 &&
-      rng::first_bernoulli(
-          model_.dropout_probability, seed_ ^ kDropoutSalt,
-          unit * 64 + static_cast<std::uint64_t>(attempt & 63))) {
+      rng::first_bernoulli(model_.dropout_probability, seed_ ^ kDropoutSalt,
+                           unit_attempt_stream(unit, attempt))) {
     return {false, 0.0};
   }
   const double service = demand / speed_[id];

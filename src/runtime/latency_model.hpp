@@ -48,6 +48,15 @@ struct LatencyModel {
   double dropout_probability = 0.0;
 };
 
+/// Stream index of one (unit, attempt) pair, shared by every per-issue coin
+/// (dropout, benign error, fault-window coins), so a draw depends on which
+/// copy is issued, never on when. Attempts 64 apart share coins. Widening
+/// the key would move every draw and with it every fingerprint.
+[[nodiscard]] constexpr std::uint64_t unit_attempt_stream(
+    std::uint64_t unit, std::int64_t attempt) noexcept {
+  return unit * 64 + static_cast<std::uint64_t>(attempt & 63);
+}
+
 /// Materialized per-participant state: speeds, straggler flags, and the
 /// FCFS busy-until clock used to serialize each participant's queue.
 class ParticipantPool {

@@ -2,6 +2,8 @@
 
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace redund::runtime {
 
@@ -16,79 +18,37 @@ const char* to_string(CampaignOutcome outcome) noexcept {
   return "?";
 }
 
+namespace {
+
+std::string cell(std::int64_t value) { return rep::with_commas(value); }
+std::string cell(double value) { return rep::fixed(value, 4); }
+std::string cell(CampaignOutcome value) { return to_string(value); }
+
+}  // namespace
+
 rep::Table to_table(const RuntimeReport& report) {
   rep::Table table({"metric", "value"});
-  const auto add_count = [&](const char* name, std::int64_t value) {
-    table.add_row({name, rep::with_commas(value)});
-  };
-  const auto add_time = [&](const char* name, double value) {
-    table.add_row({name, rep::fixed(value, 4)});
-  };
-  add_count("tasks", report.tasks);
-  add_count("units_planned", report.units_planned);
-  add_count("participants", report.participants);
-  add_count("stragglers", report.stragglers);
-  table.add_separator();
-  add_count("units_issued", report.units_issued);
-  add_count("units_completed", report.units_completed);
-  add_count("units_timed_out", report.units_timed_out);
-  add_count("units_reissued", report.units_reissued);
-  add_count("units_dropped", report.units_dropped);
-  add_count("late_results", report.late_results);
-  table.add_separator();
-  add_count("adaptive_replicas", report.adaptive_replicas);
-  add_count("quorum_replicas", report.quorum_replicas);
-  add_count("supervisor_recomputes", report.supervisor_recomputes);
-  add_count("tasks_valid", report.tasks_valid);
-  add_count("tasks_inconclusive", report.tasks_inconclusive);
-  add_count("mismatches_detected", report.mismatches_detected);
-  add_count("ringer_catches", report.ringer_catches);
-  add_count("blacklisted_identities", report.blacklisted_identities);
-  table.add_separator();
-  add_count("replan_rounds", report.replan_rounds);
-  add_count("control_boosts", report.control_boosts);
-  add_count("control_releases", report.control_releases);
-  add_count("control_observations", report.control_observations);
-  add_time("p_hat_mean", report.p_hat_mean);
-  add_time("p_hat_upper", report.p_hat_upper);
-  table.add_separator();
-  add_count("adversary_cheat_attempts", report.adversary_cheat_attempts);
-  add_count("false_accusations", report.false_accusations);
-  add_count("final_correct_tasks", report.final_correct_tasks);
-  add_count("final_corrupt_tasks", report.final_corrupt_tasks);
-  table.add_separator();
-  table.add_row({"outcome", to_string(report.outcome)});
-  add_count("tasks_unfinished", report.tasks_unfinished);
-  add_count("fault_events", report.fault_events);
-  add_count("churn_leaves", report.churn_leaves);
-  add_count("churn_rejoins", report.churn_rejoins);
-  add_count("results_lost", report.results_lost);
-  add_count("results_corrupted", report.results_corrupted);
-  add_count("duplicate_results", report.duplicate_results);
-  add_count("min_live_fleet", report.min_live_fleet);
-  add_time("progress_rate", report.progress_rate);
-  table.add_separator();
-  add_time("makespan", report.makespan);
-  add_time("end_time", report.end_time);
-  add_time("first_detection_time", report.first_detection_time);
-  add_time("mean_detection_latency", report.mean_detection_latency);
-  add_count("detections", report.detections);
-  add_count("events_processed", report.events_processed);
+  for_each_field(
+      [&](const FieldInfo& info, const auto& value) {
+        if (info.starts_section) table.add_separator();
+        table.add_row({info.name, cell(value)});
+      },
+      report);
   return table;
 }
 
 rep::Table series_table(const RuntimeReport& report) {
-  rep::Table table({"time", "issued", "completed", "timed_out", "reissued",
-                    "valid", "boosts", "releases"});
+  std::vector<std::string> header{"time"};
+  for_each_counter([&](const char* column) { header.emplace_back(column); });
+  rep::Table table(std::move(header));
   for (const RuntimeSample& sample : report.series) {
-    table.add_row({rep::fixed(sample.time, 4),
-                   std::to_string(sample.units_issued),
-                   std::to_string(sample.units_completed),
-                   std::to_string(sample.units_timed_out),
-                   std::to_string(sample.units_reissued),
-                   std::to_string(sample.tasks_valid),
-                   std::to_string(sample.control_boosts),
-                   std::to_string(sample.control_releases)});
+    std::vector<std::string> row{rep::fixed(sample.time, 4)};
+    for_each_counter(
+        [&](const char*, std::int64_t value) {
+          row.push_back(std::to_string(value));
+        },
+        sample);
+    table.add_row(std::move(row));
   }
   return table;
 }

@@ -114,6 +114,102 @@ struct RuntimeReport {
   }
 };
 
+/// How ShardedSupervisor::merge folds one report field across shards.
+enum class Merge : std::uint8_t {
+  kSum,     ///< Shards partition the fleet, so their counts add.
+  kMax,     ///< The campaign is as late (or as sick) as its worst shard.
+  kByHand,  ///< Weighted means and the first detection: merge folds these.
+};
+
+/// What for_each_field tells its visitor about one scalar field.
+struct FieldInfo {
+  const char* name;     ///< Row name in to_table.
+  Merge merge;          ///< Shard-merge rule.
+  bool starts_section;  ///< to_table draws a separator before the row.
+};
+
+/// The one list of RuntimeReport's scalar fields. Calls
+/// f(info, report.field...) once per field, across every report passed,
+/// in fingerprint and print order. A new field is one line here; to_table,
+/// report_fingerprint and ShardedSupervisor::merge pick it up from this
+/// list.
+template <typename F, typename... Reports>
+void for_each_field(F&& f, Reports&... reports) {
+  const auto field = [&](const char* name, Merge merge, bool starts_section,
+                         [[maybe_unused]] auto member) {
+    f(FieldInfo{name, merge, starts_section}, (reports.*member)...);
+  };
+  using R = RuntimeReport;
+  constexpr Merge kSum = Merge::kSum;
+  constexpr Merge kMax = Merge::kMax;
+  constexpr Merge kByHand = Merge::kByHand;
+  field("tasks", kSum, false, &R::tasks);
+  field("units_planned", kSum, false, &R::units_planned);
+  field("participants", kSum, false, &R::participants);
+  field("stragglers", kSum, false, &R::stragglers);
+  field("units_issued", kSum, true, &R::units_issued);
+  field("units_completed", kSum, false, &R::units_completed);
+  field("units_timed_out", kSum, false, &R::units_timed_out);
+  field("units_reissued", kSum, false, &R::units_reissued);
+  field("units_dropped", kSum, false, &R::units_dropped);
+  field("late_results", kSum, false, &R::late_results);
+  field("adaptive_replicas", kSum, true, &R::adaptive_replicas);
+  field("quorum_replicas", kSum, false, &R::quorum_replicas);
+  field("supervisor_recomputes", kSum, false, &R::supervisor_recomputes);
+  field("tasks_valid", kSum, false, &R::tasks_valid);
+  field("tasks_inconclusive", kSum, false, &R::tasks_inconclusive);
+  field("mismatches_detected", kSum, false, &R::mismatches_detected);
+  field("ringer_catches", kSum, false, &R::ringer_catches);
+  field("blacklisted_identities", kSum, false, &R::blacklisted_identities);
+  field("replan_rounds", kSum, true, &R::replan_rounds);
+  field("control_boosts", kSum, false, &R::control_boosts);
+  field("control_releases", kSum, false, &R::control_releases);
+  field("control_observations", kSum, false, &R::control_observations);
+  field("p_hat_mean", kByHand, false, &R::p_hat_mean);
+  field("p_hat_upper", kByHand, false, &R::p_hat_upper);
+  field("adversary_cheat_attempts", kSum, true, &R::adversary_cheat_attempts);
+  field("false_accusations", kSum, false, &R::false_accusations);
+  field("final_correct_tasks", kSum, false, &R::final_correct_tasks);
+  field("final_corrupt_tasks", kSum, false, &R::final_corrupt_tasks);
+  field("outcome", kMax, true, &R::outcome);
+  field("tasks_unfinished", kSum, false, &R::tasks_unfinished);
+  field("fault_events", kSum, false, &R::fault_events);
+  field("churn_leaves", kSum, false, &R::churn_leaves);
+  field("churn_rejoins", kSum, false, &R::churn_rejoins);
+  field("results_lost", kSum, false, &R::results_lost);
+  field("results_corrupted", kSum, false, &R::results_corrupted);
+  field("duplicate_results", kSum, false, &R::duplicate_results);
+  // Per-shard low-water marks and progress rates add: the fleet is
+  // partitioned.
+  field("min_live_fleet", kSum, false, &R::min_live_fleet);
+  field("progress_rate", kSum, false, &R::progress_rate);
+  field("makespan", kMax, true, &R::makespan);
+  field("end_time", kMax, false, &R::end_time);
+  field("first_detection_time", kByHand, false, &R::first_detection_time);
+  field("mean_detection_latency", kByHand, false, &R::mean_detection_latency);
+  field("detections", kSum, false, &R::detections);
+  field("events_processed", kSum, false, &R::events_processed);
+}
+
+/// The one list of RuntimeSample's counters, with their series_table
+/// column names. Each counter is named like the report field it samples,
+/// so a visitor may take samples and reports alike:
+/// for_each_counter(f, sample, report) calls f(column, sample.x, report.x).
+/// Every counter sums in the shard merge.
+template <typename F, typename... Rows>
+void for_each_counter(F&& f, Rows&... rows) {
+  const auto counter = [&](const char* column, [[maybe_unused]] auto get) {
+    f(column, get(rows)...);
+  };
+  counter("issued", [](auto& r) -> auto& { return r.units_issued; });
+  counter("completed", [](auto& r) -> auto& { return r.units_completed; });
+  counter("timed_out", [](auto& r) -> auto& { return r.units_timed_out; });
+  counter("reissued", [](auto& r) -> auto& { return r.units_reissued; });
+  counter("valid", [](auto& r) -> auto& { return r.tasks_valid; });
+  counter("boosts", [](auto& r) -> auto& { return r.control_boosts; });
+  counter("releases", [](auto& r) -> auto& { return r.control_releases; });
+}
+
 /// Two-column (metric, value) summary table.
 [[nodiscard]] report::Table to_table(const RuntimeReport& report);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/contracts.hpp"
 #include "parallel/parallel_for.hpp"
@@ -164,31 +165,11 @@ RuntimeReport ShardedSupervisor::merge(
     REDUND_INVARIANT(
         r.final_correct_tasks + r.final_corrupt_tasks == r.tasks_valid,
         "shard report: validated tasks split into correct + corrupt");
-    merged.tasks += r.tasks;
-    merged.units_planned += r.units_planned;
-    merged.participants += r.participants;
-    merged.stragglers += r.stragglers;
-    merged.units_issued += r.units_issued;
-    merged.units_completed += r.units_completed;
-    merged.units_timed_out += r.units_timed_out;
-    merged.units_reissued += r.units_reissued;
-    merged.units_dropped += r.units_dropped;
-    merged.late_results += r.late_results;
-    merged.adaptive_replicas += r.adaptive_replicas;
-    merged.quorum_replicas += r.quorum_replicas;
-    merged.supervisor_recomputes += r.supervisor_recomputes;
-    merged.tasks_valid += r.tasks_valid;
-    merged.tasks_inconclusive += r.tasks_inconclusive;
-    merged.mismatches_detected += r.mismatches_detected;
-    merged.ringer_catches += r.ringer_catches;
-    merged.blacklisted_identities += r.blacklisted_identities;
-    merged.replan_rounds += r.replan_rounds;
-    merged.control_boosts += r.control_boosts;
-    merged.control_releases += r.control_releases;
-    merged.control_observations += r.control_observations;
-    // Posterior summaries merge as observation-weighted means: each
-    // shard's controller saw only its own outcomes, so this is the
-    // natural fleet-level pooling (deterministic: ascending shard order).
+    // The by-hand folds. Posterior summaries merge as observation-weighted
+    // means: each shard's controller saw only its own outcomes, so this is
+    // the natural fleet-level pooling. The first detection is the earliest
+    // among shards that detected anything; latency is detection-weighted.
+    // (Deterministic: ascending shard order.)
     if (r.control_observations > 0) {
       p_mean_weighted +=
           r.p_hat_mean * static_cast<double>(r.control_observations);
@@ -196,26 +177,6 @@ RuntimeReport ShardedSupervisor::merge(
           r.p_hat_upper * static_cast<double>(r.control_observations);
       p_hat_weight += r.control_observations;
     }
-    merged.adversary_cheat_attempts += r.adversary_cheat_attempts;
-    merged.false_accusations += r.false_accusations;
-    merged.final_correct_tasks += r.final_correct_tasks;
-    merged.final_corrupt_tasks += r.final_corrupt_tasks;
-    // Degradation fields: the campaign is only as healthy as its sickest
-    // shard (outcome = max severity); the additive gauges sum — the fleet
-    // is partitioned, so per-shard low-water marks and progress rates add.
-    merged.outcome = std::max(merged.outcome, r.outcome);
-    merged.tasks_unfinished += r.tasks_unfinished;
-    merged.fault_events += r.fault_events;
-    merged.churn_leaves += r.churn_leaves;
-    merged.churn_rejoins += r.churn_rejoins;
-    merged.results_lost += r.results_lost;
-    merged.results_corrupted += r.results_corrupted;
-    merged.duplicate_results += r.duplicate_results;
-    merged.min_live_fleet += r.min_live_fleet;
-    merged.progress_rate += r.progress_rate;
-    merged.events_processed += r.events_processed;
-    merged.makespan = std::max(merged.makespan, r.makespan);
-    merged.end_time = std::max(merged.end_time, r.end_time);
     if (r.detections > 0) {
       merged.first_detection_time =
           merged.detections == 0
@@ -223,8 +184,17 @@ RuntimeReport ShardedSupervisor::merge(
               : std::min(merged.first_detection_time, r.first_detection_time);
       detection_weighted_latency +=
           r.mean_detection_latency * static_cast<double>(r.detections);
-      merged.detections += r.detections;
     }
+    for_each_field(
+        [](const FieldInfo& info, auto& into, const auto& from) {
+          if (info.merge == Merge::kMax) {
+            into = std::max(into, from);
+          } else if constexpr (std::is_arithmetic_v<
+                                   std::remove_cvref_t<decltype(into)>>) {
+            if (info.merge == Merge::kSum) into += from;
+          }
+        },
+        merged, r);
   }
   if (merged.detections > 0) {
     merged.mean_detection_latency =
@@ -261,14 +231,9 @@ RuntimeReport ShardedSupervisor::merge(
         ++cursor[s];
       }
       if (cursor[s] == 0) continue;  // Shard not yet sampled: all zeros.
-      const RuntimeSample& last = series[cursor[s] - 1];
-      row.units_issued += last.units_issued;
-      row.units_completed += last.units_completed;
-      row.units_timed_out += last.units_timed_out;
-      row.units_reissued += last.units_reissued;
-      row.tasks_valid += last.tasks_valid;
-      row.control_boosts += last.control_boosts;
-      row.control_releases += last.control_releases;
+      for_each_counter([](const char*, std::int64_t& into,
+                          std::int64_t from) { into += from; },
+                       row, series[cursor[s] - 1]);
     }
     merged.series.push_back(row);
   }

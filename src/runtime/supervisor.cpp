@@ -60,11 +60,10 @@ double automatic_deadline(double queue_depth) {
 constexpr std::uint64_t kCollusionMask = 0xBAD0BEEFCAFEF00DULL;
 
 /// Event subjects are 32-bit (runtime::Event), so every unit slot, task
-/// and fault index a campaign can schedule must stay below INT32_MAX —
-/// which also keeps the drain's consecutive-subject test (`subject + 1`)
-/// free of overflow. Counted the way the scheduler and the slot table
-/// size themselves, saturating, so an oversized plan is rejected before
-/// anything is allocated from it.
+/// and fault index a campaign can schedule must stay below INT32_MAX.
+/// Counted the way the scheduler and the slot table size themselves,
+/// saturating, so an oversized plan is rejected before anything is
+/// allocated from it.
 void validate_sizes(const RuntimeConfig& config) {
   static constexpr std::int64_t kLimit =
       std::numeric_limits<std::int32_t>::max();
@@ -425,14 +424,6 @@ class Runner {
   /// handler schedules at the same timestamp carry later seqs and so form
   /// the next batch). Sampling, the journal digest, and the kill/abort
   /// checks run at batch boundaries.
-  ///
-  /// When compiled invariants do not observe the per-event order,
-  /// same-timestamp deadline waves on consecutive subjects go through
-  /// drain_deadline_segment_, which counts the whole run at once and
-  /// dispatches only its live minority through the full handler. Handler
-  /// calls, counters, and every draw are identical either way — the
-  /// segment filter only skips per-event dispatch of events whose handler
-  /// would return immediately.
   LoopExit loop_(std::int64_t max_events) {
 #if REDUND_ENABLE_INVARIANTS
     // Pop-order contract: the queue must deliver events in strictly
@@ -484,26 +475,7 @@ class Runner {
         }
       }
       report_.end_time = std::max(report_.end_time, batch_time);
-      std::size_t i = 0;
-      while (i < batch.size()) {
-        const Event& event = batch[i];
-#if !REDUND_ENABLE_INVARIANTS
-        if (event.kind == EventKind::kDeadline) {
-          // Maximal consecutive-subject deadline run: the storm shape the
-          // prologue's unit-order mass issue produces (and every reissue
-          // wave reproduces in miniature).
-          std::size_t j = i + 1;
-          while (j < batch.size() && batch[j].kind == EventKind::kDeadline &&
-                 batch[j].subject == batch[j - 1].subject + 1) {
-            ++j;
-          }
-          if (j - i >= 16) {
-            drain_deadline_segment_(batch.data() + i, j - i);
-            i = j;
-            continue;
-          }
-        }
-#endif
+      for (const Event& event : batch) {
 #if REDUND_ENABLE_INVARIANTS
         contracts::set_campaign_context(
             {config_.seed, event.time, report_.events_processed});
@@ -525,7 +497,6 @@ class Runner {
           case EventKind::kReplan: on_replan(event); break;
         }
         if (stop_) break;
-        ++i;
       }
       // A stop_ mid-batch ends the campaign before the digest could count
       // the unprocessed rest of the batch; past here all of it ran.
@@ -541,26 +512,6 @@ class Runner {
       }
     }
     return LoopExit::kDrained;
-  }
-
-  /// Drain of a same-timestamp run of kDeadline events on consecutive
-  /// subjects u0, u0+1, ...: the run is counted in bulk, stale events (the
-  /// overwhelming majority — every completed unit still has its deadline
-  /// timer pending) are skipped by one state/epoch test, and the live
-  /// minority goes through the full on_deadline handler one by one.
-  /// on_deadline re-checks liveness itself, so the test is purely a
-  /// dispatch filter — state changes and draws happen only inside the
-  /// handler, in event order. (Deadline handling never sets stop_, so the
-  /// segment is atomic.)
-  void drain_deadline_segment_(const Event* events, std::size_t n) {
-    report_.events_processed += static_cast<std::int64_t>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto u = static_cast<std::size_t>(events[i].subject);
-      if (units_.state[u] == UnitState::kInProgress &&
-          units_.epoch[u] == events[i].epoch) {
-        on_deadline(events[i]);
-      }
-    }
   }
 
   RuntimeReport epilogue_() {
@@ -654,14 +605,6 @@ class Runner {
   [[nodiscard]] bool fault_coin_(std::uint64_t salt, std::size_t fault_index,
                                  std::uint64_t stream, double p) const {
     return fault_coin(config_.seed, salt, fault_index, stream, p);
-  }
-
-  /// Per-(unit, attempt) stream index, same scheme as the benign-error and
-  /// dropout coins.
-  [[nodiscard]] static std::uint64_t unit_stream_(std::size_t u,
-                                                  std::int64_t attempt) {
-    return static_cast<std::uint64_t>(u) * 64 +
-           static_cast<std::uint64_t>(attempt & 63);
   }
 
   void on_fault(const Event& event) {
@@ -841,7 +784,7 @@ class Runner {
         if (window_active_[i] == 0) continue;
         const FaultEvent& fault = config_.faults.events[i];
         if (fault.kind != FaultKind::kDropoutBurst) continue;
-        if (fault_coin_(kBurstSalt, i, unit_stream_(u, attempt),
+        if (fault_coin_(kBurstSalt, i, unit_attempt_stream(u, attempt),
                         fault.probability)) {
           delivered = false;
           break;
@@ -879,7 +822,7 @@ class Runner {
       if (window_active_[i] == 0) continue;
       const FaultEvent& fault = config_.faults.events[i];
       if (fault.kind != FaultKind::kMessageLoss) continue;
-      if (fault_coin_(kLossSalt, i, unit_stream_(u, attempt),
+      if (fault_coin_(kLossSalt, i, unit_attempt_stream(u, attempt),
                       fault.probability)) {
         ++report_.results_lost;
         return;
@@ -903,7 +846,7 @@ class Runner {
       auto engine = rng::make_stream(
           config_.seed ^ kCorruptSalt ^
               (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(i) + 1)),
-          unit_stream_(u, attempt));
+          unit_attempt_stream(u, attempt));
       if (rng::bernoulli(fault.probability, engine)) {
         units_.value[u] ^= (engine() | 1ULL);  // Guaranteed non-zero flip.
         ++report_.results_corrupted;
@@ -917,7 +860,7 @@ class Runner {
       if (window_active_[i] == 0) continue;
       const FaultEvent& fault = config_.faults.events[i];
       if (fault.kind != FaultKind::kDuplication) continue;
-      if (fault_coin_(kDupSalt, i, unit_stream_(u, attempt),
+      if (fault_coin_(kDupSalt, i, unit_attempt_stream(u, attempt),
                       fault.probability)) {
         queue_.schedule(event.time + LatencyModel::kNetworkDelay,
                         EventKind::kCompletion,
@@ -1029,9 +972,7 @@ class Runner {
       // Bernoulli gate takes the single-draw closed form; only a hit —
       // rare by construction — pays for the full engine, whose second
       // draw scrambles the value.
-      const std::uint64_t stream =
-          static_cast<std::uint64_t>(u) * 64 +
-          static_cast<std::uint64_t>(units_.attempts[u] & 63);
+      const std::uint64_t stream = unit_attempt_stream(u, units_.attempts[u]);
       if (rng::first_bernoulli(config_.benign_error_rate,
                                config_.seed ^ kBenignSalt, stream)) {
         auto unit_engine =
@@ -1514,11 +1455,11 @@ class Runner {
   }
 
   void record_sample(double time) {
-    report_.series.push_back({time, report_.units_issued,
-                              report_.units_completed, report_.units_timed_out,
-                              report_.units_reissued, report_.tasks_valid,
-                              report_.control_boosts,
-                              report_.control_releases});
+    RuntimeSample& sample = report_.series.emplace_back();
+    sample.time = time;
+    for_each_counter([](const char*, std::int64_t& into,
+                        std::int64_t from) { into = from; },
+                     sample, report_);
   }
 
   const RuntimeConfig& config_;

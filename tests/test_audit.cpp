@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "runtime/sharded.hpp"
 
@@ -42,26 +44,132 @@ TEST(ReportFingerprint, EqualReportsFingerprintEqual) {
             runtime::report_fingerprint(sample_report()));
 }
 
-TEST(ReportFingerprint, EveryKindOfFieldIsCovered) {
-  const std::uint64_t base = runtime::report_fingerprint(sample_report());
+void fill(std::int64_t& value, int k) { value = 10 * k; }
+void fill(double& value, int k) { value = 10.0 * k + 0.5; }
+void fill(runtime::CampaignOutcome& value, int) {
+  value = runtime::CampaignOutcome::kStalled;
+}
+void bump(std::int64_t& value) { value += 1; }
+void bump(double& value) { value += 1.0; }
+void bump(runtime::CampaignOutcome& value) {
+  value = runtime::CampaignOutcome::kAborted;
+}
 
-  runtime::RuntimeReport counter = sample_report();
-  counter.units_reissued += 1;
-  EXPECT_NE(runtime::report_fingerprint(counter), base);
+/// A shard report whose every scalar field and series counter is distinct
+/// and non-zero (`base` offsets them all), with its task counts balanced
+/// the way the shard merge checks them.
+runtime::RuntimeReport filled_report(int base) {
+  runtime::RuntimeReport report;
+  int k = base;
+  runtime::for_each_field(
+      [&](const runtime::FieldInfo&, auto& value) { fill(value, ++k); },
+      report);
+  report.tasks = 1'000'000;
+  report.tasks_valid = report.final_correct_tasks + report.final_corrupt_tasks;
+  for (const double time : {25.0, 50.0}) {
+    runtime::RuntimeSample& sample = report.series.emplace_back();
+    sample.time = time;
+    runtime::for_each_counter(
+        [&](const char*, std::int64_t& value) { fill(value, ++k); }, sample);
+  }
+  return report;
+}
+
+std::string printed(const runtime::RuntimeReport& report) {
+  std::ostringstream out;
+  runtime::print(out, report);
+  return out.str();
+}
+
+/// Which scalar fields differ between two reports, in list order.
+std::vector<bool> differing_fields(const runtime::RuntimeReport& a,
+                                   const runtime::RuntimeReport& b) {
+  std::vector<bool> differs;
+  runtime::for_each_field(
+      [&](const runtime::FieldInfo&, const auto& x, const auto& y) {
+        differs.push_back(x != y);
+      },
+      a, b);
+  return differs;
+}
+
+// Walks the one field list: each scalar field and each series counter,
+// perturbed alone in one shard, must move the fingerprint, the printed
+// report and the shard merge. A field some consumer skips fails here.
+TEST(ReportFingerprint, EveryKindOfFieldIsCovered) {
+  // Shard a holds the larger values, so every max-merged field of the
+  // merge comes from it; shard b detected later, so the earliest
+  // detection does too.
+  const runtime::RuntimeReport a = filled_report(100);
+  runtime::RuntimeReport b = filled_report(0);
+  b.outcome = runtime::CampaignOutcome::kCompleted;
+  b.first_detection_time = a.first_detection_time + 1000.0;
+  const std::uint64_t base = runtime::report_fingerprint(a);
+  const std::string base_text = printed(a);
+  const runtime::RuntimeReport base_merge =
+      runtime::ShardedSupervisor::merge({a, b});
+
+  std::size_t fields = 0;
+  runtime::for_each_field(
+      [&](const runtime::FieldInfo&, const auto&) { ++fields; }, a);
+  ASSERT_GT(fields, 40u);
+  for (std::size_t k = 0; k < fields; ++k) {
+    runtime::RuntimeReport perturbed = a;
+    std::string name;
+    std::size_t at = 0;
+    runtime::for_each_field(
+        [&](const runtime::FieldInfo& info, auto& value) {
+          if (at++ != k) return;
+          name = info.name;
+          bump(value);
+        },
+        perturbed);
+    SCOPED_TRACE(name);
+    const std::vector<bool> own = differing_fields(a, perturbed);
+    EXPECT_EQ(std::count(own.begin(), own.end(), true), 1);  // No alias.
+    EXPECT_NE(runtime::report_fingerprint(perturbed), base);
+    EXPECT_NE(printed(perturbed), base_text);
+
+    // The merge checks that validated tasks split into correct + corrupt;
+    // rebalance through a field other than the perturbed one.
+    if (name == "tasks_valid") {
+      perturbed.final_correct_tasks += 1;
+    } else {
+      perturbed.tasks_valid =
+          perturbed.final_correct_tasks + perturbed.final_corrupt_tasks;
+    }
+    const runtime::RuntimeReport merged =
+        runtime::ShardedSupervisor::merge({perturbed, b});
+    EXPECT_TRUE(differing_fields(base_merge, merged)[k]);
+  }
+
+  std::size_t counters = 0;
+  runtime::for_each_counter([&](const char*, std::int64_t) { ++counters; },
+                            a.series[1]);
+  ASSERT_EQ(counters, 7u);
+  for (std::size_t k = 0; k < counters; ++k) {
+    runtime::RuntimeReport perturbed = a;
+    std::size_t at = 0;
+    runtime::for_each_counter(
+        [&](const char*, std::int64_t& value) {
+          if (at++ == k) bump(value);
+        },
+        perturbed.series[1]);
+    SCOPED_TRACE(k);
+    EXPECT_NE(runtime::report_fingerprint(perturbed), base);
+    EXPECT_NE(printed(perturbed), base_text);
+    const runtime::RuntimeReport merged =
+        runtime::ShardedSupervisor::merge({perturbed, b});
+    EXPECT_NE(runtime::report_fingerprint(merged),
+              runtime::report_fingerprint(base_merge));
+  }
 
   runtime::RuntimeReport floating = sample_report();
   floating.makespan += 1e-12;  // one-ulp-ish drift must not be smoothed over
-  EXPECT_NE(runtime::report_fingerprint(floating), base);
+  EXPECT_NE(runtime::report_fingerprint(floating),
+            runtime::report_fingerprint(sample_report()));
 
-  runtime::RuntimeReport outcome = sample_report();
-  outcome.outcome = runtime::CampaignOutcome::kStalled;
-  EXPECT_NE(runtime::report_fingerprint(outcome), base);
-
-  runtime::RuntimeReport series_value = sample_report();
-  series_value.series[1].tasks_valid += 1;
-  EXPECT_NE(runtime::report_fingerprint(series_value), base);
-
-  runtime::RuntimeReport series_length = sample_report();
+  runtime::RuntimeReport series_length = a;
   series_length.series.pop_back();
   EXPECT_NE(runtime::report_fingerprint(series_length), base);
 }

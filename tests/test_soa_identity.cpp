@@ -15,10 +15,15 @@
 // merge, and every windowed fault kind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+
 #include "core/realize.hpp"
 #include "core/schemes/balanced.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/audit.hpp"
+#include "runtime/journal.hpp"
 #include "runtime/sharded.hpp"
 #include "runtime/supervisor.hpp"
 
@@ -51,7 +56,9 @@ TEST(SoaIdentity, HeapQueueMatchesPreRefactorFingerprint) {
   EXPECT_EQ(report_fingerprint(report), 0x6602968f97dd0fe3ULL);
 }
 
-TEST(SoaIdentity, AdaptiveShardedCampaignMatchesPreRefactorFingerprint) {
+/// Sampled, controller-on, two-shard campaign under a drifting adversary:
+/// the merge folds every kind of field, the posterior means included.
+RuntimeReport pinned_sharded_report() {
   RuntimeConfig config = pinned_base_config();
   config.control.enabled = true;
   config.control.epsilon = 0.5;
@@ -64,8 +71,23 @@ TEST(SoaIdentity, AdaptiveShardedCampaignMatchesPreRefactorFingerprint) {
                                   .fraction = 0.9,
                                   .duration = 120.0});
   parallel::ThreadPool pool(2);
-  const RuntimeReport merged = run_sharded_campaign(config, 2, pool);
-  EXPECT_EQ(report_fingerprint(merged), 0x08204e8e5dde2455ULL);
+  return run_sharded_campaign(config, 2, pool);
+}
+
+TEST(SoaIdentity, AdaptiveShardedCampaignMatchesPreRefactorFingerprint) {
+  EXPECT_EQ(report_fingerprint(pinned_sharded_report()),
+            0x08204e8e5dde2455ULL);
+}
+
+// The printed report is a user-facing contract of its own: pin its bytes,
+// not only the fingerprint, so a renamed row, a moved separator or a
+// changed number format fails here.
+TEST(SoaIdentity, PrintedShardedReportMatchesPinnedBytes) {
+  std::ostringstream out;
+  print(out, pinned_sharded_report());
+  const std::string text = out.str();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 68);
+  EXPECT_EQ(fnv1a_hash(text), 0x9f674468f7becf8bULL) << text;
 }
 
 TEST(SoaIdentity, FaultedBenignCampaignMatchesPreRefactorFingerprint) {
