@@ -8,7 +8,9 @@
 
 namespace redund::platform {
 
-Scheduler::Scheduler(const core::RealizedPlan& plan) {
+Scheduler::Scheduler(const core::RealizedPlan& plan,
+                     std::int64_t replica_budget)
+    : replica_budget_(replica_budget) {
   for (std::size_t i = 0; i < plan.counts.size(); ++i) {
     const auto multiplicity = static_cast<std::int64_t>(i + 1);
     for (std::int64_t t = 0; t < plan.counts[i]; ++t) {
@@ -53,7 +55,7 @@ void Scheduler::deal(Registry& registry, rng::Xoshiro256StarStar& engine) {
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
     holders_by_task_[t].clear();
     holders_by_task_[t].reserve(
-        static_cast<std::size_t>(tasks_[t].multiplicity));
+        static_cast<std::size_t>(tasks_[t].multiplicity + replica_budget_));
   }
 
   std::vector<ParticipantId> active;

@@ -35,8 +35,11 @@ struct TaskInfo {
 class Scheduler {
  public:
   /// Materializes tasks and units from `plan` (real tasks first, then
-  /// ringers, matching sim::Workload's layout).
-  explicit Scheduler(const core::RealizedPlan& plan);
+  /// ringers, matching sim::Workload's layout). `replica_budget` is how
+  /// many try_add_replica copies each task may gain on top of its
+  /// multiplicity.
+  explicit Scheduler(const core::RealizedPlan& plan,
+                     std::int64_t replica_budget = 0);
 
   /// Deals all units: units are shuffled, then offered to active identities
   /// round-robin; an identity already holding a copy of the unit's task is
@@ -77,6 +80,13 @@ class Scheduler {
   [[nodiscard]] const std::vector<WorkUnit>& units() const noexcept {
     return units_;
   }
+  /// Task and current assignee of unit `u`.
+  [[nodiscard]] std::int64_t task_of(std::size_t u) const {
+    return units_[u].task;
+  }
+  [[nodiscard]] ParticipantId assignee_of(std::size_t u) const {
+    return units_[u].assignee;
+  }
   [[nodiscard]] std::int64_t task_count() const noexcept {
     return static_cast<std::int64_t>(tasks_.size());
   }
@@ -90,6 +100,7 @@ class Scheduler {
   void record_hold_(ParticipantId participant, std::int64_t task);
   void drop_hold_(ParticipantId participant, std::int64_t task);
 
+  std::int64_t replica_budget_ = 0;
   std::vector<TaskInfo> tasks_;
   std::vector<WorkUnit> units_;
   // holders_by_task_[t] = identities currently holding a copy of task t,

@@ -268,6 +268,66 @@ TEST(Scheduler, TryAddReplicaUsesLateEnrolleeAndKeepsOneCopyRule) {
   }
 }
 
+/// FNV-1a over the unit count and every unit's (task, assignee), in unit
+/// order.
+std::uint64_t unit_table_digest(const plat::Scheduler& scheduler) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xFFU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  mix(static_cast<std::uint64_t>(scheduler.unit_count()));
+  for (std::size_t u = 0; u < static_cast<std::size_t>(scheduler.unit_count());
+       ++u) {
+    mix(static_cast<std::uint64_t>(scheduler.task_of(u)));
+    mix(static_cast<std::uint64_t>(scheduler.assignee_of(u)));
+  }
+  return hash;
+}
+
+TEST(Scheduler, DealAndMovesArePinned) {
+  // Every draw the scheduler makes — the deal's two shuffles and one-copy
+  // probes, the uniform re-issue and replica picks, reassign_from's
+  // round-robin — lands in the unit table. Pinning its digest at three
+  // points catches any change to those draws or to their order.
+  const auto plan = small_balanced_plan(600, 0.5);
+  ASSERT_GT(plan.ringer_count, 0);
+  plat::Scheduler scheduler(plan, 2);
+  plat::Registry registry;
+  for (int i = 0; i < 24; ++i) registry.enroll(plat::Principal::kHonest);
+  registry.enroll_sybils(8);
+  auto engine = redund::rng::make_stream(2024, 0);
+  scheduler.deal(registry, engine);
+  EXPECT_EQ(unit_table_digest(scheduler), 0x4b693be0e363fe09ULL);
+
+  // One blacklisted identity and one late enrollee; then a fixed script
+  // of single-unit re-issues with a replica on every fourth step (task 0
+  // takes both of its budgeted replicas).
+  registry.blacklist(5);
+  (void)registry.enroll(plat::Principal::kHonest);
+  const auto dealt = static_cast<std::size_t>(scheduler.unit_count());
+  std::int64_t moved = 0;
+  std::int64_t added = 0;
+  for (std::size_t i = 0; i < 200; ++i) {
+    moved += scheduler.try_reassign_unit((i * 7919) % dealt, registry, engine)
+                 .has_value();
+    if (i % 4 == 0) {
+      const auto task = static_cast<std::int64_t>((i / 4) * 11);
+      added += scheduler.try_add_replica(task, registry, engine).has_value();
+    }
+  }
+  added += scheduler.try_add_replica(0, registry, engine).has_value();
+  EXPECT_EQ(moved, 200);
+  EXPECT_EQ(added, 51);
+  EXPECT_EQ(unit_table_digest(scheduler), 0xeaeef21a563e3e7bULL);
+
+  const auto reassigned = scheduler.reassign_from(5, registry, engine);
+  EXPECT_EQ(reassigned.size(), 20U);
+  EXPECT_EQ(unit_table_digest(scheduler), 0xadd3dcaf760e38ebULL);
+}
+
 // ----------------------------------------------------------------- campaign
 
 TEST(Campaign, AllHonestNoErrorsIsClean) {
