@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -91,25 +92,19 @@ CampaignReport run_campaign_round(const CampaignConfig& config,
   auto engine = rng::make_stream(round_seed, 0);
   scheduler.deal(registry, engine);
 
-  const auto& tasks = scheduler.tasks();
-  const auto& units = scheduler.units();
   const auto task_count = static_cast<std::size_t>(scheduler.task_count());
+  const auto unit_count = static_cast<std::size_t>(scheduler.unit_count());
 
   CampaignReport report;
   report.tasks = scheduler.task_count();
   report.units = scheduler.unit_count();
 
-  // Index units by task (the unit -> task mapping never changes).
-  std::vector<std::vector<std::size_t>> units_by_task(task_count);
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    units_by_task[static_cast<std::size_t>(units[u].task)].push_back(u);
-  }
-
   // The adversary's collective view: copies held per task across all Sybils.
   std::vector<std::int64_t> adversary_held(task_count, 0);
-  for (const WorkUnit& unit : units) {
-    if (registry.record(unit.assignee).principal == Principal::kAdversary) {
-      ++adversary_held[static_cast<std::size_t>(unit.task)];
+  for (std::size_t u = 0; u < unit_count; ++u) {
+    if (registry.record(scheduler.assignee_of(u)).principal ==
+        Principal::kAdversary) {
+      ++adversary_held[scheduler.task_of(u)];
     }
   }
   const sim::AdversaryConfig decision{.proportion = 0.0,
@@ -126,15 +121,15 @@ CampaignReport run_campaign_round(const CampaignConfig& config,
 
   // --- Compute phase. `lying` controls whether Sybils still execute the
   // collusion plan (they stop once the alarm has fired and reaction began).
-  std::vector<std::uint64_t> values(units.size(), 0);
+  std::vector<std::uint64_t> values(unit_count, 0);
   const auto compute_unit = [&](std::size_t u, bool lying) {
-    const WorkUnit& unit = units[u];
-    const std::uint64_t truth = truth_value(round_seed, unit.task);
-    ParticipantRecord& record = registry.record(unit.assignee);
+    const std::uint32_t task = scheduler.task_of(u);
+    const std::uint64_t truth = truth_value(round_seed, task);
+    ParticipantRecord& record = registry.record(scheduler.assignee_of(u));
     std::uint64_t value = truth;
     if (record.principal == Principal::kAdversary) {
-      if (lying && adversary_cheats[static_cast<std::size_t>(unit.task)]) {
-        value = collusion_value(round_seed, unit.task);
+      if (lying && adversary_cheats[task]) {
+        value = collusion_value(round_seed, task);
       }
     } else if (config.benign_error_rate > 0.0) {
       // Per-unit stream so requeues stay deterministic.
@@ -148,7 +143,7 @@ CampaignReport run_campaign_round(const CampaignConfig& config,
     if (value != truth) ++record.wrong_results;
     values[u] = value;
   };
-  for (std::size_t u = 0; u < units.size(); ++u) compute_unit(u, true);
+  for (std::size_t u = 0; u < unit_count; ++u) compute_unit(u, true);
 
   // --- Verify phase. Returns the identities caught submitting a value the
   // supervisor concluded was wrong; fills per-task accepted values.
@@ -158,17 +153,17 @@ CampaignReport run_campaign_round(const CampaignConfig& config,
 
   const auto verify_task = [&](std::size_t t, bool allow_flagging) {
     const std::uint64_t truth = truth_value(round_seed, static_cast<std::int64_t>(t));
-    const auto& unit_indices = units_by_task[t];
+    const std::span<const std::uint32_t> unit_indices = scheduler.run(t);
 
-    if (tasks[t].is_ringer) {
+    if (scheduler.is_ringer(t)) {
       // The supervisor knows the answer outright.
       accepted[t] = truth;
       task_resolved[t] = 1;
       bool caught = false;
-      for (const std::size_t u : unit_indices) {
+      for (const std::uint32_t u : unit_indices) {
         if (values[u] != truth) {
           caught = true;
-          if (allow_flagging) flagged.insert(units[u].assignee);
+          if (allow_flagging) flagged.insert(scheduler.assignee_of(u));
         }
       }
       if (caught) ++report.ringer_catches;
@@ -176,7 +171,7 @@ CampaignReport run_campaign_round(const CampaignConfig& config,
     }
 
     bool all_equal = true;
-    for (const std::size_t u : unit_indices) {
+    for (const std::uint32_t u : unit_indices) {
       all_equal &= values[u] == values[unit_indices.front()];
     }
     if (all_equal) {
@@ -194,7 +189,7 @@ CampaignReport run_campaign_round(const CampaignConfig& config,
     } else {
       // Majority vote; recompute on ties.
       std::map<std::uint64_t, int> votes;
-      for (const std::size_t u : unit_indices) ++votes[values[u]];
+      for (const std::uint32_t u : unit_indices) ++votes[values[u]];
       int best = 0;
       bool tie = false;
       for (const auto& [value, count] : votes) {
@@ -214,9 +209,9 @@ CampaignReport run_campaign_round(const CampaignConfig& config,
     accepted[t] = resolved;
     task_resolved[t] = 1;
     if (allow_flagging) {
-      for (const std::size_t u : unit_indices) {
+      for (const std::uint32_t u : unit_indices) {
         if (values[u] != resolved) {
-          flagged.insert(units[u].assignee);
+          flagged.insert(scheduler.assignee_of(u));
           if (values[u] == truth) ++report.false_accusations;
         }
       }
@@ -238,7 +233,7 @@ CampaignReport run_campaign_round(const CampaignConfig& config,
       report.requeued_units += static_cast<std::int64_t>(requeued.size());
       for (const std::size_t u : requeued) {
         compute_unit(u, /*lying=*/false);
-        affected_tasks.insert(static_cast<std::size_t>(units[u].task));
+        affected_tasks.insert(scheduler.task_of(u));
       }
     }
     for (const std::size_t t : affected_tasks) {

@@ -1,6 +1,7 @@
 #include "platform/scheduler.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <stdexcept>
 
@@ -11,85 +12,89 @@ namespace redund::platform {
 Scheduler::Scheduler(const core::RealizedPlan& plan,
                      std::int64_t replica_budget)
     : replica_budget_(replica_budget) {
+  // The lanes hold 32-bit unit and task indices (and the runtime's event
+  // subjects are 32-bit), so count what the plan needs first — saturating,
+  // min(kLimit, acc + count * each) — and refuse it before allocating.
+  static constexpr std::int64_t kLimit =
+      std::numeric_limits<std::int32_t>::max();
+  const auto grow = [](std::int64_t acc, std::int64_t count,
+                       std::int64_t each) {
+    if (count <= 0 || each <= 0) return acc;
+    if (count >= kLimit || each >= kLimit) return kLimit;
+    return std::min(kLimit, acc + count * each);
+  };
+  std::int64_t tasks = grow(0, plan.ringer_count, 1);
+  std::int64_t units = grow(0, plan.ringer_count, plan.ringer_multiplicity);
   for (std::size_t i = 0; i < plan.counts.size(); ++i) {
-    const auto multiplicity = static_cast<std::int64_t>(i + 1);
-    for (std::int64_t t = 0; t < plan.counts[i]; ++t) {
-      tasks_.push_back({multiplicity, false});
+    tasks = grow(tasks, plan.counts[i], 1);
+    units = grow(units, plan.counts[i], static_cast<std::int64_t>(i + 1));
+  }
+  const std::int64_t slots = grow(units, tasks, replica_budget);
+  if (replica_budget < 0 || slots >= kLimit || tasks >= kLimit) {
+    throw std::invalid_argument(
+        "Scheduler: unit slots (units plus the per-task replica budget) and "
+        "tasks must each stay below 2^31 - 1 (32-bit lanes); the replica "
+        "budget must be >= 0");
+  }
+
+  task_.reserve(static_cast<std::size_t>(slots));
+  assignee_.reserve(static_cast<std::size_t>(slots));
+  run_begin_.reserve(static_cast<std::size_t>(tasks) + 1);
+  std::uint32_t begin = 0;
+  const auto add_tasks = [&](std::int64_t count, std::int64_t multiplicity) {
+    multiplicity = std::max<std::int64_t>(multiplicity, 0);
+    for (std::int64_t k = 0; k < count; ++k) {
+      const auto t = static_cast<std::uint32_t>(run_begin_.size());
+      run_begin_.push_back(begin);
+      begin += static_cast<std::uint32_t>(multiplicity + replica_budget);
+      task_.insert(task_.end(), static_cast<std::size_t>(multiplicity), t);
     }
-  }
-  for (std::int64_t r = 0; r < plan.ringer_count; ++r) {
-    tasks_.push_back({plan.ringer_multiplicity, true});
-  }
-  std::int64_t total_units = 0;
-  for (const TaskInfo& task : tasks_) total_units += task.multiplicity;
-  units_.reserve(static_cast<std::size_t>(total_units));
-  for (std::size_t t = 0; t < tasks_.size(); ++t) {
-    for (std::int64_t c = 0; c < tasks_[t].multiplicity; ++c) {
-      units_.push_back({static_cast<std::int64_t>(t), 0});
+    if (count > 0) {
+      max_multiplicity_ = std::max(max_multiplicity_, multiplicity);
     }
+  };
+  for (std::size_t i = 0; i < plan.counts.size(); ++i) {
+    add_tasks(plan.counts[i], static_cast<std::int64_t>(i + 1));
   }
-  holders_by_task_.resize(tasks_.size());
-}
-
-bool Scheduler::holds_(ParticipantId participant, std::int64_t task) const {
-  const auto& holders = holders_by_task_[static_cast<std::size_t>(task)];
-  return std::find(holders.begin(), holders.end(), participant) !=
-         holders.end();
-}
-
-void Scheduler::record_hold_(ParticipantId participant, std::int64_t task) {
-  holders_by_task_[static_cast<std::size_t>(task)].push_back(participant);
-}
-
-void Scheduler::drop_hold_(ParticipantId participant, std::int64_t task) {
-  auto& holders = holders_by_task_[static_cast<std::size_t>(task)];
-  const auto it = std::find(holders.begin(), holders.end(), participant);
-  if (it != holders.end()) {
-    // Membership-only index: unordered, so swap-pop suffices.
-    *it = holders.back();
-    holders.pop_back();
-  }
+  ringer_begin_ = run_begin_.size();
+  add_tasks(plan.ringer_count, plan.ringer_multiplicity);
+  run_begin_.push_back(begin);
+  run_size_.assign(run_begin_.size() - 1, 0);
+  assignee_.assign(task_.size(), 0);
+  slots_.resize(begin);
 }
 
 void Scheduler::deal(Registry& registry, rng::Xoshiro256StarStar& engine) {
-  for (std::size_t t = 0; t < tasks_.size(); ++t) {
-    holders_by_task_[t].clear();
-    holders_by_task_[t].reserve(
-        static_cast<std::size_t>(tasks_[t].multiplicity + replica_budget_));
-  }
-
   std::vector<ParticipantId> active;
-  std::int64_t max_multiplicity = 0;
   for (const auto& record : registry.records()) {
     if (!record.blacklisted) active.push_back(record.id);
   }
-  for (const TaskInfo& task : tasks_) {
-    max_multiplicity = std::max(max_multiplicity, task.multiplicity);
-  }
-  if (static_cast<std::int64_t>(active.size()) < max_multiplicity) {
+  if (static_cast<std::int64_t>(active.size()) < max_multiplicity_) {
     throw std::invalid_argument(
         "Scheduler::deal: need at least max-multiplicity active identities "
         "to honour the one-copy-per-identity rule");
   }
 
-  rng::shuffle(std::span<WorkUnit>(units_), engine);
+  rng::shuffle(std::span<std::uint32_t>(task_), engine);
   rng::shuffle(std::span<ParticipantId>(active), engine);
 
+  // Runs refill in unit order, so each task's run holds exactly the units
+  // already dealt when the next one is probed.
+  std::fill(run_size_.begin(), run_size_.end(), 0U);
   std::size_t cursor = 0;
-  for (WorkUnit& unit : units_) {
-    // Hoisted once per unit: holds_() would re-index holders_by_task_ on
-    // every candidate probe of the round-robin below.
-    const std::vector<ParticipantId>& holders =
-        holders_by_task_[static_cast<std::size_t>(unit.task)];
+  for (std::size_t u = 0; u < task_.size(); ++u) {
+    const std::uint32_t t = task_[u];
+    // Hoisted once per unit: the round-robin below probes it per candidate.
+    const std::span<const std::uint32_t> holders = run(t);
     // Round-robin with skip: try up to |active| identities.
     for (std::size_t tries = 0; tries < active.size(); ++tries) {
       const ParticipantId candidate = active[cursor];
       cursor = (cursor + 1) % active.size();
       bool held = false;
-      for (const ParticipantId holder : holders) held |= holder == candidate;
+      for (const std::uint32_t h : holders) held |= assignee_[h] == candidate;
       if (!held) {
-        unit.assignee = candidate;
-        record_hold_(candidate, unit.task);
+        assignee_[u] = candidate;
+        slots_[run_begin_[t] + run_size_[t]++] = static_cast<std::uint32_t>(u);
         registry.record(candidate).assignments_completed += 1;
         break;
       }
@@ -149,10 +154,9 @@ std::optional<ParticipantId> pick_active_excluding(
 std::optional<ParticipantId> Scheduler::try_reassign_unit(
     std::size_t unit_index, Registry& registry,
     rng::Xoshiro256StarStar& engine) {
-  if (unit_index >= units_.size()) {
+  if (unit_index >= task_.size()) {
     throw std::out_of_range("Scheduler::try_reassign_unit: bad unit index");
   }
-  WorkUnit& unit = units_[unit_index];
   // The exclusion set is the current assignee plus the task's holders —
   // a handful of ids. Blacklisted ones are dropped (the blacklist index
   // already excludes them); the assignee is usually a holder too, so the
@@ -166,17 +170,14 @@ std::optional<ParticipantId> Scheduler::try_reassign_unit(
     }
     excluded.push_back(id);
   };
-  exclude_active(unit.assignee);
-  for (const ParticipantId holder :
-       holders_by_task_[static_cast<std::size_t>(unit.task)]) {
-    exclude_active(holder);
+  exclude_active(assignee_[unit_index]);
+  for (const std::uint32_t u : run(task_[unit_index])) {
+    exclude_active(assignee_[u]);
   }
   const std::optional<ParticipantId> next =
       pick_active_excluding(registry, excluded, engine);
   if (!next) return std::nullopt;
-  drop_hold_(unit.assignee, unit.task);
-  unit.assignee = *next;
-  record_hold_(*next, unit.task);
+  assignee_[unit_index] = *next;
   registry.record(*next).assignments_completed += 1;
   return next;
 }
@@ -186,22 +187,30 @@ std::optional<std::size_t> Scheduler::try_add_replica(
   if (task < 0 || task >= task_count()) {
     throw std::out_of_range("Scheduler::try_add_replica: bad task index");
   }
-  // Holders are unique per task (one-copy rule) and the holder index
-  // never retains a blacklisted id past its leave, but the cheap filter
-  // keeps this path safe against either invariant loosening.
+  const auto t = static_cast<std::size_t>(task);
+  if (run_begin_[t] + run_size_[t] == run_begin_[t + 1]) {
+    throw std::length_error(
+        "Scheduler::try_add_replica: the task's replica budget is spent");
+  }
+  // Holders are unique per task (one-copy rule), but a blacklisted holder
+  // stays in the run; the pick already excludes it, so it is filtered out
+  // here to keep the eligible count exact.
   std::vector<ParticipantId>& excluded = eligible_scratch_;
   excluded.clear();
-  for (const ParticipantId holder :
-       holders_by_task_[static_cast<std::size_t>(task)]) {
-    if (!registry.record(holder).blacklisted) excluded.push_back(holder);
+  for (const std::uint32_t u : run(t)) {
+    if (!registry.record(assignee_[u]).blacklisted) {
+      excluded.push_back(assignee_[u]);
+    }
   }
   const std::optional<ParticipantId> assignee =
       pick_active_excluding(registry, excluded, engine);
   if (!assignee) return std::nullopt;
-  units_.push_back({task, *assignee});
-  record_hold_(*assignee, task);
+  const std::size_t u = task_.size();
+  task_.push_back(static_cast<std::uint32_t>(t));
+  assignee_.push_back(*assignee);
+  slots_[run_begin_[t] + run_size_[t]++] = static_cast<std::uint32_t>(u);
   registry.record(*assignee).assignments_completed += 1;
-  return units_.size() - 1;
+  return u;
 }
 
 std::vector<std::size_t> Scheduler::reassign_from(
@@ -217,16 +226,19 @@ std::vector<std::size_t> Scheduler::reassign_from(
 
   std::vector<std::size_t> reassigned;
   std::size_t cursor = 0;
-  for (std::size_t u = 0; u < units_.size(); ++u) {
-    WorkUnit& unit = units_[u];
-    if (unit.assignee != from) continue;
-    drop_hold_(from, unit.task);
+  for (std::size_t u = 0; u < task_.size(); ++u) {
+    if (assignee_[u] != from) continue;
     for (std::size_t tries = 0; tries < active.size(); ++tries) {
       const ParticipantId candidate = active[cursor];
       cursor = (cursor + 1) % active.size();
-      if (!holds_(candidate, unit.task)) {
-        unit.assignee = candidate;
-        record_hold_(candidate, unit.task);
+      // The moving unit itself is skipped: `from` no longer counts as a
+      // holder of its task.
+      bool held = false;
+      for (const std::uint32_t h : run(task_[u])) {
+        held |= h != u && assignee_[h] == candidate;
+      }
+      if (!held) {
+        assignee_[u] = candidate;
         registry.record(candidate).assignments_completed += 1;
         reassigned.push_back(u);
         break;

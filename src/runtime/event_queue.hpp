@@ -74,9 +74,10 @@ inline constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << kSeqBits) - 1;
 /// One scheduled event. `subject` is a unit index (task index for
 /// kAdaptiveCheck, fault index for kFault/kFaultEnd); `epoch` invalidates
 /// stale unit timers. 24 bytes: seq and kind share one word, and subject
-/// and epoch hold 32 bits each — the supervisor rejects a campaign whose
-/// unit slots, tasks or faults would not fit (validate_sizes in
-/// supervisor.cpp), and unit epochs are 32-bit already (UnitTable::epoch).
+/// and epoch hold 32 bits each — a campaign whose unit slots or tasks
+/// would not fit is rejected by platform::Scheduler's constructor, one
+/// with too many faults by the supervisor's validate_config, and unit
+/// epochs are 32-bit already (UnitTable::epoch).
 struct Event {
   double time = 0.0;
   std::uint64_t seq : kSeqBits = 0;

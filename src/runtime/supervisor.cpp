@@ -59,39 +59,6 @@ double automatic_deadline(double queue_depth) {
 /// across all their copies, derivable from the precomputed truth lane.
 constexpr std::uint64_t kCollusionMask = 0xBAD0BEEFCAFEF00DULL;
 
-/// Event subjects are 32-bit (runtime::Event), so every unit slot, task
-/// and fault index a campaign can schedule must stay below INT32_MAX.
-/// Counted the way the scheduler and the slot table size themselves,
-/// saturating, so an oversized plan is rejected before anything is
-/// allocated from it.
-void validate_sizes(const RuntimeConfig& config) {
-  static constexpr std::int64_t kLimit =
-      std::numeric_limits<std::int32_t>::max();
-  // min(kLimit, acc + count * each) for non-negative arguments.
-  const auto grow = [](std::int64_t acc, std::int64_t count,
-                       std::int64_t each) {
-    if (count <= 0 || each <= 0) return acc;
-    if (count >= kLimit || each >= kLimit) return kLimit;
-    return std::min(kLimit, acc + count * each);
-  };
-  const core::RealizedPlan& plan = config.plan;
-  std::int64_t tasks = grow(0, plan.ringer_count, 1);
-  std::int64_t units = grow(0, plan.ringer_count, plan.ringer_multiplicity);
-  for (std::size_t i = 0; i < plan.counts.size(); ++i) {
-    tasks = grow(tasks, plan.counts[i], 1);
-    units = grow(units, plan.counts[i], static_cast<std::int64_t>(i + 1));
-  }
-  const std::int64_t slots =
-      grow(grow(units, tasks, config.adaptive.max_extra_replicas), tasks,
-           config.control.enabled ? config.control.max_boost : 0);
-  const auto faults = static_cast<std::int64_t>(config.faults.events.size());
-  if (slots >= kLimit || tasks >= kLimit || faults >= kLimit) {
-    throw std::invalid_argument(
-        "run_async_campaign: unit slots, tasks and faults must each stay "
-        "below 2^31 - 1 (32-bit event subjects)");
-  }
-}
-
 void validate_config(const RuntimeConfig& config) {
   if (config.honest_participants < 1) {
     throw std::invalid_argument(
@@ -118,14 +85,29 @@ void validate_config(const RuntimeConfig& config) {
     throw std::invalid_argument(
         "run_async_campaign: journal checkpoint_interval must be >= 1");
   }
-  validate_sizes(config);
+  // Event subjects are 32-bit (runtime::Event). Unit slots and tasks are
+  // bounded where their lanes are sized, in the Scheduler's constructor.
+  if (config.faults.events.size() >=
+      static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
+    throw std::invalid_argument(
+        "run_async_campaign: faults must stay below 2^31 - 1 (32-bit event "
+        "subjects)");
+  }
 }
 
-/// The plan, once validate_config has passed: the Runner's member-init
-/// list sizes the scheduler from it, so the check must run first.
-const core::RealizedPlan& validated_plan(const RuntimeConfig& config) {
+/// The campaign's Scheduler, built once validate_config has passed (the
+/// Runner's member-init list builds it first). Each task's run has room
+/// for the adaptive/quorum replicas plus, with the controller on, its
+/// escalations; the sum saturates, and the Scheduler refuses a budget
+/// that large anyway.
+platform::Scheduler validated_scheduler(const RuntimeConfig& config) {
   validate_config(config);
-  return config.plan;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int64_t extra = config.adaptive.max_extra_replicas;
+  const std::int64_t boost =
+      config.control.enabled ? config.control.max_boost : 0;
+  return platform::Scheduler(config.plan,
+                             extra > kMax - boost ? kMax : extra + boost);
 }
 
 /// Canonical fingerprint of everything that determines the event stream
@@ -189,9 +171,13 @@ std::uint64_t config_fingerprint(const RuntimeConfig& config) {
 /// identical (time, seq) order, so the instantiations are observationally
 /// equivalent.
 ///
+/// The unit table — each unit's task and assignee, and each task's run of
+/// units — is the Scheduler's; the Runner reads those lanes and runs and
+/// keeps only runtime state beside them (UnitTable, TaskTable).
+///
 /// The steady-state loop is allocation-free: the event queues pre-size
-/// their storage, the unit-per-task adjacency is a flat slot table with
-/// replica capacity built in, vote counting reuses a flat scratch vector,
+/// their storage, the Scheduler sizes every task's run with its replica
+/// budget built in, vote counting reuses a flat scratch vector,
 /// and blacklist membership is a plain bitmap. Fault windows are a plain
 /// bitmap over the (small) schedule; every fault coin is a keyed stream
 /// draw, so the chaos layer adds no allocation either.
@@ -200,7 +186,7 @@ class Runner {
  public:
   explicit Runner(const RuntimeConfig& config)
       : config_(config),
-        scheduler_(validated_plan(config)),
+        scheduler_(validated_scheduler(config)),
         deal_engine_(rng::make_stream(config.seed ^ kDealSalt, 0)),
         decision_{.proportion = 0.0,
                   .strategy = config.strategy,
@@ -251,50 +237,21 @@ class Runner {
               : 0;
     }
 
-    // Flat unit-per-task adjacency with the replica budget built into each
-    // task's slot run, so mid-campaign replicas append without allocating.
-    // The controller's escalation budget gets its own slots on top of the
-    // adaptive/quorum ones.
-    const auto extra =
-        static_cast<std::size_t>(config.adaptive.max_extra_replicas) +
-        static_cast<std::size_t>(config.control.enabled
-                                     ? config.control.max_boost
-                                     : 0);
-    task_slot_begin_.resize(task_count + 1);
-    std::size_t total_slots = 0;
-    for (std::size_t t = 0; t < task_count; ++t) {
-      task_slot_begin_[t] = total_slots;
-      total_slots +=
-          static_cast<std::size_t>(scheduler_.tasks()[t].multiplicity) + extra;
-    }
-    task_slot_begin_[task_count] = total_slots;
-    unit_slots_.resize(total_slots);
-    task_unit_count_.assign(task_count, 0);
-
     for (std::size_t u = 0; u < unit_count; ++u) {
-      const auto& wu = scheduler_.units()[u];
-      const auto t = static_cast<std::size_t>(wu.task);
-      units_.task[u] = static_cast<std::int32_t>(wu.task);
-      units_.assignee[u] = static_cast<std::uint32_t>(wu.assignee);
-      unit_slots_[task_slot_begin_[t] +
-                  static_cast<std::size_t>(task_unit_count_[t]++)] = u;
-      adversary_held_[t] += is_adversary_[wu.assignee];
+      adversary_held_[scheduler_.task_of(u)] +=
+          is_adversary_[scheduler_.assignee_of(u)];
     }
     // Assignment conservation: the initial deal must place exactly the
-    // plan's Σ i·x_i work units (plus ringers), and the slot table must
-    // have one slot per dealt unit plus the per-task replica budget.
+    // plan's Σ i·x_i work units (plus ringers).
     REDUND_INVARIANT(
         scheduler_.unit_count() == config.plan.total_assignments(),
         "initial deal conserves the plan's assignment total (sum i*x_i)");
-    REDUND_INVARIANT(total_slots == unit_count + task_count * extra,
-                     "slot table covers every dealt unit plus the per-task "
-                     "replica budget");
     for (std::size_t t = 0; t < task_count; ++t) {
       tasks_.target_copies[t] =
-          static_cast<std::int32_t>(scheduler_.tasks()[t].multiplicity);
+          static_cast<std::int32_t>(scheduler_.multiplicity(t));
       tasks_.truth[t] =
           truth_value(config.seed, static_cast<std::int64_t>(t));
-      tasks_.is_ringer[t] = scheduler_.tasks()[t].is_ringer ? 1 : 0;
+      tasks_.is_ringer[t] = scheduler_.is_ringer(t) ? 1 : 0;
     }
     score_.assign(static_cast<std::size_t>(registry_.size()),
                   AdaptiveConfig::kScoreInit);
@@ -460,7 +417,7 @@ class Runner {
           __builtin_prefetch(units_.state.data() + nu);
           __builtin_prefetch(units_.epoch.data() + nu);
           __builtin_prefetch(units_.attempts.data() + nu);
-          __builtin_prefetch(units_.task.data() + nu);
+          __builtin_prefetch(scheduler_.task_lane().data() + nu);
           __builtin_prefetch(units_.value.data() + nu);
         }
       }
@@ -767,14 +724,14 @@ class Runner {
   // ------------------------------------------------------------- issue loop
 
   void issue_unit(std::size_t u, double now) {
-    const auto t = static_cast<std::size_t>(units_.task[u]);
+    const std::size_t t = scheduler_.task_of(u);
     units_.state[u] = UnitState::kInProgress;
     const std::int64_t attempt = units_.attempts[u] += 1;
     units_.epoch[u] += 1;
     ++report_.units_issued;
 
     const auto outcome = pool_->issue(
-        static_cast<ParticipantId>(units_.assignee[u]), now, demand_[t],
+        scheduler_.assignee_of(u), now, demand_[t],
         static_cast<std::uint64_t>(u), attempt);
     bool delivered = outcome.replies;
     if (delivered) {
@@ -881,7 +838,7 @@ class Runner {
     units_.state[u] = UnitState::kTimedOut;
     units_.epoch[u] += 1;  // A straggling completion now lands late.
     ++report_.units_timed_out;
-    score_down(static_cast<ParticipantId>(units_.assignee[u]));
+    score_down(scheduler_.assignee_of(u));
     if (config_.control.enabled) controller_.observe_issue(true);
 
     const std::int64_t retries_used = units_.attempts[u] - 1;
@@ -903,7 +860,7 @@ class Runner {
         units_.epoch[u] != event.epoch) {
       return;
     }
-    const std::uint32_t old_assignee = units_.assignee[u];
+    const ParticipantId old_assignee = scheduler_.assignee_of(u);
     const auto next =
         scheduler_.try_reassign_unit(u, registry_, deal_engine_);
     if (!next) {
@@ -912,9 +869,7 @@ class Runner {
       return;
     }
     ++report_.units_reissued;
-    const auto task = static_cast<std::size_t>(units_.task[u]);
-    units_.assignee[u] = static_cast<std::uint32_t>(*next);
-    adversary_held_[task] +=
+    adversary_held_[scheduler_.task_of(u)] +=
         is_adversary_[*next] - is_adversary_[old_assignee];
     issue_unit(u, event.time);
   }
@@ -934,7 +889,7 @@ class Runner {
     ++recompute_used_;
     units_.state[u] = UnitState::kRecomputed;
     units_.epoch[u] += 1;
-    units_.value[u] = tasks_.truth[static_cast<std::size_t>(units_.task[u])];
+    units_.value[u] = tasks_.truth[scheduler_.task_of(u)];
     ++report_.supervisor_recomputes;
     on_result(u, now);
   }
@@ -942,8 +897,8 @@ class Runner {
   // ------------------------------------------------------------ result path
 
   void compute_value(std::size_t u, double now) {
-    const auto t = static_cast<std::size_t>(units_.task[u]);
-    const std::uint32_t assignee = units_.assignee[u];
+    const std::size_t t = scheduler_.task_of(u);
+    const ParticipantId assignee = scheduler_.assignee_of(u);
     const std::uint64_t truth = tasks_.truth[t];
     std::uint64_t value = truth;
     if (is_adversary_[assignee] != 0) {
@@ -982,13 +937,13 @@ class Runner {
       }
     }
     if (value != truth) {
-      ++registry_.record(static_cast<ParticipantId>(assignee)).wrong_results;
+      ++registry_.record(assignee).wrong_results;
     }
     units_.value[u] = value;
   }
 
   void on_result(std::size_t u, double now) {
-    const auto t = static_cast<std::size_t>(units_.task[u]);
+    const std::size_t t = scheduler_.task_of(u);
     // A task can be VALID with copies still in flight only after the
     // controller released its target below the issued count; a straggler
     // arriving then is informational, never a re-validation.
@@ -1000,7 +955,7 @@ class Runner {
     // Every value-bearing unit passes through here exactly once with its
     // final value (completions are epoch-guarded, corruption happens
     // upstream, and flag() never touches value-bearing states), so the
-    // running fold sees exactly the values a slot gather would.
+    // running fold sees exactly the values a run gather would.
     tasks_.fold_vote(t, units_.value[u]);
 
     // Ringer copies are checked the moment they arrive: the supervisor
@@ -1013,7 +968,7 @@ class Runner {
         ++report_.ringer_catches;
       }
       record_detection(t, now);
-      flag(static_cast<ParticipantId>(units_.assignee[u]), now);
+      flag(scheduler_.assignee_of(u), now);
     }
 
     if (tasks_.arrived[t] >= tasks_.target_copies[t]) validate(t, now);
@@ -1021,26 +976,16 @@ class Runner {
 
   // ---------------------------------------------------------- transitioner
 
-  /// The task's unit indices (initial deal plus appended replicas).
-  [[nodiscard]] const std::size_t* task_units_begin(std::size_t t) const {
-    return unit_slots_.data() + task_slot_begin_[t];
-  }
-  [[nodiscard]] const std::size_t* task_units_end(std::size_t t) const {
-    return task_units_begin(t) + task_unit_count_[t];
-  }
-
-  /// Gathers the task's vote word: values of all slots into `values`
-  /// (lane = slot position) and a presence bit per value-bearing unit.
-  /// Requires task_unit_count_[t] <= kMaxPackedQuorum.
+  /// Gathers the task's vote word: values of its run's units into
+  /// `values` (lane = run position) and a presence bit per value-bearing
+  /// unit. Requires a run of at most kMaxPackedQuorum units.
   [[nodiscard]] std::uint64_t gather_votes_(std::size_t t,
                                             std::uint64_t* values) const {
-    const std::size_t* slots = task_units_begin(t);
-    const int lanes = static_cast<int>(task_unit_count_[t]);
+    const std::span<const std::uint32_t> run = scheduler_.run(t);
     std::uint64_t present = 0;
-    for (int i = 0; i < lanes; ++i) {
-      const std::size_t u = slots[static_cast<std::size_t>(i)];
-      values[i] = units_.value[u];
-      present |= static_cast<std::uint64_t>(units_.has_value(u)) << i;
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      values[i] = units_.value[run[i]];
+      present |= static_cast<std::uint64_t>(units_.has_value(run[i])) << i;
     }
     return present;
   }
@@ -1066,13 +1011,13 @@ class Runner {
       return;
     }
 
-    // Copies disagree — gather the vote word over the task's slot run:
-    // lane i is slot i's value, the presence mask selects the
+    // Copies disagree — gather the vote word over the task's run:
+    // lane i is the i-th unit's value, the presence mask selects the
     // value-bearing units. The plurality tally runs branchlessly over the
-    // word; the slot run outgrowing the word (multiplicity + replica
+    // word; the run outgrowing the word (multiplicity + replica
     // budget past 64 — no realized plan does) falls back to the scalar
     // tally.
-    const bool packed = task_unit_count_[t] <= kMaxPackedQuorum;
+    const bool packed = scheduler_.run(t).size() <= kMaxPackedQuorum;
     std::uint64_t vote_values[kMaxPackedQuorum];
     std::uint64_t present = 0;
     if (packed) present = gather_votes_(t, vote_values);
@@ -1114,7 +1059,7 @@ class Runner {
       resolved = truth;
     } else if (packed) {
       const QuorumTally tally = tally_packed(
-          vote_values, present, static_cast<int>(task_unit_count_[t]));
+          vote_values, present, static_cast<int>(scheduler_.run(t).size()));
       if (tally.tie) {
         ++report_.supervisor_recomputes;
         resolved = truth;
@@ -1123,10 +1068,9 @@ class Runner {
       }
     } else {
       vote_scratch_.clear();
-      for (const std::size_t* it = task_units_begin(t);
-           it != task_units_end(t); ++it) {
-        if (!units_.has_value(*it)) continue;
-        const std::uint64_t value = units_.value[*it];
+      for (const std::uint32_t u : scheduler_.run(t)) {
+        if (!units_.has_value(u)) continue;
+        const std::uint64_t value = units_.value[u];
         bool counted = false;
         for (auto& [seen, count] : vote_scratch_) {
           if (seen == value) {
@@ -1177,11 +1121,9 @@ class Runner {
     }
 
     const std::uint64_t truth = tasks_.truth[t];
-    for (const std::size_t* it = task_units_begin(t);
-         it != task_units_end(t); ++it) {
-      const std::size_t u = *it;
+    for (const std::uint32_t u : scheduler_.run(t)) {
       if (units_.state[u] != UnitState::kCompleted) continue;  // No report.
-      const auto submitter = static_cast<ParticipantId>(units_.assignee[u]);
+      const auto submitter = scheduler_.assignee_of(u);
       // Every judged copy is one Bernoulli observation for the
       // controller's adversary-fraction posterior.
       if (config_.control.enabled) {
@@ -1218,8 +1160,10 @@ class Runner {
   /// alone (std::find is unrolled) and reads a unit's state only on a hit.
   std::int64_t requeue_units_of_(ParticipantId id, double now) {
     std::int64_t requeued = 0;
-    const auto first = units_.assignee.begin();
-    const auto last = units_.assignee.end();
+    const std::span<const ParticipantId> assignees =
+        scheduler_.assignee_lane();
+    const auto first = assignees.begin();
+    const auto last = assignees.end();
     for (auto it = std::find(first, last, id); it != last;
          it = std::find(it + 1, last, id)) {
       const auto u = static_cast<std::size_t>(it - first);
@@ -1241,14 +1185,12 @@ class Runner {
     // period); replicate when the holders look unreliable too.
     double score_total = 0.0;
     std::int64_t outstanding = 0;
-    for (const std::size_t* it = task_units_begin(t);
-         it != task_units_end(t); ++it) {
-      const std::size_t u = *it;
+    for (const std::uint32_t u : scheduler_.run(t)) {
       const UnitState state = units_.state[u];
       if (state != UnitState::kInProgress && state != UnitState::kTimedOut) {
         continue;
       }
-      score_total += score_[units_.assignee[u]];
+      score_total += score_[scheduler_.assignee_of(u)];
       ++outstanding;
     }
     if (outstanding > 0 &&
@@ -1402,14 +1344,13 @@ class Runner {
   /// the latest in-flight unit (its completion drains as a late result).
   bool cancel_one_unit_(std::size_t t) {
     std::size_t victim = units_.size();
-    for (const std::size_t* it = task_units_begin(t);
-         it != task_units_end(t); ++it) {
-      const UnitState state = units_.state[*it];
+    for (const std::uint32_t u : scheduler_.run(t)) {
+      const UnitState state = units_.state[u];
       if (state == UnitState::kTimedOut) {
-        victim = *it;
+        victim = u;
         break;
       }
-      if (state == UnitState::kInProgress) victim = *it;
+      if (state == UnitState::kInProgress) victim = u;
     }
     if (victim >= units_.size()) return false;
     units_.state[victim] = UnitState::kTimedOut;
@@ -1419,22 +1360,12 @@ class Runner {
 
   // -------------------------------------------------------------- plumbing
 
-  /// Extends the runtime bookkeeping for a unit just appended by
-  /// Scheduler::try_add_replica. The task's slot run was sized for
-  /// max_extra_replicas extras up front, so the append cannot overflow it.
+  /// Extends the runtime state for unit `u`, just appended by
+  /// Scheduler::try_add_replica.
   void register_replica(std::size_t u) {
     units_.append();
-    const auto& wu = scheduler_.units()[u];
-    const auto t = static_cast<std::size_t>(wu.task);
-    units_.task[u] = static_cast<std::int32_t>(wu.task);
-    units_.assignee[u] = static_cast<std::uint32_t>(wu.assignee);
-    REDUND_PRECONDITION(
-        static_cast<std::size_t>(task_unit_count_[t]) <
-            task_slot_begin_[t + 1] - task_slot_begin_[t],
-        "replica append stays within the task's pre-sized slot run");
-    unit_slots_[task_slot_begin_[t] +
-                static_cast<std::size_t>(task_unit_count_[t]++)] = u;
-    adversary_held_[t] += is_adversary_[wu.assignee];
+    adversary_held_[scheduler_.task_of(u)] +=
+        is_adversary_[scheduler_.assignee_of(u)];
   }
 
   void record_detection(std::size_t t, double now) {
@@ -1476,10 +1407,7 @@ class Runner {
   UnitTable units_;                         ///< SoA per-unit runtime state.
   TaskTable tasks_;                         ///< SoA per-task runtime state.
   std::vector<char> is_adversary_;          ///< Immutable, per identity.
-  std::vector<std::size_t> task_slot_begin_;  ///< Slot-run start per task.
-  std::vector<std::int64_t> task_unit_count_; ///< Occupied slots per task.
-  std::vector<std::size_t> unit_slots_;       ///< Flat unit-index runs.
-  std::vector<std::int64_t> adversary_held_;  ///< Copies per task.
+  std::vector<std::int32_t> adversary_held_;  ///< Copies per task.
   std::vector<double> score_;               ///< Per identity.
   std::vector<char> flagged_;               ///< Blacklist bitmap per identity.
   std::vector<std::int64_t> offline_count_; ///< Churn nesting per identity.

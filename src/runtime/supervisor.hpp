@@ -14,7 +14,9 @@
 //   * a work-issue loop with per-unit deadlines, bounded retries under
 //     exponential backoff, and re-issue through
 //     platform::Scheduler::try_reassign_unit (so the one-copy-per-identity
-//     rule keeps holding across re-deals);
+//     rule keeps holding across re-deals). The Scheduler owns the unit
+//     table (each unit's task and assignee, each task's run of units); the
+//     runtime reads it and keeps only runtime state beside it;
 //   * a per-task transitioner/validator state machine
 //     (runtime/task_state.hpp) with quorum agreement, ringer ground-truth
 //     checks, and the resolution policies of platform::Campaign;

@@ -60,8 +60,9 @@ enum class UnitState : std::uint8_t {
   return "?";
 }
 
-/// Structure-of-arrays table of the mutable per-unit runtime state, plus
-/// read-mostly mirrors of each unit's task and current assignee.
+/// Structure-of-arrays table of the mutable per-unit runtime state. Which
+/// task a unit copies and who holds it are not here: platform::Scheduler
+/// owns the unit table, and the runtime reads its lanes.
 ///
 /// The event loop touches exactly one or two lanes per event (a state
 /// check and an epoch compare dominate), and the stall sweeps
@@ -81,8 +82,6 @@ struct UnitTable {
   std::vector<std::int32_t> attempts;   ///< Issues so far (1 = initial deal).
   std::vector<std::uint32_t> epoch;     ///< Bumped to stale in-flight timers.
   std::vector<std::uint64_t> value;
-  std::vector<std::int32_t> task;       ///< Owning task (scheduler mirror).
-  std::vector<std::uint32_t> assignee;  ///< Current holder (scheduler mirror).
 
   [[nodiscard]] std::size_t size() const noexcept { return state.size(); }
 
@@ -91,8 +90,6 @@ struct UnitTable {
     attempts.reserve(capacity);
     epoch.reserve(capacity);
     value.reserve(capacity);
-    task.reserve(capacity);
-    assignee.reserve(capacity);
   }
 
   void resize(std::size_t count) {
@@ -100,19 +97,14 @@ struct UnitTable {
     attempts.resize(count, 0);
     epoch.resize(count, 0);
     value.resize(count, 0);
-    task.resize(count, 0);
-    assignee.resize(count, 0);
   }
 
-  /// Appends one zero-initialized unit (a replica); the caller fills the
-  /// task/assignee mirrors.
+  /// Appends one zero-initialized unit (a replica).
   void append() {
     state.push_back(UnitState::kUnsent);
     attempts.push_back(0);
     epoch.push_back(0);
     value.push_back(0);
-    task.push_back(0);
-    assignee.push_back(0);
   }
 
   /// True iff unit `u` holds a reportable value (completed or

@@ -62,13 +62,32 @@ TEST(Registry, BlacklistAffectsActiveCount) {
 
 // ---------------------------------------------------------------- scheduler
 
+/// One unit of the scheduler's table: its task and current assignee.
+struct Unit {
+  std::int64_t task = 0;
+  plat::ParticipantId assignee = 0;
+};
+
+/// The scheduler's unit table read through its lanes, in unit order.
+std::vector<Unit> units(const plat::Scheduler& scheduler) {
+  std::vector<Unit> table;
+  for (std::size_t u = 0; u < static_cast<std::size_t>(scheduler.unit_count());
+       ++u) {
+    table.push_back({scheduler.task_of(u), scheduler.assignee_of(u)});
+  }
+  return table;
+}
+
 TEST(Scheduler, MaterializesPlanExactly) {
   const auto plan = small_balanced_plan(500, 0.5);
   plat::Scheduler scheduler(plan);
   EXPECT_EQ(scheduler.task_count(), 500 + plan.ringer_count);
   EXPECT_EQ(scheduler.unit_count(), plan.total_assignments());
   std::int64_t ringers = 0;
-  for (const auto& task : scheduler.tasks()) ringers += task.is_ringer ? 1 : 0;
+  for (std::size_t t = 0; t < static_cast<std::size_t>(scheduler.task_count());
+       ++t) {
+    ringers += scheduler.is_ringer(t) ? 1 : 0;
+  }
   EXPECT_EQ(ringers, plan.ringer_count);
 }
 
@@ -81,7 +100,7 @@ TEST(Scheduler, DealHonoursOneCopyPerIdentity) {
   scheduler.deal(registry, engine);
 
   std::set<std::pair<std::int64_t, plat::ParticipantId>> seen;
-  for (const auto& unit : scheduler.units()) {
+  for (const auto& unit : units(scheduler)) {
     const bool inserted = seen.insert({unit.task, unit.assignee}).second;
     EXPECT_TRUE(inserted) << "identity " << unit.assignee
                           << " holds two copies of task " << unit.task;
@@ -111,7 +130,7 @@ TEST(Scheduler, SybilsDefeatTheOneCopyRule) {
 
   std::vector<int> adversary_copies(
       static_cast<std::size_t>(scheduler.task_count()), 0);
-  for (const auto& unit : scheduler.units()) {
+  for (const auto& unit : units(scheduler)) {
     if (registry.record(unit.assignee).principal ==
         plat::Principal::kAdversary) {
       ++adversary_copies[static_cast<std::size_t>(unit.task)];
@@ -120,7 +139,7 @@ TEST(Scheduler, SybilsDefeatTheOneCopyRule) {
   int fully_held_multicopy = 0;
   for (std::size_t t = 0; t < adversary_copies.size(); ++t) {
     if (adversary_copies[t] >= 2 &&
-        adversary_copies[t] == scheduler.tasks()[t].multiplicity) {
+        adversary_copies[t] == scheduler.multiplicity(t)) {
       ++fully_held_multicopy;
     }
   }
@@ -136,18 +155,18 @@ TEST(Scheduler, ReassignMovesEveryUnitOffTheIdentity) {
   scheduler.deal(registry, engine);
 
   std::int64_t held_before = 0;
-  for (const auto& unit : scheduler.units()) held_before += unit.assignee == 3;
+  for (const auto& unit : units(scheduler)) held_before += unit.assignee == 3;
   ASSERT_GT(held_before, 0);
 
   registry.blacklist(3);
   const auto moved = scheduler.reassign_from(3, registry, engine);
   EXPECT_EQ(static_cast<std::int64_t>(moved.size()), held_before);
-  for (const auto& unit : scheduler.units()) {
+  for (const auto& unit : units(scheduler)) {
     EXPECT_NE(unit.assignee, 3u);
   }
   // One-copy rule still intact after the reshuffle.
   std::set<std::pair<std::int64_t, plat::ParticipantId>> seen;
-  for (const auto& unit : scheduler.units()) {
+  for (const auto& unit : units(scheduler)) {
     EXPECT_TRUE(seen.insert({unit.task, unit.assignee}).second);
   }
 }
@@ -212,17 +231,17 @@ TEST(Scheduler, ReassignFromSurvivesWhenALateEnrolleeCanAbsorb) {
   registry.blacklist(1);
   const auto moved = scheduler.reassign_from(1, registry, engine);
   EXPECT_EQ(moved.size(), 5u);
-  for (const auto& unit : scheduler.units()) {
+  for (const auto& unit : units(scheduler)) {
     EXPECT_NE(unit.assignee, 1u);
   }
   std::int64_t absorbed = 0;
-  for (const auto& unit : scheduler.units()) absorbed += unit.assignee == fresh;
+  for (const auto& unit : units(scheduler)) absorbed += unit.assignee == fresh;
   EXPECT_EQ(absorbed, 5);
 }
 
 TEST(Scheduler, TryReassignUnitReturnsNulloptWhenSaturated) {
   const auto plan = saturated_plan(3, 2);
-  plat::Scheduler scheduler(plan);
+  plat::Scheduler scheduler(plan, 1);
   plat::Registry registry;
   registry.enroll(plat::Principal::kHonest);
   registry.enroll(plat::Principal::kHonest);
@@ -232,9 +251,9 @@ TEST(Scheduler, TryReassignUnitReturnsNulloptWhenSaturated) {
   // Every other identity already holds the unit's task, so the unit must
   // stay put — and its holder must keep the hold (a later replica attempt
   // still sees the task as fully covered).
-  const auto before = scheduler.units()[0];
+  const auto before = units(scheduler)[0];
   EXPECT_EQ(scheduler.try_reassign_unit(0, registry, engine), std::nullopt);
-  EXPECT_EQ(scheduler.units()[0].assignee, before.assignee);
+  EXPECT_EQ(units(scheduler)[0].assignee, before.assignee);
   EXPECT_EQ(scheduler.try_add_replica(before.task, registry, engine),
             std::nullopt);
   EXPECT_THROW((void)scheduler.try_reassign_unit(999, registry, engine),
@@ -243,7 +262,7 @@ TEST(Scheduler, TryReassignUnitReturnsNulloptWhenSaturated) {
 
 TEST(Scheduler, TryAddReplicaUsesLateEnrolleeAndKeepsOneCopyRule) {
   const auto plan = saturated_plan(3, 2);
-  plat::Scheduler scheduler(plan);
+  plat::Scheduler scheduler(plan, 2);
   plat::Registry registry;
   registry.enroll(plat::Principal::kHonest);
   registry.enroll(plat::Principal::kHonest);
@@ -254,8 +273,8 @@ TEST(Scheduler, TryAddReplicaUsesLateEnrolleeAndKeepsOneCopyRule) {
   const auto replica = scheduler.try_add_replica(0, registry, engine);
   ASSERT_TRUE(replica.has_value());
   EXPECT_EQ(*replica, 6u);  // Appended after the 3x2 dealt units.
-  EXPECT_EQ(scheduler.units()[*replica].task, 0);
-  EXPECT_EQ(scheduler.units()[*replica].assignee, fresh);
+  EXPECT_EQ(units(scheduler)[*replica].task, 0);
+  EXPECT_EQ(units(scheduler)[*replica].assignee, fresh);
   // The fresh identity now holds task 0; a second replica of the same task
   // has nowhere to go again.
   EXPECT_EQ(scheduler.try_add_replica(0, registry, engine), std::nullopt);
@@ -263,9 +282,65 @@ TEST(Scheduler, TryAddReplicaUsesLateEnrolleeAndKeepsOneCopyRule) {
                std::out_of_range);
 
   std::set<std::pair<std::int64_t, plat::ParticipantId>> seen;
-  for (const auto& unit : scheduler.units()) {
+  for (const auto& unit : units(scheduler)) {
     EXPECT_TRUE(seen.insert({unit.task, unit.assignee}).second);
   }
+}
+
+TEST(Scheduler, RunsListEachTasksUnitsInUnitOrder) {
+  const auto plan = small_balanced_plan(300, 0.5);
+  plat::Scheduler scheduler(plan, 1);
+  plat::Registry registry;
+  for (int i = 0; i < 30; ++i) registry.enroll(plat::Principal::kHonest);
+  auto engine = redund::rng::make_stream(9, 0);
+  scheduler.deal(registry, engine);
+  const auto replica = scheduler.try_add_replica(4, registry, engine);
+  ASSERT_TRUE(replica.has_value());
+
+  std::int64_t listed = 0;
+  for (std::size_t t = 0; t < static_cast<std::size_t>(scheduler.task_count());
+       ++t) {
+    const auto run = scheduler.run(t);
+    EXPECT_EQ(static_cast<std::int64_t>(run.size()),
+              scheduler.multiplicity(t) + (t == 4 ? 1 : 0));
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      EXPECT_EQ(scheduler.task_of(run[i]), t);
+      if (i > 0) {
+        EXPECT_LT(run[i - 1], run[i]);
+      }
+    }
+    listed += static_cast<std::int64_t>(run.size());
+  }
+  EXPECT_EQ(listed, scheduler.unit_count());
+  EXPECT_EQ(scheduler.run(4).back(), *replica);
+}
+
+TEST(Scheduler, TryAddReplicaThrowsBeforeAnyDrawWhenTheBudgetIsSpent) {
+  const auto plan = saturated_plan(3, 2);
+  plat::Scheduler scheduler(plan);  // No replica budget.
+  plat::Registry registry;
+  for (int i = 0; i < 4; ++i) registry.enroll(plat::Principal::kHonest);
+  auto engine = redund::rng::make_stream(46, 0);
+  scheduler.deal(registry, engine);
+
+  auto untouched = engine;
+  EXPECT_THROW((void)scheduler.try_add_replica(1, registry, engine),
+               std::length_error);
+  EXPECT_EQ(engine(), untouched());
+  EXPECT_EQ(scheduler.unit_count(), 6);
+}
+
+TEST(Scheduler, RejectsPlansBeyond32BitLanesBeforeAllocating) {
+  // 2^31 units would take gigabytes of lanes; a pass shows the bound is
+  // checked before any of them is allocated.
+  EXPECT_THROW(plat::Scheduler(saturated_plan(std::int64_t{1} << 30, 2)),
+               std::invalid_argument);
+  // 2^20 units, but the replica budget adds 2^31 slots.
+  EXPECT_THROW(
+      plat::Scheduler(saturated_plan(std::int64_t{1} << 20, 1), 1 << 11),
+      std::invalid_argument);
+  EXPECT_THROW(plat::Scheduler(saturated_plan(3, 2), -1),
+               std::invalid_argument);
 }
 
 /// FNV-1a over the unit count and every unit's (task, assignee), in unit
