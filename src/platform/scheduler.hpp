@@ -103,6 +103,11 @@ class Scheduler {
   [[nodiscard]] std::int64_t unit_count() const noexcept {
     return static_cast<std::int64_t>(task_.size());
   }
+  /// Units the table can ever hold: every task's run at its full replica
+  /// budget. unit_count() never exceeds it.
+  [[nodiscard]] std::size_t slot_count() const noexcept {
+    return slots_.size();
+  }
 
  private:
   std::vector<std::uint32_t> task_;        ///< Owning task per unit.

@@ -27,10 +27,11 @@
 //     sorted, and the day scan visits strictly increasing times.
 //
 // Both queues also expose pop_run(): the maximal same-timestamp run at the
-// head removed in one call and returned as a contiguous view — the
-// supervisor's batch drain consumes runs, not single events, and the
-// calendar returns the common single-bucket run (every initial deadline of
-// a campaign shares one timestamp) zero-copy from its arena.
+// head removed in one call, as an EventRun of two contiguous parts — the
+// supervisor's batch drain consumes runs, not single events. The calendar
+// returns the part held in its arena zero-copy (every initial deadline of
+// a campaign shares one timestamp), and copies out only the events on
+// that timestamp still waiting in its overflow heap.
 //
 // The supervisor selects between them via RuntimeConfig::queue; because the
 // pop order is contractually identical, the choice cannot change any
@@ -38,6 +39,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -108,6 +110,15 @@ static_assert(sizeof(Event) == 24);
                static_cast<std::uint32_t>(epoch)};
 }
 
+/// A same-timestamp run removed by pop_run(): every event of `head`, then
+/// every event of `tail`, in (time, seq) order. `head` is never empty.
+/// Both views stay valid until the next pop()/pop_run() on the queue that
+/// returned them, or the next change to the caller's scratch buffer.
+struct EventRun {
+  std::span<const Event> head;
+  std::span<const Event> tail;
+};
+
 /// Min-heap over (time, seq).
 class EventQueue {
  public:
@@ -146,11 +157,10 @@ class EventQueue {
     return event;
   }
 
-  /// Removes the maximal run of events sharing the head timestamp and
-  /// returns a view of it in (time, seq) order, backed by `scratch`. The
-  /// view is valid until the next call on this queue or on `scratch`.
+  /// Removes the maximal run of events sharing the head timestamp. The
+  /// whole run is `head`, backed by `scratch`; `tail` is empty.
   // redund: hot
-  std::span<const Event> pop_run(std::vector<Event>& scratch) {
+  EventRun pop_run(std::vector<Event>& scratch) {
     scratch.clear();
     scratch.push_back(pop());  // redund-lint: allow(hot-alloc)
     const double time = scratch.front().time;
@@ -159,7 +169,7 @@ class EventQueue {
       // the per-event pops the supervisor would otherwise issue anyway.
       scratch.push_back(pop());  // redund-lint: allow(hot-alloc, hot-per-element-insert)
     }
-    return {scratch.data(), scratch.size()};
+    return {.head = scratch, .tail = {}};
   }
 
  private:
@@ -174,15 +184,16 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
 };
 
-/// Calendar queue: a ring of day buckets over simulated time, stored as a
-/// packed arena with a separate cache-line-packed header array.
+/// Calendar queue: a ring of day buckets over simulated time, stored as
+/// one packed event buffer (the arena) with a separate cache-line-packed
+/// header array.
 ///
 /// An event at time t belongs to day floor(t / width); its bucket is
-/// day mod nbuckets (nbuckets a power of two). The live events sit in one
-/// flat arena grouped by bucket, each bucket's slice sorted by
-/// (time, seq); a 16-byte header per bucket carries (min_time, count), so
-/// the pop-side day scan touches *only* the header array — four headers
-/// per cache line — and never the event storage until it has found the
+/// day mod nbuckets (nbuckets a power of two). The live events sit in the
+/// arena grouped by bucket, each bucket's slice sorted by (time, seq); a
+/// 16-byte header per bucket carries (min_time, count, offset), so the
+/// pop-side day scan touches *only* the header array — four headers per
+/// cache line — and never the event storage until it has found the
 /// minimum's bucket. pop() scans days forward from the current day: the
 /// first bucket whose header's min actually belongs to the day under
 /// inspection holds the global minimum, because equal times share a day
@@ -191,36 +202,33 @@ class EventQueue {
 /// direct min over the headers relocates the cursor — the standard
 /// sparse-queue fallback, also header-only.
 ///
-/// The arena is built in bulk — histogram, prefix-sum, scatter, per-slice
-/// sort — from the staging buffer at the first pop (a cold campaign
-/// schedules every initial event up front) and again at every rebuild.
-/// A build of n events costs O(n) plus O(k log k) per slice of k events:
-/// most slices hold a few events, but a fold of overflow re-arm waves
-/// puts thousands of same-time events in one slice, out of seq order
-/// (see sort_slice_). Bulk building into one flat array replaces the
-/// per-bucket vector ring of the previous layout, whose initial
-/// distribution paid a malloc and a cache miss per bucket. Events
-/// scheduled after a build go to a small side min-heap (the overflow);
-/// pop compares the arena front with the overflow front, and a rebuild
-/// folds the overflow back into the arena whenever it outgrows a fraction
-/// of the live set (or the arena drains past the shrink band). Every
-/// event scheduled after a build carries a larger seq than every arena
-/// event, so on a shared timestamp the arena run drains strictly before
-/// the overflow run — (time, seq) order holds across the two stores by
-/// construction.
+/// The arena is the queue's only event buffer besides the overflow heap.
+/// Until the first pop the queue only accumulates (a cold campaign
+/// schedules every initial event up front), so schedule() appends to the
+/// arena storage unsorted. The first pop builds the ring there in place:
+/// histogram, prefix-sum, a stable permutation to bucket order, per-slice
+/// sort (see build_). Events scheduled after a build go to a small side
+/// min-heap (the overflow); pop compares the arena front with the
+/// overflow front. When the overflow outgrows the live arena (or the
+/// arena drains past the shrink band) a fold rebuilds the ring in the
+/// same storage: it slides the live slices to the front, appends the
+/// overflow in seq order, and builds again. The arena only grows — when a
+/// fold's live set outgrows it — so a fold that fits allocates no second
+/// event buffer. Every event scheduled after a build carries a larger seq
+/// than every arena event, so on a shared timestamp the arena run drains
+/// strictly before the overflow run — (time, seq) order holds across the
+/// two stores by construction, and pop_run() hands out the arena part
+/// zero-copy even when overflow events share its timestamp.
 ///
 /// Days are compared as exact integers held in doubles; width_ is clamped
 /// so day numbers stay below 2^50 and the floor/step/compare arithmetic is
 /// exact. Negative times are not supported (the runtime starts at t = 0).
 class CalendarQueue {
  public:
-  CalendarQueue() { reset_geometry_(); }
-
-  /// Pre-sizes the staging buffer for the initial bulk load (see
-  /// schedule()); the arena allocates lazily at the first build.
+  /// Pre-sizes the arena for the initial bulk load (see schedule()).
   void reserve(std::size_t capacity) {
     if (size_ != 0) return;  // Only meaningful before the first schedule.
-    staged_.reserve(capacity);
+    arena_.reserve(capacity);
   }
 
   // redund: hot
@@ -229,12 +237,11 @@ class CalendarQueue {
     const Event event = make_event(time, next_seq_++, kind, subject, epoch);
     ++size_;
     max_time_ = time > max_time_ ? time : max_time_;
-    // Until the first pop the queue only accumulates (a cold campaign
-    // schedules every initial event up front), so events are staged in a
-    // plain vector and the arena is built once, with the width learned
-    // from the whole initial set.
+    // Until the first pop, events are staged unsorted in the arena
+    // storage and the ring is built once, with the width learned from the
+    // whole initial set.
     if (staging_) {
-      staged_.push_back(event);  // redund-lint: allow(hot-alloc)
+      arena_.push_back(event);  // redund-lint: allow(hot-alloc)
       return;
     }
     overflow_.push_back(event);  // redund-lint: allow(hot-alloc)
@@ -243,6 +250,17 @@ class CalendarQueue {
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  /// Bytes held by the queue's buffers (arena, headers, overflow heap),
+  /// counted by capacity: what the queue keeps allocated, not what is live.
+  [[nodiscard]] std::size_t capacity_bytes() const noexcept {
+    return (arena_.capacity() + overflow_.capacity()) * sizeof(Event) +
+           headers_.capacity() * sizeof(Header);
+  }
+  /// Buckets in the day ring.
+  [[nodiscard]] std::size_t bucket_count() const noexcept {
+    return headers_.size();
+  }
 
   /// Earliest pending event, or nullptr when empty. Amortized O(1); the
   /// pointer is invalidated by the next schedule()/pop()/pop_run().
@@ -286,14 +304,14 @@ class CalendarQueue {
     return event;
   }
 
-  /// Removes the maximal run of events sharing the head timestamp and
-  /// returns a view of it in (time, seq) order. A run wholly inside the
-  /// arena — the common case, and the campaign-wide same-timestamp
-  /// deadline waves especially — is returned zero-copy from the arena
-  /// slice; `scratch` backs the view only when the run spans the overflow
-  /// heap. The view is valid until the next call on this queue.
+  /// Removes the maximal run of events sharing the head timestamp. When
+  /// the arena holds the head, `head` is its run, zero-copy from the
+  /// arena slice, and `tail` holds the overflow events on the same
+  /// timestamp, copied into `scratch` (often none). Otherwise the whole
+  /// run comes from the overflow: `head` is backed by `scratch` and `tail`
+  /// is empty.
   // redund: hot
-  std::span<const Event> pop_run(std::vector<Event>& scratch) {
+  EventRun pop_run(std::vector<Event>& scratch) {
     REDUND_PRECONDITION(size_ != 0, "pop_run() requires a pending event");
     // Same amortized-rebuild exception as pop() above.
     // redund-lint: allow(transitive-hot-alloc)
@@ -306,53 +324,58 @@ class CalendarQueue {
     const double time =
         arena_first ? arena_front->time : overflow_.front().time;
     current_day_ = day_(time);
+    std::span<const Event> head;
     if (arena_first) {
       // All equal times share the bucket, and the slice is sorted, so the
       // run is a contiguous prefix of the minimum's slice.
-      const std::size_t b = peek_bucket_;
-      Header& header = headers_[b];
-      const Event* front = arena_.data() + begin_[b];
+      Header& header = headers_[peek_bucket_];
       std::size_t run = 1;
-      while (run < header.count && front[run].time == time) ++run;
-      begin_[b] += static_cast<std::uint32_t>(run);
+      while (run < header.count && arena_front[run].time == time) ++run;
+      header.offset += static_cast<std::uint32_t>(run);
       header.count -= static_cast<std::uint32_t>(run);
-      if (header.count != 0) header.min_time = arena_.data()[begin_[b]].time;
+      if (header.count != 0) header.min_time = arena_front[run].time;
       arena_live_ -= run;
       size_ -= run;
       peek_bucket_ = kNoBucket;
-      if (overflow_.empty() || overflow_.front().time != time) {
-        return {front, run};  // Zero-copy: the slice outlives this call.
-      }
-      scratch.assign(front, front + run);
-    } else {
-      scratch.clear();
+      head = {arena_front, run};  // The slice outlives this call.
     }
     // Overflow events on the shared timestamp: strictly later seqs than
-    // any arena event (see class comment), so appending keeps the order.
+    // any arena event (see class comment), so they follow the arena run.
+    scratch.clear();
     while (!overflow_.empty() && overflow_.front().time == time) {
       std::pop_heap(overflow_.begin(), overflow_.end(), After_{});
-      // Rare path (overflow sharing the head timestamp); scratch is the
-      // caller's reused buffer, so the growth amortizes away.
+      // scratch is the caller's reused buffer, so the growth amortizes
+      // away.
       scratch.push_back(overflow_.back());  // redund-lint: allow(hot-alloc, hot-per-element-insert)
       overflow_.pop_back();
       --size_;
     }
-    return {scratch.data(), scratch.size()};
+    if (!arena_first) return {.head = scratch, .tail = {}};
+    return {.head = head, .tail = scratch};
   }
 
  private:
   static constexpr std::size_t kMinBuckets = 16;
   static constexpr std::size_t kNoBucket = ~std::size_t{0};
-  /// Longest slice the fold sorts by insertion (see sort_slice_).
+  /// Longest slice the build sorts by insertion (see sort_slice_).
   static constexpr std::size_t kInsertionSortMax = 32;
+  /// Most off-wave events sort_wave_ sets aside (a stack buffer).
+  static constexpr std::size_t kMaxStragglers = 64;
+  /// Widest overflow seq range, per overflow event, that the fold ranks
+  /// in a bitmap (see append_overflow_): 64 seqs per event is one bitmap
+  /// word per event.
+  static constexpr std::uint64_t kRankSpan = 64;
+  /// Swap walkers the in-place permutation interleaves (see permute_).
+  static constexpr std::size_t kWalkers = 8;
 
-  /// One day-ring header: the bucket's earliest pending time and its live
-  /// event count. 16 bytes — four headers per cache line — so the day
-  /// scan streams through headers without touching event storage.
+  /// One day-ring header: the bucket's earliest pending time, its live
+  /// event count and the arena index of its slice front. 16 bytes — four
+  /// headers per cache line — so the day scan streams through headers
+  /// without touching event storage.
   struct Header {
     double min_time = 0.0;
     std::uint32_t count = 0;
-    std::uint32_t pad_ = 0;
+    std::uint32_t offset = 0;
   };
   static_assert(sizeof(Header) == 16);
 
@@ -383,15 +406,14 @@ class CalendarQueue {
   [[nodiscard]] const Event* arena_min_() {
     if (arena_live_ == 0) return nullptr;
     if (peek_bucket_ == kNoBucket) locate_min_();
-    return arena_.data() + begin_[peek_bucket_];
+    return arena_.data() + headers_[peek_bucket_].offset;
   }
 
   void pop_arena_front_() {
-    const std::size_t b = peek_bucket_;
-    Header& header = headers_[b];
-    ++begin_[b];
+    Header& header = headers_[peek_bucket_];
+    ++header.offset;
     --header.count;
-    if (header.count != 0) header.min_time = arena_.data()[begin_[b]].time;
+    if (header.count != 0) header.min_time = arena_[header.offset].time;
     --arena_live_;
     peek_bucket_ = kNoBucket;
   }
@@ -453,10 +475,10 @@ class CalendarQueue {
 
   /// Sizes the ring to ~size/2 buckets (~2 events per bucket on average,
   /// though one same-time wave fills a single bucket — halves the header
-  /// footprint and the build's scatter misses) and derives the width from
-  /// the time spread [lo, hi]: ~twice the mean gap (Brown's rule of thumb).
-  /// Clamped below so day numbers remain exact integers (and day +
-  /// lap-step sums exact) up to 2^50.
+  /// footprint and the build's placement misses) and derives the width
+  /// from the time spread [lo, hi]: ~twice the mean gap (Brown's rule of
+  /// thumb). Clamped below so day numbers remain exact integers (and
+  /// day + lap-step sums exact) up to 2^50.
   void set_geometry_(std::size_t n, double lo, double hi) {
     std::size_t nbuckets = kMinBuckets;
     while (nbuckets < n / 2) nbuckets *= 2;
@@ -469,96 +491,90 @@ class CalendarQueue {
     inv_width_ = 1.0 / width_;
 
     headers_.assign(nbuckets, Header{});
-    begin_.resize(nbuckets);
-    counts_.assign(nbuckets, 0);
     rebuild_lo_ = n / 16;
     peek_bucket_ = kNoBucket;
   }
 
-  void reset_geometry_() {
-    width_ = 1.0;
-    inv_width_ = 1.0;
-    current_day_ = 0.0;
-    max_time_ = 0.0;  // The queue is empty; the span restarts fresh.
-    headers_.assign(kMinBuckets, Header{});
-    begin_.assign(kMinBuckets, 0);
-    rebuild_lo_ = 0;
-    arena_live_ = 0;
-    peek_bucket_ = kNoBucket;
-  }
-
-  /// Bulk build core: histogram, prefix-sum, scatter, per-slice sort.
-  /// O(n) plus O(k log k) per k-event slice (sort_slice_); no per-bucket
-  /// allocation — the arena double-buffers through arena_spare_ and every
-  /// auxiliary array recycles its storage across builds. `for_each` must
-  /// visit the same n events in the same order on every invocation.
-  template <typename ForEach>
-  void build_core_(std::size_t n, double lo, double hi, double min_time,
-                   const ForEach& for_each) {
+  /// Builds the ring over the arena's events [0, size) in place, given
+  /// their time span [lo, hi]: histogram, prefix-sum, stable permutation
+  /// to bucket order, per-slice sort. The only extra storage is a
+  /// temporary 32-bit destination per event, freed on return. The
+  /// permutation is stable, so each slice keeps the order the events had
+  /// in the arena; a build of n events costs O(n) plus the slice sorts.
+  void build_(double lo, double hi) {
+    const std::size_t n = arena_.size();
     set_geometry_(n, lo, hi);
-    current_day_ = day_(min_time);
-
-    for_each([&](const Event& event) {
-      ++counts_[bucket_index_(event.time)];
-    });
+    current_day_ = day_(lo);
+    arena_live_ = n;
+    Event* events = arena_.data();
+    Header* headers = headers_.data();
+    const auto dest = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t b = bucket_index_(events[i].time);
+      dest[i] = static_cast<std::uint32_t>(b);
+      ++headers[b].count;
+    }
     std::uint32_t cursor = 0;
     for (std::size_t b = 0; b < headers_.size(); ++b) {
-      begin_[b] = cursor;
-      cursor += counts_[b];
-      counts_[b] = begin_[b];  // Reused as the scatter cursor below.
+      headers[b].offset = cursor;
+      cursor += headers[b].count;
     }
-    arena_spare_.ensure(n);
-    Event* spare = arena_spare_.data();
-    for_each([&](const Event& event) {
-      spare[counts_[bucket_index_(event.time)]++] = event;
-    });
-    std::swap(arena_, arena_spare_);
-    arena_live_ = n;
-    Event* arena = arena_.data();
+    // Each event's slot: its bucket's next free one, in arena order. The
+    // offsets serve as the cursors and end at their slices' ends.
+    for (std::size_t i = 0; i < n; ++i) dest[i] = headers[dest[i]].offset++;
+    permute_(events, dest.get(), n);
     for (std::size_t b = 0; b < headers_.size(); ++b) {
-      const std::uint32_t begin = begin_[b];
-      const std::uint32_t count = counts_[b] - begin;
-      if (count == 0) continue;
-      sort_slice_(arena + begin, count);
-      headers_[b].min_time = arena[begin].time;
-      headers_[b].count = count;
+      Header& header = headers[b];
+      header.offset -= header.count;
+      if (header.count == 0) continue;
+      sort_slice_(events + header.offset, header.count);
+      header.min_time = events[header.offset].time;
     }
   }
 
-  /// Builds the arena from the staged initial events (schedule() has
-  /// already folded their times into max_time_).
-  void build_(std::vector<Event>& source) {
-    overflow_.clear();
-    arena_live_ = source.size();
-    if (source.empty()) {
-      reset_geometry_();
-      return;
+  /// Moves each events[i] to events[dest[i]] in place (dest a
+  /// permutation of [0, n)). A swap of position i with dest[i] settles
+  /// one event at its destination and never unsettles another, so at
+  /// most n swaps finish the job in any interleaving. A single walker is
+  /// latency-bound — every swap waits on a miss at a random slot — so
+  /// kWalkers walkers, each owning a stripe of start positions, take
+  /// turns, and their misses overlap.
+  static void permute_(Event* events, std::uint32_t* dest,
+                       std::size_t n) noexcept {
+    std::size_t at[kWalkers];
+    std::size_t stop[kWalkers];
+    for (std::size_t w = 0; w < kWalkers; ++w) {
+      at[w] = n * w / kWalkers;
+      stop[w] = n * (w + 1) / kWalkers;
     }
-    double lo = source.front().time;
-    double hi = lo;
-    for (const Event& event : source) {
-      lo = std::min(lo, event.time);
-      hi = std::max(hi, event.time);
+    for (bool busy = true; busy;) {
+      busy = false;
+      for (std::size_t w = 0; w < kWalkers; ++w) {
+        std::size_t i = at[w];
+        while (i < stop[w] && dest[i] == i) ++i;
+        at[w] = i;
+        if (i == stop[w]) continue;
+        busy = true;
+        const std::uint32_t j = dest[i];
+        std::swap(events[i], events[j]);
+        dest[i] = dest[j];
+        dest[j] = j;
+      }
     }
-    build_core_(source.size(), lo, hi, lo, [&](const auto& visit) {
-      for (const Event& event : source) visit(event);
-    });
   }
 
-  /// Sorts one slice by (time, seq). Events from the old arena arrive
-  /// nearly in order (each old slice is sorted, and scatter keeps the
-  /// visit order), but events folded in from the overflow arrive in
-  /// heap-array order, which scrambles seq within a timestamp. A
-  /// same-time re-arm wave folds as thousands of events on a few
-  /// timestamps (a headline fold's largest slice held 8,234 events on 2
-  /// times), where insertion sort pays one shift per inversion: O(k^2).
-  /// So insertion sort handles only short slices; a longer one that is
-  /// out of order goes to std::sort, O(k log k) and in place. The order
-  /// is a strict total order (seq is unique), so any correct sort yields
-  /// the same slice.
+  /// Sorts one slice by (time, seq). Short slices go to insertion sort,
+  /// and a sorted slice is left as it is. A long unsorted slice is
+  /// usually a same-time wave (every deadline a batch re-arms) with a few
+  /// other events of its day among it; the builds keep each timestamp's
+  /// events in seq order (see rebuild_), so sort_wave_ places such a
+  /// slice in O(k). Anything else goes to std::sort, O(k log k) and in
+  /// place. The order is a strict total order (seq is unique), so every
+  /// path yields the same slice.
   static void sort_slice_(Event* events, std::size_t n) noexcept {
     if (n > kInsertionSortMax) {
-      if (!std::is_sorted(events, events + n, fires_before)) {
+      if (!std::is_sorted(events, events + n, fires_before) &&
+          !sort_wave_(events, n)) {
         std::sort(events, events + n, fires_before);
       }
       return;
@@ -575,87 +591,140 @@ class CalendarQueue {
     }
   }
 
-  /// Ends the staging phase at the first pop with one bulk build.
+  /// Sorts a slice made of one timestamp's events (the wave), already in
+  /// seq order, plus at most kMaxStragglers events at other times: the
+  /// wave closes ranks while the stragglers move to a stack buffer, where
+  /// they are sorted, and they return before and after the wave. The
+  /// wave's time is the slice's majority vote (Boyer–Moore). Returns
+  /// false, with the slice permuted, when the slice is not of that shape.
+  static bool sort_wave_(Event* events, std::size_t n) noexcept {
+    double wave = events[0].time;
+    std::size_t votes = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (votes == 0) wave = events[i].time;
+      if (events[i].time == wave) {
+        ++votes;
+      } else {
+        --votes;
+      }
+    }
+    Event aside[kMaxStragglers];
+    std::size_t set_aside = 0;
+    std::size_t early = 0;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Event event = events[i];
+      if (event.time == wave &&
+          (kept == 0 || events[kept - 1].seq < event.seq)) {
+        events[kept++] = event;
+      } else if (event.time != wave && set_aside < kMaxStragglers) {
+        early += event.time < wave ? 1 : 0;
+        aside[set_aside++] = event;
+      } else {  // Not a wave slice: refill the gap [kept, i).
+        std::copy(aside, aside + set_aside, events + kept);
+        return false;
+      }
+    }
+    std::copy_backward(events, events + kept, events + early + kept);
+    std::sort(aside, aside + set_aside, fires_before);
+    std::copy(aside, aside + early, events);
+    std::copy(aside + early, aside + set_aside, events + early + kept);
+    return true;
+  }
+
+  /// Ends the staging phase at the first pop with one bulk build (the
+  /// staged events' latest time is max_time_).
   void flush_() {
     staging_ = false;
-    build_(staged_);
-    staged_.clear();
-    staged_.shrink_to_fit();  // The bulk load happens at most once.
+    double lo = arena_.front().time;
+    for (const Event& event : arena_) lo = std::min(lo, event.time);
+    build_(lo, max_time_);
   }
 
-  /// Folds the live arena slices plus the overflow into a fresh arena —
-  /// without materializing a gather buffer. An earlier version copied
-  /// everything into a collect vector and rebuilt from that, paying one
-  /// extra full write+read pass over every live event per fold; here the
-  /// histogram and scatter passes read the old slice map (swapped aside,
-  /// since set_geometry_ overwrites it) and the overflow directly, in
-  /// exactly the order the gather produced — the resulting arena is
-  /// byte-identical. The span comes cheap: lo is exact from the old
-  /// 16-byte headers and the overflow min-heap front (no event touched),
-  /// hi is the monotone high-water mark of every scheduled time — an
-  /// upper bound, which only widens Brown's-rule bucket width and never
-  /// affects pop order.
+  /// Folds the live arena slices plus the overflow into a new ring in the
+  /// same storage. The live slices slide to the front of the arena (they
+  /// lie in bucket order, so each moves left or stays), the overflow is
+  /// appended in seq order, and build_ runs over the result. Within every
+  /// timestamp the build's input is then in seq order — each old slice is
+  /// sorted, and all overflow seqs follow all arena seqs — so a re-arm
+  /// wave keeps its order and sort_wave_ only places its stragglers. The
+  /// span comes cheap: lo is exact from the 16-byte headers and the
+  /// overflow min-heap front (no event touched), hi is the monotone
+  /// high-water mark of every scheduled time — an upper bound, which only
+  /// widens Brown's-rule bucket width and never affects pop order.
+  /// pop()/pop_run() fold only a non-empty queue.
   void rebuild_() {
-    const std::size_t n = arena_live_ + overflow_.size();
-    if (n == 0) {
-      overflow_.clear();
-      reset_geometry_();
-      return;
-    }
     double lo = std::numeric_limits<double>::infinity();
+    std::size_t live = 0;
     for (const Header& header : headers_) {
-      if (header.count != 0) lo = std::min(lo, header.min_time);
+      if (header.count == 0) continue;
+      lo = std::min(lo, header.min_time);
+      if (header.offset != live) {
+        const Event* slice = arena_.data() + header.offset;
+        std::copy(slice, slice + header.count, arena_.data() + live);
+      }
+      live += header.count;
     }
     if (!overflow_.empty()) lo = std::min(lo, overflow_.front().time);
-
-    headers_spare_.swap(headers_);
-    begin_spare_.swap(begin_);
-    // Both build_core_ passes run before the arena buffers swap, so the
-    // old slices stay addressable through arena_ for the whole fold.
-    build_core_(n, lo, max_time_, lo, [&](const auto& visit) {
-      const Event* old_arena = arena_.data();
-      for (std::size_t b = 0; b < headers_spare_.size(); ++b) {
-        const Event* slice = old_arena + begin_spare_[b];
-        const std::uint32_t count = headers_spare_[b].count;
-        for (std::uint32_t i = 0; i < count; ++i) visit(slice[i]);
-      }
-      for (const Event& event : overflow_) visit(event);
-    });
+    arena_.resize(live);
+    append_overflow_();
     overflow_.clear();
+    build_(lo, max_time_);
   }
 
-  /// Grow-only uninitialized event buffer. The build scatter overwrites
-  /// exactly the [0, live) prefix and every read goes through
-  /// begin_/Header::count, so elements are never default-constructed — a
-  /// std::vector here would value-initialize megabytes per build.
-  struct Arena {
-    std::unique_ptr<Event[]> events;
-    std::size_t capacity = 0;
-
-    void ensure(std::size_t n) {
-      if (capacity >= n) return;
-      events = std::make_unique_for_overwrite<Event[]>(n);
-      capacity = n;
+  /// Appends the overflow heap to the arena in seq order. The overflow's
+  /// seqs lie in [first, next_seq_); when that range is at most kRankSpan
+  /// per event, a bitmap over it ranks each seq (a word's prefix count
+  /// plus a popcount) and each event is written straight to its rank.
+  /// A wider range — a long-lived overflow event among many popped ones —
+  /// appends in heap-array order, and the slice sorts absorb the disorder.
+  void append_overflow_() {
+    const std::size_t live = arena_.size();
+    const std::size_t m = overflow_.size();
+    std::uint64_t first = next_seq_;
+    for (const Event& event : overflow_) {
+      first = std::min<std::uint64_t>(first, event.seq);
     }
-    [[nodiscard]] Event* data() const noexcept { return events.get(); }
-  };
+    const std::uint64_t range = next_seq_ - first;
+    if (m == 0 || range > kRankSpan * m) {
+      arena_.insert(arena_.end(), overflow_.begin(), overflow_.end());
+      return;
+    }
+    const auto words = static_cast<std::size_t>(range / 64 + 1);
+    std::vector<std::uint64_t> bits(words, 0);
+    for (const Event& event : overflow_) {
+      const std::uint64_t at = event.seq - first;
+      bits[at / 64] |= std::uint64_t{1} << (at % 64);
+    }
+    std::vector<std::uint32_t> ranks(words);
+    std::uint32_t rank = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      ranks[w] = rank;
+      rank += static_cast<std::uint32_t>(std::popcount(bits[w]));
+    }
+    arena_.resize(live + m);
+    Event* out = arena_.data() + live;
+    for (const Event& event : overflow_) {
+      const std::uint64_t at = event.seq - first;
+      const std::uint64_t below = (std::uint64_t{1} << (at % 64)) - 1;
+      const auto within = std::popcount(bits[at / 64] & below);
+      out[ranks[at / 64] + static_cast<std::uint32_t>(within)] = event;
+    }
+  }
 
-  std::vector<Header> headers_;        ///< Packed (min_time, count) ring.
-  std::vector<std::uint32_t> begin_;   ///< Arena offset of each slice front.
-  std::vector<Header> headers_spare_;  ///< Old slice map during a fold.
-  std::vector<std::uint32_t> begin_spare_;  ///< Its begin array (recycled).
-  Arena arena_;                        ///< Live events grouped by bucket.
-  Arena arena_spare_;                  ///< Build double-buffer (recycled).
+  std::vector<Header> headers_;        ///< Packed (min_time, count, offset).
+  /// The one event buffer: the staged initial events until the first
+  /// pop, then the live slices grouped by bucket (dead slots before each
+  /// slice's offset until the next fold).
+  std::vector<Event> arena_;
   std::vector<Event> overflow_;        ///< Min-heap of post-build schedules.
-  std::vector<std::uint32_t> counts_;  ///< Build histogram (recycled).
-  std::vector<Event> staged_;          ///< Initial bulk load, pre-first-pop.
   bool staging_ = true;                ///< True until the first pop.
   double width_ = 1.0;
   double inv_width_ = 1.0;             ///< Cached 1 / width_ for day_().
   double current_day_ = 0.0;           ///< Day the pop scan resumes from.
   double max_time_ = 0.0;              ///< High-water mark of schedule times.
   std::size_t peek_bucket_ = kNoBucket;  ///< Bucket holding the cached min.
-  std::size_t size_ = 0;               ///< Staged + arena + overflow.
+  std::size_t size_ = 0;               ///< Arena + overflow.
   std::size_t arena_live_ = 0;         ///< Live events in the arena.
   std::size_t rebuild_lo_ = 0;         ///< Rebuild when arena drains below.
   std::uint64_t next_seq_ = 0;

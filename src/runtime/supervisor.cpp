@@ -212,15 +212,17 @@ class Runner {
       d = rng::exponential(LatencyModel::kMeanService, demand_engine);
     }
 
-    // Pre-size the event queue and unit table from the plan: every live
-    // unit carries at most one completion and one deadline timer, each task
-    // one adaptive check when adaptive replication is on, plus the fault
-    // schedule, the health timer, and slack for replication units added
-    // mid-campaign.
+    // Pre-size the event queue from the plan: every live unit carries at
+    // most one completion and one deadline timer, each task one adaptive
+    // check when adaptive replication is on, plus the fault schedule, the
+    // health timer, and slack for replication units added mid-campaign.
+    // The unit table is reserved up to the Scheduler's slot bound, so
+    // replicas never regrow its lanes (capacity never touched is not
+    // resident).
     queue_.reserve(2 * unit_count +
                    (config.adaptive.enabled ? task_count : 0) +
                    config.faults.events.size() + 32);
-    units_.reserve(unit_count + 64);
+    units_.reserve(scheduler_.slot_count());
     units_.resize(unit_count);
     tasks_.resize(task_count);
     batch_.reserve(64);
@@ -403,8 +405,8 @@ class Runner {
             std::max(report_.end_time, config_.health.max_sim_time);
         return LoopExit::kStopped;
       }
-      const std::span<const Event> batch = queue_.pop_run(batch_);
-      const double batch_time = batch.front().time;
+      const EventRun batch = queue_.pop_run(batch_);
+      const double batch_time = batch.head.front().time;
       // The completion stream visits units in completion-time order —
       // random in unit space, so each handler opens with dependent misses
       // on the unit lanes. The next batch's head is already known here;
@@ -432,34 +434,37 @@ class Runner {
         }
       }
       report_.end_time = std::max(report_.end_time, batch_time);
-      for (const Event& event : batch) {
+      // The run's two parts in order; a stop_ skips the rest of both.
+      for (const std::span<const Event> part : {batch.head, batch.tail}) {
+        for (const Event& event : part) {
+          if (stop_) break;
 #if REDUND_ENABLE_INVARIANTS
-        contracts::set_campaign_context(
-            {config_.seed, event.time, report_.events_processed});
-        REDUND_INVARIANT(!have_last_popped || fires_before(last_popped, event),
-                         "event queue pops in strictly ascending (time, seq) "
-                         "order");
-        have_last_popped = true;
-        last_popped = event;
+          contracts::set_campaign_context(
+              {config_.seed, event.time, report_.events_processed});
+          REDUND_INVARIANT(
+              !have_last_popped || fires_before(last_popped, event),
+              "event queue pops in strictly ascending (time, seq) order");
+          have_last_popped = true;
+          last_popped = event;
 #endif
-        ++report_.events_processed;
-        switch (event.kind) {
-          case EventKind::kCompletion: on_completion(event); break;
-          case EventKind::kDeadline: on_deadline(event); break;
-          case EventKind::kReissue: on_reissue(event); break;
-          case EventKind::kAdaptiveCheck: on_adaptive_check(event); break;
-          case EventKind::kFault: on_fault(event); break;
-          case EventKind::kFaultEnd: on_fault_end(event); break;
-          case EventKind::kHealthCheck: on_health_check(event); break;
-          case EventKind::kReplan: on_replan(event); break;
+          ++report_.events_processed;
+          switch (event.kind) {
+            case EventKind::kCompletion: on_completion(event); break;
+            case EventKind::kDeadline: on_deadline(event); break;
+            case EventKind::kReissue: on_reissue(event); break;
+            case EventKind::kAdaptiveCheck: on_adaptive_check(event); break;
+            case EventKind::kFault: on_fault(event); break;
+            case EventKind::kFaultEnd: on_fault_end(event); break;
+            case EventKind::kHealthCheck: on_health_check(event); break;
+            case EventKind::kReplan: on_replan(event); break;
+          }
         }
-        if (stop_) break;
       }
       // A stop_ mid-batch ends the campaign before the digest could count
       // the unprocessed rest of the batch; past here all of it ran.
       if (stop_) return LoopExit::kStopped;
       if (journal_) {
-        digest_ = fold_events(digest_, batch);
+        digest_ = fold_events(fold_events(digest_, batch.head), batch.tail);
         verify_digests_();
         if (report_.events_processed >= next_checkpoint_) {
           write_digest_();

@@ -191,6 +191,13 @@ TEST(EventQueueEquivalence, ScrambledOverflowFoldPopsIdentically) {
 
 // ------------------------------------------------------------- pop_run
 
+/// A pop_run() result as one vector: its head, then its tail.
+std::vector<Event> joined(const runtime::EventRun& run) {
+  std::vector<Event> events(run.head.begin(), run.head.end());
+  events.insert(events.end(), run.tail.begin(), run.tail.end());
+  return events;
+}
+
 /// Drains `queue` via pop_run and checks against a reference drained via
 /// single pops: identical event stream, and every run maximal — all
 /// members share the head timestamp and the next pending event (if any)
@@ -199,8 +206,9 @@ template <typename Queue>
 void expect_pop_run_matches_single_pops(Queue& runner, Queue& reference) {
   std::vector<Event> scratch;
   while (!runner.empty()) {
-    const std::span<const Event> run = runner.pop_run(scratch);
-    ASSERT_FALSE(run.empty());
+    const runtime::EventRun parts = runner.pop_run(scratch);
+    ASSERT_FALSE(parts.head.empty());
+    const std::vector<Event> run = joined(parts);
     const double time = run.front().time;
     for (const Event& event : run) {
       ASSERT_EQ(event.time, time);
@@ -245,14 +253,14 @@ TEST(EventQueuePopRun, EqualTimeStormDrainsAsOneRun) {
     calendar.schedule(42.0, EventKind::kDeadline, s);
   }
   std::vector<Event> scratch;
-  const std::span<const Event> heap_run = heap.pop_run(scratch);
+  const std::vector<Event> heap_run = joined(heap.pop_run(scratch));
   ASSERT_EQ(heap_run.size(), 1000u);
   for (std::size_t i = 0; i < heap_run.size(); ++i) {
     EXPECT_EQ(heap_run[i].subject, static_cast<std::int64_t>(i));
   }
   EXPECT_TRUE(heap.empty());
   std::vector<Event> cal_scratch;
-  const std::span<const Event> cal_run = calendar.pop_run(cal_scratch);
+  const std::vector<Event> cal_run = joined(calendar.pop_run(cal_scratch));
   ASSERT_EQ(cal_run.size(), 1000u);
   for (std::size_t i = 0; i < cal_run.size(); ++i) {
     ASSERT_TRUE(same_event(cal_run[i], heap_run[i]));
@@ -281,8 +289,8 @@ TEST(EventQueuePopRun, InterleavedSchedulesKeepQueuesIdentical) {
   double last_time = 0.0;
   int drained_runs = 0;
   while (!heap.empty()) {
-    const std::span<const Event> h = heap.pop_run(heap_scratch);
-    const std::span<const Event> c = calendar.pop_run(cal_scratch);
+    const std::vector<Event> h = joined(heap.pop_run(heap_scratch));
+    const std::vector<Event> c = joined(calendar.pop_run(cal_scratch));
     ASSERT_EQ(h.size(), c.size());
     for (std::size_t i = 0; i < h.size(); ++i) {
       ASSERT_TRUE(same_event(h[i], c[i]));
@@ -294,6 +302,213 @@ TEST(EventQueuePopRun, InterleavedSchedulesKeepQueuesIdentical) {
   }
   EXPECT_TRUE(calendar.empty());
   EXPECT_GT(drained_runs, 4);
+}
+
+/// A reference heap and a calendar fed the same script.
+struct Twin {
+  runtime::EventQueue heap;
+  runtime::CalendarQueue calendar;
+  std::int64_t next_subject = 0;
+
+  void schedule(double time, EventKind kind = EventKind::kCompletion) {
+    heap.schedule(time, kind, next_subject);
+    calendar.schedule(time, kind, next_subject);
+    ++next_subject;
+  }
+  /// Pops one event from each queue; true iff they match field for field.
+  bool pop_matches() { return same_event(heap.pop(), calendar.pop()); }
+  /// Drains the calendar run by run and the heap event by event; true iff
+  /// both drain the same stream and every run shares one timestamp.
+  bool drain_matches() {
+    std::vector<Event> scratch;
+    while (!calendar.empty()) {
+      const std::vector<Event> run = joined(calendar.pop_run(scratch));
+      for (const Event& event : run) {
+        if (heap.empty() || event.time != run.front().time ||
+            !same_event(event, heap.pop())) {
+          return false;
+        }
+      }
+    }
+    return heap.empty();
+  }
+};
+
+/// Stages a wave of 100 events at t = 5 among earlier events, ends staging
+/// with one pop, schedules 30 more events at t = 5 (they go to the
+/// overflow heap) and pops everything before t = 5.
+void stage_wave_shared_with_overflow(Twin& q) {
+  q.schedule(1.0);
+  for (int i = 0; i < 100; ++i) q.schedule(5.0, EventKind::kDeadline);
+  for (int i = 0; i < 50; ++i) q.schedule(2.0 + 0.05 * i);
+  ASSERT_TRUE(q.pop_matches());
+  for (int i = 0; i < 30; ++i) q.schedule(5.0, EventKind::kReissue);
+  while (q.calendar.peek()->time < 5.0) ASSERT_TRUE(q.pop_matches());
+}
+
+TEST(EventQueuePopRun, ArenaPartIsZeroCopyWhenOverflowSharesItsTime) {
+  Twin q;
+  ASSERT_NO_FATAL_FAILURE(stage_wave_shared_with_overflow(q));
+  const Event* front = q.calendar.peek();
+  std::vector<Event> scratch;
+  const runtime::EventRun run = q.calendar.pop_run(scratch);
+  EXPECT_EQ(run.head.data(), front) << "the arena run was copied";
+  EXPECT_EQ(run.head.size(), 100u);
+  EXPECT_EQ(run.tail.data(), scratch.data());
+  EXPECT_EQ(run.tail.size(), scratch.size());
+  EXPECT_EQ(run.tail.size(), 30u);
+  std::vector<Event> heap_scratch;
+  const std::vector<Event> want = joined(q.heap.pop_run(heap_scratch));
+  const std::vector<Event> got = joined(run);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(same_event(got[i], want[i])) << "event " << i;
+  }
+  EXPECT_TRUE(q.drain_matches());
+}
+
+TEST(EventQueuePopRun, DigestOverHeadThenTailEqualsDigestOverTheRun) {
+  Twin q;
+  ASSERT_NO_FATAL_FAILURE(stage_wave_shared_with_overflow(q));
+  std::vector<Event> scratch;
+  const runtime::EventRun run = q.calendar.pop_run(scratch);
+  ASSERT_FALSE(run.tail.empty());
+  const std::uint64_t digest = 0x5eedULL;
+  EXPECT_EQ(runtime::fold_events(runtime::fold_events(digest, run.head),
+                                 run.tail),
+            runtime::fold_events(digest, joined(run)));
+}
+
+// ------------------------------------------------ calendar in-place builds
+
+TEST(CalendarInPlace, UnreservedStagingGrowsThenBuilds) {
+  // No reserve(): staging grows the arena storage as it goes.
+  auto engine = rng::make_stream(0x57A6ULL, 6);
+  Twin q;
+  for (int i = 0; i < 20000; ++i) {
+    const double raw = rng::exponential(1.0, engine) * 100.0;
+    q.schedule(i % 4 == 0 ? std::floor(raw) : raw);
+  }
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(q.pop_matches());
+  for (int i = 0; i < 500; ++i) q.schedule(60.0 + 0.1 * i);
+  EXPECT_TRUE(q.drain_matches());
+}
+
+TEST(CalendarInPlace, FoldOutgrowingTheArenaGrowsIt) {
+  // The first build fills a reserved arena of 1,000 events; the fold
+  // then has ~7,000 live events and must grow the storage.
+  auto engine = rng::make_stream(0x6209ULL, 7);
+  Twin q;
+  q.heap.reserve(1000);
+  q.calendar.reserve(1000);
+  for (int i = 0; i < 1000; ++i) q.schedule(rng::exponential(1.0, engine));
+  ASSERT_TRUE(q.pop_matches());
+  for (int i = 0; i < 6000; ++i) {
+    q.schedule(1.0 + std::floor(rng::exponential(1.0, engine) * 8.0) / 8.0);
+  }
+  const std::size_t before_fold = q.calendar.capacity_bytes();
+  ASSERT_TRUE(q.pop_matches());  // Folds 6,999 events.
+  EXPECT_GE(q.calendar.capacity_bytes(),
+            before_fold + (6999 - 1000) * sizeof(Event));
+  EXPECT_TRUE(q.drain_matches());
+}
+
+/// A far arena of 20,000 events, then `long_lived` overflow events at
+/// `time_of(i)`, then 20,000 schedules that each pop straight back. The
+/// overflow's seq range ends ~100x wider than its size, and its heap
+/// array is shuffled. Draining the arena past the shrink band then folds.
+template <typename TimeOf>
+void churn_then_fold(Twin& q, int long_lived, const TimeOf& time_of) {
+  q.schedule(0.0);
+  for (int i = 0; i < 20000; ++i) q.schedule(500.0 + 0.01 * i);
+  ASSERT_TRUE(q.pop_matches());
+  for (int i = 0; i < long_lived; ++i) q.schedule(time_of(i));
+  for (int c = 1; c <= 20000; ++c) {
+    q.schedule(0.02 * c);
+    ASSERT_TRUE(q.pop_matches());
+  }
+}
+
+TEST(CalendarInPlace, WideOverflowSeqRangeFoldsInHeapOrder) {
+  Twin q;
+  ASSERT_NO_FATAL_FAILURE(churn_then_fold(
+      q, 200, [](int i) { return 900.0 + 0.25 * i; }));
+  EXPECT_TRUE(q.drain_matches());
+}
+
+TEST(CalendarInPlace, OutOfSeqOrderWaveFallsBackToSort) {
+  // The same churn, with the long-lived events three interleaved
+  // same-time waves: their pushes and the churn's pops leave each wave
+  // out of seq order in the heap array, and so in its folded slice.
+  Twin q;
+  ASSERT_NO_FATAL_FAILURE(churn_then_fold(
+      q, 300, [](int i) { return 900.0 + 0.5 * (i % 3); }));
+  EXPECT_TRUE(q.drain_matches());
+}
+
+TEST(CalendarInPlace, WaveSliceWithStragglersOnBothSides) {
+  // A fold of 5,000 same-time events (gathered in seq order) with five
+  // events just before and five just after them in the same day, among
+  // 2,000 spread events.
+  auto engine = rng::make_stream(0x3A7EULL, 8);
+  Twin q;
+  q.schedule(0.0);
+  ASSERT_TRUE(q.pop_matches());
+  constexpr double kWave = 50.3;
+  for (int i = 0; i < 5000; ++i) {
+    q.schedule(kWave, EventKind::kDeadline);
+    if (i % 1000 == 500) {
+      q.schedule(kWave - 1e-7);
+      q.schedule(kWave + 1e-7);
+    }
+    if (i % 5 < 2) q.schedule(100.0 * rng::uniform01(engine));
+  }
+  EXPECT_TRUE(q.drain_matches());
+}
+
+// ----------------------------------------------------- calendar footprint
+
+TEST(CalendarFootprint, FirstBuildHoldsOneEventBufferAndTheHeaders) {
+  constexpr std::size_t kEvents = 50000;
+  auto engine = rng::make_stream(0xF007ULL, 9);
+  runtime::CalendarQueue queue;
+  queue.reserve(kEvents);
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    queue.schedule(rng::exponential(1.0, engine), EventKind::kCompletion,
+                   static_cast<std::int64_t>(i));
+  }
+  (void)queue.pop();
+  EXPECT_LE(queue.capacity_bytes(),
+            sizeof(Event) * kEvents + 16 * queue.bucket_count() + 1024);
+}
+
+TEST(CalendarFootprint, FoldThatFitsAllocatesNoSecondEventBuffer) {
+  constexpr std::size_t kEvents = 50000;
+  auto engine = rng::make_stream(0xF017ULL, 10);
+  runtime::CalendarQueue queue;
+  queue.reserve(kEvents);
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    queue.schedule(100.0 * rng::uniform01(engine), EventKind::kCompletion,
+                   static_cast<std::int64_t>(i));
+  }
+  std::vector<Event> scratch;
+  const runtime::EventRun first = queue.pop_run(scratch);
+  ASSERT_TRUE(first.tail.empty());
+  const auto before = reinterpret_cast<std::uintptr_t>(first.head.data());
+  while (queue.size() > 10000) (void)queue.pop();
+  // Overflow past both fold thresholds (4,096 events and the live arena);
+  // the fold's 20,001 events fit the 50,000-event arena.
+  for (std::int64_t i = 0; i < 10001; ++i) {
+    queue.schedule(100.0 + 50.0 * rng::uniform01(engine),
+                   EventKind::kCompletion, i);
+  }
+  const std::size_t bytes = queue.capacity_bytes();
+  const runtime::EventRun after_fold = queue.pop_run(scratch);
+  EXPECT_EQ(queue.capacity_bytes(), bytes);
+  // The run after the fold lies in the same 50,000-event storage.
+  const auto after = reinterpret_cast<std::uintptr_t>(after_fold.head.data());
+  const std::uintptr_t reach = sizeof(Event) * kEvents;
+  EXPECT_LT(after > before ? after - before : before - after, reach);
 }
 
 // --------------------------------------------------------- event layout
