@@ -11,7 +11,8 @@
 // The configs mirror the determinism auditor's base campaigns plus a
 // fault-heavy leg, covering: stragglers/dropouts/retries, adversary
 // commits and plurality votes, ringer catches, benign-error INCONCLUSIVE
-// replicas, the online controller with a drifting adversary, the sharded
+// replicas, the online controller with a drifting adversary, the
+// controller under overlapping blackouts and churn, the sharded
 // merge, and every windowed fault kind.
 #include <gtest/gtest.h>
 
@@ -115,6 +116,44 @@ TEST(SoaIdentity, FaultedBenignCampaignMatchesPreRefactorFingerprint) {
                                   .probability = 0.4});
   const RuntimeReport report = run_async_campaign(config);
   EXPECT_EQ(report_fingerprint(report), 0x6c3b9685a6cd851fULL);
+}
+
+/// The online controller and the blackout requeue in one campaign: the
+/// controller boosts against a hostile opening and releases once the
+/// adversary recedes, while two overlapping blackouts (some identities
+/// caught by both) take part of the fleet offline, one identity leaves
+/// inside the first and rejoins after both have ended. The re-plan mix
+/// bookkeeping, the one-pass blackout requeue and the single-identity
+/// kLeave sweep all run against each other here.
+TEST(SoaIdentity, ControlledChurnCampaignMatchesPinnedFingerprint) {
+  RuntimeConfig config = pinned_base_config();
+  config.sybil_identities = 20;
+  config.control.enabled = true;
+  config.control.epsilon = 0.6;
+  config.control.check_interval = 2.0;
+  config.control.replan_interval = 24;
+  config.control.min_observations = 16;
+  config.faults.events.push_back(
+      {.time = 15.0, .kind = FaultKind::kPDrift, .fraction = 0.02});
+  config.faults.events.push_back({.time = 20.0,
+                                  .kind = FaultKind::kBlackout,
+                                  .fraction = 0.3,
+                                  .duration = 30.0});
+  config.faults.events.push_back({.time = 35.0,
+                                  .kind = FaultKind::kBlackout,
+                                  .fraction = 0.25,
+                                  .duration = 30.0});
+  config.faults.events.push_back(
+      {.time = 30.0, .kind = FaultKind::kLeave, .participant = 3});
+  config.faults.events.push_back(
+      {.time = 75.0, .kind = FaultKind::kRejoin, .participant = 3});
+  const RuntimeReport report = run_async_campaign(config);
+  EXPECT_GT(report.control_boosts, 0);
+  EXPECT_GT(report.control_releases, 0);
+  EXPECT_GT(report.results_lost, 0);
+  EXPECT_EQ(report.churn_rejoins, report.churn_leaves);
+  EXPECT_EQ(report.tasks_valid, report.tasks);
+  EXPECT_EQ(report_fingerprint(report), 0x691a9c0c22f9cc3bULL);
 }
 
 }  // namespace
