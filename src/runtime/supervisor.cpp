@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -178,9 +179,12 @@ std::uint64_t config_fingerprint(const RuntimeConfig& config) {
 /// The steady-state loop is allocation-free: the event queues pre-size
 /// their storage, the Scheduler sizes every task's run with its replica
 /// budget built in, vote counting reuses a flat scratch vector,
-/// and blacklist membership is a plain bitmap. Fault windows are a plain
-/// bitmap over the (small) schedule; every fault coin is a keyed stream
-/// draw, so the chaos layer adds no allocation either.
+/// the controller's residual mix has a row per reachable target from the
+/// start, and blacklist membership is a plain bitmap. Fault windows are a
+/// plain bitmap over the (small) schedule and every fault coin is a keyed
+/// stream draw, so the chaos layer adds no allocation per event. Only a
+/// blackout start allocates, once, the scratch of its one-pass requeue,
+/// sized by the units its leavers hold.
 template <typename Queue>
 class Runner {
  public:
@@ -280,8 +284,20 @@ class Runner {
     if (config.control.enabled) {
       controller_ = control::CampaignController(config.control);
       moved_scratch_.assign(task_count, 0);
-      open_tasks_.resize(task_count);
-      std::iota(open_tasks_.begin(), open_tasks_.end(), std::size_t{0});
+      // One row per reachable target: a task's target never exceeds its
+      // multiplicity plus its replica and boost budgets. Every task starts
+      // unsent at its multiplicity, neither promotable nor demotable.
+      std::int64_t top = 0;
+      for (std::size_t t = 0; t < task_count; ++t) {
+        top = std::max(top, scheduler_.multiplicity(t));
+      }
+      top += config.adaptive.max_extra_replicas + config.control.max_boost;
+      mix_.resize(static_cast<std::size_t>(top) + 1);
+      for (std::size_t m = 0; m < mix_.size(); ++m) {
+        mix_[m].multiplicity = static_cast<std::int64_t>(m);
+      }
+      for (std::size_t t = 0; t < task_count; ++t) count_task_(mix_, t, +1);
+      residual_scratch_.reserve(mix_.size());
     }
     for (const FaultEvent& fault : config.faults.events) {
       if (fault.kind == FaultKind::kPDrift) has_drift_ = true;
@@ -574,27 +590,36 @@ class Runner {
     const auto i = static_cast<std::size_t>(event.subject);
     const FaultEvent& fault = config_.faults.events[i];
     switch (fault.kind) {
-      case FaultKind::kLeave:
-        set_offline_(static_cast<ParticipantId>(fault.participant), +1,
-                     event.time);
+      case FaultKind::kLeave: {
+        const auto id = static_cast<ParticipantId>(fault.participant);
+        if (set_offline_(id, +1)) {
+          report_.results_lost += requeue_units_of_(id, event.time);
+        }
         reestimate_deadline_();
         break;
+      }
       case FaultKind::kRejoin:
-        set_offline_(static_cast<ParticipantId>(fault.participant), -1,
-                     event.time);
+        (void)set_offline_(static_cast<ParticipantId>(fault.participant), -1);
         reestimate_deadline_();
         break;
-      case FaultKind::kBlackout:
+      case FaultKind::kBlackout: {
+        // Take the whole blackout offline first, then requeue what the
+        // leavers held in one pass over the unit table.
+        std::vector<ParticipantId> leaving;
         for (std::int64_t p = 0; p < registry_.size(); ++p) {
+          const auto id = static_cast<ParticipantId>(p);
           if (fault_coin_(kBlackoutSalt, i, static_cast<std::uint64_t>(p),
-                          fault.fraction)) {
-            set_offline_(static_cast<ParticipantId>(p), +1, event.time);
+                          fault.fraction) &&
+              set_offline_(id, +1)) {
+            leaving.push_back(id);
           }
         }
+        report_.results_lost += requeue_units_of_(leaving, event.time);
         reestimate_deadline_();
         queue_.schedule(event.time + fault.duration, EventKind::kFaultEnd,
                         event.subject);
         break;
+      }
       case FaultKind::kDropoutBurst:
       case FaultKind::kMessageLoss:
       case FaultKind::kDuplication:
@@ -624,7 +649,7 @@ class Runner {
       for (std::int64_t p = 0; p < registry_.size(); ++p) {
         if (fault_coin_(kBlackoutSalt, i, static_cast<std::uint64_t>(p),
                         fault.fraction)) {
-          set_offline_(static_cast<ParticipantId>(p), -1, event.time);
+          (void)set_offline_(static_cast<ParticipantId>(p), -1);
         }
       }
       reestimate_deadline_();
@@ -635,9 +660,10 @@ class Runner {
 
   /// Applies one leave (+1) or rejoin (-1) to a participant's nesting
   /// count; only the offline<->online *transitions* touch the registry.
-  /// Leaving loses every in-flight unit the participant held (the results
-  /// never arrive); the units re-enter the re-issue path immediately.
-  void set_offline_(ParticipantId id, int delta, double now) {
+  /// Returns true when the participant goes offline: every in-flight unit
+  /// it held is then lost (the results never arrive), and the caller
+  /// requeues them for immediate re-issue.
+  [[nodiscard]] bool set_offline_(ParticipantId id, int delta) {
     auto& count = offline_count_[id];
     const bool was_offline = count > 0;
     count = std::max<std::int64_t>(0, count + delta);
@@ -645,13 +671,13 @@ class Runner {
     if (!was_offline && is_offline) {
       ++report_.churn_leaves;
       registry_.set_blacklisted(id, true);
-      report_.results_lost += requeue_units_of_(id, now);
     } else if (was_offline && !is_offline) {
       ++report_.churn_rejoins;
       // A rejoin clears the availability hold, never a validator verdict.
       if (flagged_[id] == 0) registry_.set_blacklisted(id, false);
     }
     update_min_live_();
+    return !was_offline && is_offline;
   }
 
   /// Re-derives the automatic deadline from the surviving fleet: the same
@@ -765,7 +791,7 @@ class Runner {
 
     if (tasks_.state[t] == TaskState::kUnsent ||
         tasks_.state[t] == TaskState::kInconclusive) {
-      tasks_.state[t] = TaskState::kInProgress;
+      update_task_(t, [&] { tasks_.state[t] = TaskState::kInProgress; });
     }
   }
 
@@ -956,7 +982,7 @@ class Runner {
       ++report_.late_results;
       return;
     }
-    ++tasks_.arrived[t];
+    update_task_(t, [&] { ++tasks_.arrived[t]; });
     // Every value-bearing unit passes through here exactly once with its
     // final value (completions are epoch-guarded, corruption happens
     // upstream, and flag() never touches value-bearing states), so the
@@ -996,7 +1022,8 @@ class Runner {
   }
 
   void validate(std::size_t t, double now) {
-    tasks_.state[t] = TaskState::kPendingValidation;
+    update_task_(t,
+                 [&] { tasks_.state[t] = TaskState::kPendingValidation; });
     const std::uint64_t truth = tasks_.truth[t];
 
     if (tasks_.is_ringer[t] != 0) {
@@ -1044,9 +1071,11 @@ class Runner {
       if (const auto nu =
               scheduler_.try_add_replica(static_cast<std::int64_t>(t),
                                          registry_, deal_engine_)) {
-        tasks_.state[t] = TaskState::kInconclusive;
-        ++tasks_.extra_replicas[t];
-        ++tasks_.target_copies[t];
+        update_task_(t, [&] {
+          tasks_.state[t] = TaskState::kInconclusive;
+          ++tasks_.extra_replicas[t];
+          ++tasks_.target_copies[t];
+        });
         ++report_.quorum_replicas;
         register_replica(*nu);
         issue_unit(*nu, now);
@@ -1107,7 +1136,7 @@ class Runner {
 
   void accept(std::size_t t, std::uint64_t value, double now) {
     tasks_.accepted[t] = value;
-    tasks_.state[t] = TaskState::kValid;
+    update_task_(t, [&] { tasks_.state[t] = TaskState::kValid; });
     ++report_.tasks_valid;
     report_.makespan = std::max(report_.makespan, now);
 
@@ -1160,9 +1189,9 @@ class Runner {
 
   /// Times out every in-progress unit `id` holds and schedules its
   /// reissue at `now`; returns how many. Ascending unit order, so the
-  /// reissues queue in unit order. A blackout or a sybil sweep runs this
-  /// once per identity over every unit, so it scans the assignee lane
-  /// alone (std::find is unrolled) and reads a unit's state only on a hit.
+  /// reissues queue in unit order. A sybil sweep runs this once per
+  /// caught identity over every unit, so it scans the assignee lane alone
+  /// (std::find is unrolled) and reads a unit's state only on a hit.
   std::int64_t requeue_units_of_(ParticipantId id, double now) {
     std::int64_t requeued = 0;
     const std::span<const ParticipantId> assignees =
@@ -1173,13 +1202,55 @@ class Runner {
          it = std::find(it + 1, last, id)) {
       const auto u = static_cast<std::size_t>(it - first);
       if (units_.state[u] != UnitState::kInProgress) continue;
-      units_.state[u] = UnitState::kTimedOut;
-      units_.epoch[u] += 1;  // Its completion/deadline timers drain stale.
+      requeue_unit_(u, now);
       ++requeued;
-      queue_.schedule(now, EventKind::kReissue, static_cast<std::int64_t>(u),
-                      units_.epoch[u]);
     }
     return requeued;
+  }
+
+  /// Requeues the in-progress units of every identity in `ids` (distinct)
+  /// with one pass over the assignee lane; returns how many. The reissues
+  /// queue exactly as one requeue_units_of_(id) per identity in `ids`
+  /// order would queue them: identity by identity, each one's units
+  /// ascending. The pass ranks each hit by its identity's place in `ids`,
+  /// and a counting sort on that rank restores the order.
+  std::int64_t requeue_units_of_(std::span<const ParticipantId> ids,
+                                 double now) {
+    if (ids.empty()) return 0;
+    constexpr std::uint32_t kNotLeaving =
+        std::numeric_limits<std::uint32_t>::max();
+    std::vector<std::uint32_t> rank(offline_count_.size(), kNotLeaving);
+    for (std::size_t r = 0; r < ids.size(); ++r) {
+      rank[ids[r]] = static_cast<std::uint32_t>(r);
+    }
+    // Hits in ascending unit order, and each rank's bucket start.
+    std::vector<std::uint32_t> hits;
+    std::vector<std::size_t> start(ids.size() + 1, 0);
+    const std::span<const ParticipantId> assignees =
+        scheduler_.assignee_lane();
+    for (std::size_t u = 0; u < assignees.size(); ++u) {
+      const std::uint32_t r = rank[assignees[u]];
+      if (r == kNotLeaving || units_.state[u] != UnitState::kInProgress) {
+        continue;
+      }
+      hits.push_back(static_cast<std::uint32_t>(u));
+      ++start[r + 1];
+    }
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    std::vector<std::uint32_t> order(hits.size());
+    for (const std::uint32_t u : hits) {
+      order[start[rank[assignees[u]]]++] = u;
+    }
+    for (const std::uint32_t u : order) requeue_unit_(u, now);
+    return static_cast<std::int64_t>(order.size());
+  }
+
+  /// Times out in-progress unit `u` and schedules its reissue at `now`.
+  void requeue_unit_(std::size_t u, double now) {
+    units_.state[u] = UnitState::kTimedOut;
+    units_.epoch[u] += 1;  // Its completion/deadline timers drain stale.
+    queue_.schedule(now, EventKind::kReissue, static_cast<std::int64_t>(u),
+                    units_.epoch[u]);
   }
 
   void on_adaptive_check(const Event& event) {
@@ -1205,8 +1276,10 @@ class Runner {
       if (const auto nu =
               scheduler_.try_add_replica(static_cast<std::int64_t>(t),
                                          registry_, deal_engine_)) {
-        ++tasks_.extra_replicas[t];
-        ++tasks_.target_copies[t];
+        update_task_(t, [&] {
+          ++tasks_.extra_replicas[t];
+          ++tasks_.target_copies[t];
+        });
         ++report_.adaptive_replicas;
         register_replica(*nu);
         issue_unit(*nu, event.time);
@@ -1245,7 +1318,56 @@ class Runner {
            tasks_.target_copies[t] - 1 >= tasks_.arrived[t];
   }
 
-  /// One re-plan round: build the residual multiplicity mix of the
+  /// Applies `change` to task `t`'s lanes and keeps the residual mix
+  /// current: the task's share of its row comes out before the change and
+  /// goes back in after it. Every write to a task's state, target_copies,
+  /// arrived, control_boosts or control_released goes through here.
+  template <typename Change>
+  void update_task_(std::size_t t, Change&& change) {
+    if (mix_.empty()) {  // Controller off: nobody reads the mix.
+      change();
+      return;
+    }
+    count_task_(mix_, t, -1);
+    change();
+    count_task_(mix_, t, +1);
+  }
+
+  /// Adds (`sign` = +1) or removes (-1) task `t`'s share of a residual
+  /// mix: one task in the row of its target, and one promotable and one
+  /// demotable copy where it is eligible. A valid task has no share.
+  void count_task_(std::vector<control::ResidualClass>& rows, std::size_t t,
+                   std::int64_t sign) const {
+    if (tasks_.state[t] == TaskState::kValid) return;
+    const auto m = static_cast<std::size_t>(tasks_.target_copies[t]);
+    REDUND_INVARIANT(m < rows.size(),
+                     "a task's target stays within its replica budgets");
+    control::ResidualClass& row = rows[m];
+    row.tasks += sign;
+    if (promotable_(t)) row.promotable += sign;
+    if (demotable_(t)) row.demotable += sign;
+  }
+
+#if REDUND_ENABLE_INVARIANTS
+  /// Recounts the residual mix by a walk over every task and checks each
+  /// kept row against it: a task write that bypassed update_task_ shows
+  /// up here.
+  void check_mix_() const {
+    std::vector<control::ResidualClass> walked(mix_.size());
+    for (std::size_t t = 0; t < tasks_.size(); ++t) {
+      count_task_(walked, t, +1);
+    }
+    for (std::size_t m = 0; m < mix_.size(); ++m) {
+      REDUND_INVARIANT(mix_[m].tasks == walked[m].tasks &&
+                           mix_[m].promotable == walked[m].promotable &&
+                           mix_[m].demotable == walked[m].demotable,
+                       "the kept residual mix matches a recount of the "
+                       "unfinished tasks");
+    }
+  }
+#endif
+
+  /// One re-plan round: read the residual multiplicity mix of the
   /// unfinished tasks, evaluate the Section 5 bound at the posterior's
   /// upper credible limit, and apply the planner's promotion/release
   /// deltas in ascending task order (deterministic by construction).
@@ -1259,39 +1381,22 @@ class Runner {
             controller_.observations() == report_.control_observations,
         "controller posterior counts conserve the observed validator "
         "outcomes");
+#if REDUND_ENABLE_INVARIANTS
+    check_mix_();
+#endif
 
-    // kValid is terminal (only accept() sets it), so dropping the tasks
-    // validated since the last round leaves exactly the unfinished ones,
-    // still ascending: every walk below visits them in the order a full
-    // 0..N scan skipping valid tasks would.
-    std::erase_if(open_tasks_, [this](std::size_t t) {
-      return tasks_.state[t] == TaskState::kValid;
-    });
+    // The mix is kept current as tasks change, so a round only reads its
+    // occupied rows. They come in ascending multiplicity, not in the
+    // order a task walk would first meet them; plan_remaining folds its
+    // classes by multiplicity, so the order cannot change the decision.
     residual_scratch_.clear();
-    const auto unfinished = static_cast<std::int64_t>(open_tasks_.size());
-    for (const std::size_t t : open_tasks_) {
-      const auto target = static_cast<std::int64_t>(tasks_.target_copies[t]);
-      control::ResidualClass* cls = nullptr;
-      for (control::ResidualClass& existing : residual_scratch_) {
-        if (existing.multiplicity == target) {
-          cls = &existing;
-          break;
-        }
-      }
-      if (cls == nullptr) {
-        residual_scratch_.push_back({target, 0, 0, 0});
-        cls = &residual_scratch_.back();
-      }
-      ++cls->tasks;
-      if (promotable_(t)) ++cls->promotable;
-      if (demotable_(t)) ++cls->demotable;
+    std::int64_t unfinished = 0;
+    for (const control::ResidualClass& row : mix_) {
+      if (row.tasks == 0) continue;
+      residual_scratch_.push_back(row);
+      unfinished += row.tasks;
     }
-    std::int64_t mix_total = 0;
-    for (const control::ResidualClass& cls : residual_scratch_) {
-      mix_total += cls.tasks;
-    }
-    REDUND_INVARIANT(mix_total == unfinished &&
-                         unfinished == report_.tasks - report_.tasks_valid,
+    REDUND_INVARIANT(unfinished == report_.tasks - report_.tasks_valid,
                      "residual re-plan mix sums to the outstanding task "
                      "count");
     if (unfinished == 0) return;
@@ -1301,12 +1406,13 @@ class Runner {
         residual_scratch_, controller_.p_upper(),
         controller_.budgets(top_verified));
 
+    // Only a round that moves copies walks the tasks, in ascending order.
+    // A valid task is neither promotable nor demotable, so it is skipped.
     if (decision.empty()) return;
-    for (const std::size_t t : open_tasks_) moved_scratch_[t] = 0;
+    std::fill(moved_scratch_.begin(), moved_scratch_.end(), 0);
     for (const control::ClassDelta& delta : decision.promotions) {
       std::int64_t remaining = delta.count;
-      for (const std::size_t t : open_tasks_) {
-        if (remaining <= 0) break;
+      for (std::size_t t = 0; t < tasks_.size() && remaining > 0; ++t) {
         if (moved_scratch_[t] != 0 ||
             tasks_.target_copies[t] != delta.multiplicity ||
             !promotable_(t)) {
@@ -1316,8 +1422,10 @@ class Runner {
             static_cast<std::int64_t>(t), registry_, deal_engine_);
         if (!nu) continue;  // No eligible identity for this task.
         moved_scratch_[t] = 1;
-        ++tasks_.control_boosts[t];
-        ++tasks_.target_copies[t];
+        update_task_(t, [&] {
+          ++tasks_.control_boosts[t];
+          ++tasks_.target_copies[t];
+        });
         ++report_.control_boosts;
         register_replica(*nu);
         issue_unit(*nu, now);
@@ -1326,8 +1434,7 @@ class Runner {
     }
     for (const control::ClassDelta& delta : decision.demotions) {
       std::int64_t remaining = delta.count;
-      for (const std::size_t t : open_tasks_) {
-        if (remaining <= 0) break;
+      for (std::size_t t = 0; t < tasks_.size() && remaining > 0; ++t) {
         if (moved_scratch_[t] != 0 ||
             tasks_.target_copies[t] != delta.multiplicity ||
             !demotable_(t)) {
@@ -1335,8 +1442,10 @@ class Runner {
         }
         if (!cancel_one_unit_(t)) continue;
         moved_scratch_[t] = 1;
-        ++tasks_.control_released[t];
-        --tasks_.target_copies[t];
+        update_task_(t, [&] {
+          ++tasks_.control_released[t];
+          --tasks_.target_copies[t];
+        });
         ++report_.control_releases;
         --remaining;
         if (tasks_.arrived[t] >= tasks_.target_copies[t]) validate(t, now);
@@ -1419,10 +1528,12 @@ class Runner {
   std::vector<char> window_active_;         ///< Open windows per fault event.
   std::vector<Event> batch_;                ///< Same-timestamp drain scratch.
   std::vector<std::pair<std::uint64_t, int>> vote_scratch_;
-  std::vector<control::ResidualClass> residual_scratch_;
+  /// The residual mix, kept current while the controller is on (empty
+  /// when it is off): row m counts the unfinished tasks whose target is m
+  /// copies, and how many of them are promotable and demotable.
+  std::vector<control::ResidualClass> mix_;
+  std::vector<control::ResidualClass> residual_scratch_;  ///< Occupied rows.
   std::vector<char> moved_scratch_;         ///< Per-task moved-this-round.
-  /// Ascending ids of the tasks not yet valid at the last re-plan round.
-  std::vector<std::size_t> open_tasks_;
 
   control::CampaignController controller_;
   double replan_period_ = 0.0;

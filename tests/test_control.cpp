@@ -6,8 +6,11 @@
 // the static plan untouched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -217,6 +220,70 @@ TEST(PlanRemaining, UnverifiedTopIsNeverPromotedInCircles) {
   EXPECT_FALSE(decision.feasible);
   EXPECT_LT(decision.promoted(), budgets.max_promotions);
   EXPECT_LE(decision.promoted(), 1);
+}
+
+void expect_bit_identical(const control::ReplanDecision& a,
+                          const control::ReplanDecision& b,
+                          const std::string& where) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.detection_before),
+            std::bit_cast<std::uint64_t>(b.detection_before))
+      << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.detection_after),
+            std::bit_cast<std::uint64_t>(b.detection_after))
+      << where;
+  EXPECT_EQ(a.feasible, b.feasible) << where;
+  const auto same = [&](const std::vector<control::ClassDelta>& x,
+                        const std::vector<control::ClassDelta>& y) {
+    ASSERT_EQ(x.size(), y.size()) << where;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].multiplicity, y[i].multiplicity) << where << " #" << i;
+      EXPECT_EQ(x[i].count, y[i].count) << where << " #" << i;
+    }
+  };
+  same(a.promotions, b.promotions);
+  same(a.demotions, b.demotions);
+}
+
+TEST(PlanRemaining, ClassOrderCannotChangeTheDecision) {
+  // The runtime hands its classes over in ascending multiplicity, not in
+  // the order a task walk first meets them: every permutation of the
+  // classes, a multiplicity split across two entries included, must give
+  // the decision that the folded mix gives, bit for bit.
+  const std::vector<control::ResidualClass> split = {
+      {2, 12, 12, 3}, {1, 25, 25, 0}, {3, 5, 5, 5},
+      {2, 8, 8, 2},   {4, 6, 0, 6}};
+  const std::vector<control::ResidualClass> folded = {
+      {1, 25, 25, 0}, {2, 20, 20, 5}, {3, 5, 5, 5}, {4, 6, 0, 6}};
+  struct Round {
+    double p;
+    double epsilon;
+  };
+  // A hot round that promotes and a calm one that releases.
+  for (const Round round : {Round{0.2, 0.7}, Round{0.01, 0.3}}) {
+    control::ReplanBudgets budgets;
+    budgets.epsilon = round.epsilon;
+    budgets.max_promotions = 12;
+    const control::ReplanDecision want =
+        control::plan_remaining(folded, round.p, budgets);
+    EXPECT_GT(round.p > 0.1 ? want.promoted() : want.released(), 0)
+        << "p=" << round.p;
+
+    std::vector<std::size_t> order(split.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    int permutations = 0;
+    do {
+      std::vector<control::ResidualClass> classes;
+      std::string where = "p=" + std::to_string(round.p) + " order";
+      for (const std::size_t i : order) {
+        classes.push_back(split[i]);
+        where += " " + std::to_string(i);
+      }
+      expect_bit_identical(control::plan_remaining(classes, round.p, budgets),
+                           want, where);
+      ++permutations;
+    } while (std::next_permutation(order.begin(), order.end()));
+    EXPECT_EQ(permutations, 120);
+  }
 }
 
 TEST(PlanRemaining, RejectsMalformedInputs) {
