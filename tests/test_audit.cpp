@@ -238,6 +238,59 @@ TEST(DeterminismAudit, SmallMatrixAgreesAcrossTheBoard) {
   EXPECT_EQ(log2.str(), log.str());
 }
 
+/// Each group's "name: fingerprint" from an audit log, in log order.
+std::vector<std::string> agreed_fingerprints(const std::string& log) {
+  std::vector<std::string> groups;
+  std::istringstream lines(log);
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t cells = line.find(": ");
+    const std::size_t hex = line.find("fingerprint 0x");
+    if (cells == std::string::npos || hex == std::string::npos) continue;
+    groups.push_back(line.substr(2, cells - 2) + ": " +
+                     line.substr(hex + 12));
+  }
+  return groups;
+}
+
+// The agreed fingerprint of every group of the quick and the default
+// matrix, pinned: agreement within one binary says nothing about whether
+// a change to the runtime moved the reports themselves.
+TEST(DeterminismAudit, GroupFingerprintsArePinned) {
+  const std::string scratch =
+      (std::filesystem::path(::testing::TempDir()) / "audit-pinned")
+          .string();
+  runtime::AuditOptions quick = runtime::quick_audit_options();
+  quick.scratch_dir = scratch;
+  std::ostringstream quick_log;
+  EXPECT_TRUE(runtime::run_determinism_audit(quick, quick_log).passed)
+      << quick_log.str();
+  EXPECT_EQ(agreed_fingerprints(quick_log.str()),
+            (std::vector<std::string>{
+                "static shards=1: 0x7d487e72652a00c2",
+                "static shards=2: 0xe284dfbb1b2924c1",
+                "adaptive shards=1: 0xf90e662df668e002",
+                "adaptive shards=2: 0x8204e8e5dde2455",
+            }))
+      << quick_log.str();
+
+  runtime::AuditOptions full;
+  full.scratch_dir = scratch;
+  std::ostringstream full_log;
+  EXPECT_TRUE(runtime::run_determinism_audit(full, full_log).passed)
+      << full_log.str();
+  EXPECT_EQ(agreed_fingerprints(full_log.str()),
+            (std::vector<std::string>{
+                "static shards=1: 0xc29bfcafa71643f4",
+                "static shards=2: 0xa7b19d9d429c56d4",
+                "static shards=8: 0x3c3cfddcca2a8f86",
+                "adaptive shards=1: 0xd92a0c2b942ab1ba",
+                "adaptive shards=2: 0x6b929ab50c03a116",
+                "adaptive shards=8: 0xb52b732c22547d98",
+            }))
+      << full_log.str();
+  std::filesystem::remove_all(scratch);
+}
+
 TEST(DeterminismAudit, DefaultScratchLeavesNothingBehind) {
   // No scratch_dir: the journals go to a fresh directory under the system
   // temp path (TMPDIR, pointed at an empty directory here), and a passing
