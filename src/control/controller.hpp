@@ -23,38 +23,32 @@ namespace redund::control {
 
 /// Configuration of the online adaptive controller (all-default =
 /// disabled; every field participates in the runtime config
-/// fingerprint).
+/// fingerprint). The estimator's Beta(1, 19) prior (mean 0.05), the
+/// dropout EWMA's alpha = 0.05 and the 256/64 promotion/release caps per
+/// round are the defaults of AdversaryEstimator, RateEwma and
+/// ReplanBudgets.
 struct ControlConfig {
+  /// Posterior upper credible limit the re-planner evaluates at.
+  static constexpr double kQuantile = 0.95;
+  /// Controller-added copies allowed per task (its slot-table budget,
+  /// on top of AdaptiveConfig::max_extra_replicas).
+  static constexpr std::int64_t kMaxBoost = 2;
+  /// Fleet-health gate on de-escalation: releases are suppressed while
+  /// the smoothed timeout rate exceeds this ceiling (an unresponsive
+  /// fleet needs its spare copies).
+  static constexpr double kReleaseDropoutCeiling = 0.25;
+
   bool enabled = false;
   /// Required non-asymptotic detection level min_k P_{k,p} for the
   /// remaining work.
   double epsilon = 0.5;
-  /// Posterior upper credible limit the re-planner evaluates at.
-  double quantile = 0.95;
   /// Completed units between re-plan evaluations (the cadence).
   std::int64_t replan_interval = 64;
   /// kReplan timer period in simulated time. <= 0 selects half the
   /// effective deadline (same auto rule as the adaptive check).
   double check_interval = 0.0;
-  /// Controller-added copies allowed per task (its slot-table budget,
-  /// on top of AdaptiveConfig::max_extra_replicas).
-  std::int64_t max_boost = 2;
-  /// Beta prior pseudo-counts over the per-copy wrong-result rate;
-  /// Beta(1, 19) = mean 0.05, weakly informative.
-  double prior_alpha = 1.0;
-  double prior_beta = 19.0;
   /// Observations required before the first re-plan may act.
   std::int64_t min_observations = 32;
-  /// Escalation / de-escalation step caps per re-plan round.
-  std::int64_t max_promotions = 256;
-  std::int64_t max_releases = 64;
-  /// De-escalation master switch, and the fleet-health gate: releases
-  /// are suppressed while the smoothed timeout rate exceeds this
-  /// ceiling (an unresponsive fleet needs its spare copies).
-  bool allow_release = true;
-  double release_dropout_ceiling = 0.25;
-  /// Smoothing factor of the dropout-rate EWMA.
-  double dropout_ewma_alpha = 0.05;
 };
 
 /// Throws std::invalid_argument when any field is out of range.
@@ -80,11 +74,11 @@ class CampaignController {
   }
 
   // ------------------------------------------------------------- decision
-  /// Budgets for the current round: epsilon/caps from the config, with
-  /// releases additionally gated on the dropout EWMA.
+  /// Budgets for the current round: epsilon from the config, the default
+  /// step caps, and releases gated on the dropout EWMA.
   [[nodiscard]] ReplanBudgets budgets(bool top_verified) const noexcept;
   [[nodiscard]] double p_upper() const {
-    return estimator_.upper_credible(config_.quantile);
+    return estimator_.upper_credible(ControlConfig::kQuantile);
   }
   [[nodiscard]] double p_mean() const noexcept {
     return estimator_.posterior_mean();

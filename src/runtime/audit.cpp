@@ -66,10 +66,6 @@ std::string make_scratch_dir() {
   return path;
 }
 
-const char* queue_name(QueueKind kind) {
-  return kind == QueueKind::kBinaryHeap ? "binary-heap" : "calendar";
-}
-
 RuntimeConfig base_config(const AuditOptions& options) {
   RuntimeConfig config;
   const auto tasks = static_cast<double>(options.target_tasks);
@@ -163,7 +159,7 @@ class AgreementGroup {
   std::string reference_label_;
 };
 
-/// Runs the full queue x threads x kill matrix for one base campaign.
+/// Runs the full threads x kill matrix for one base campaign.
 /// `tag` labels the agreement groups and keys the scratch journal names
 /// so multiple bases can share one scratch directory.
 void audit_matrix(const AuditOptions& options, const RuntimeConfig& base,
@@ -176,13 +172,11 @@ void audit_matrix(const AuditOptions& options, const RuntimeConfig& base,
     // Per-shard uninterrupted runs, executed sequentially on this thread:
     // the scheduling-free reference, and the source of each shard's event
     // count for placing kill points.
-    RuntimeConfig reference_base = base;
-    reference_base.queue = options.queue_kinds.front();
-    const ShardedSupervisor reference_sharded(reference_base, shards);
+    const ShardedSupervisor sharded(base, shards);
     std::vector<RuntimeReport> shard_reports;
     std::vector<std::int64_t> shard_events;
-    shard_reports.reserve(reference_sharded.shard_configs().size());
-    for (const RuntimeConfig& shard : reference_sharded.shard_configs()) {
+    shard_reports.reserve(sharded.shard_configs().size());
+    for (const RuntimeConfig& shard : sharded.shard_configs()) {
       shard_reports.push_back(run_async_campaign(shard));
       shard_events.push_back(shard_reports.back().events_processed);
       ++result.runs;
@@ -190,69 +184,55 @@ void audit_matrix(const AuditOptions& options, const RuntimeConfig& base,
     group.cell("sequential reference",
                report_fingerprint(ShardedSupervisor::merge(shard_reports)));
 
-    // Queue kind x pool size: the merged report may depend on neither.
-    for (const QueueKind queue : options.queue_kinds) {
-      RuntimeConfig config = base;
-      config.queue = queue;
-      const ShardedSupervisor sharded(config, shards);
-      for (const std::size_t threads : options.thread_counts) {
-        parallel::ThreadPool pool(threads);
-        const RuntimeReport merged = sharded.run(pool);
-        ++result.runs;
-        group.cell(std::string("queue=") + queue_name(queue) +
-                       " threads=" + std::to_string(threads),
-                   report_fingerprint(merged));
-      }
+    // Pool size: the merged report may not depend on it.
+    for (const std::size_t threads : options.thread_counts) {
+      parallel::ThreadPool pool(threads);
+      const RuntimeReport merged = sharded.run(pool);
+      ++result.runs;
+      group.cell("threads=" + std::to_string(threads),
+                 report_fingerprint(merged));
     }
 
     // Kill/resume: killing each shard's supervisor mid-campaign and
     // resuming from its journal must reproduce the uninterrupted bytes.
-    for (const QueueKind queue : options.queue_kinds) {
-      RuntimeConfig config = base;
-      config.queue = queue;
-      const ShardedSupervisor sharded(config, shards);
-      for (const double fraction : options.kill_fractions) {
-        const std::string label = std::string("queue=") + queue_name(queue) +
-                                  " kill=" + std::to_string(fraction);
-        std::vector<RuntimeReport> resumed;
-        resumed.reserve(sharded.shard_configs().size());
-        bool leg_failed = false;
-        for (std::size_t s = 0;
-             s < sharded.shard_configs().size() && !leg_failed; ++s) {
-          RuntimeConfig shard = sharded.shard_configs()[s];
-          shard.journal.path = options.scratch_dir + "/audit-" + tag + "-s" +
-                               std::to_string(shards) + "-q" +
-                               queue_name(queue) + "-f" +
-                               std::to_string(fraction) + "-shard" +
-                               std::to_string(s) + ".journal";
-          // Digest often enough that resume verifies several recorded
-          // boundaries before the kill point.
-          shard.journal.checkpoint_interval =
-              std::max<std::int64_t>(shard_events[s] / 7, 16);
-          const std::int64_t kill_at = std::max<std::int64_t>(
-              1, static_cast<std::int64_t>(
-                     static_cast<double>(shard_events[s]) * fraction));
-          try {
-            auto capped = run_async_campaign_capped(shard, kill_at);
+    for (const double fraction : options.kill_fractions) {
+      const std::string label = "kill=" + std::to_string(fraction);
+      std::vector<RuntimeReport> resumed;
+      resumed.reserve(sharded.shard_configs().size());
+      bool leg_failed = false;
+      for (std::size_t s = 0;
+           s < sharded.shard_configs().size() && !leg_failed; ++s) {
+        RuntimeConfig shard = sharded.shard_configs()[s];
+        shard.journal.path = options.scratch_dir + "/audit-" + tag + "-s" +
+                             std::to_string(shards) + "-f" +
+                             std::to_string(fraction) + "-shard" +
+                             std::to_string(s) + ".journal";
+        // Digest often enough that resume verifies several recorded
+        // boundaries before the kill point.
+        shard.journal.checkpoint_interval =
+            std::max<std::int64_t>(shard_events[s] / 7, 16);
+        const std::int64_t kill_at = std::max<std::int64_t>(
+            1, static_cast<std::int64_t>(
+                   static_cast<double>(shard_events[s]) * fraction));
+        try {
+          auto capped = run_async_campaign_capped(shard, kill_at);
+          ++result.runs;
+          if (capped.has_value()) {
+            // Campaign finished before the kill point (tiny shard);
+            // the report still belongs in the agreement group.
+            resumed.push_back(std::move(*capped));
+          } else {
+            resumed.push_back(resume_async_campaign(shard));
             ++result.runs;
-            if (capped.has_value()) {
-              // Campaign finished before the kill point (tiny shard);
-              // the report still belongs in the agreement group.
-              resumed.push_back(std::move(*capped));
-            } else {
-              resumed.push_back(resume_async_campaign(shard));
-              ++result.runs;
-            }
-          } catch (const std::exception& error) {
-            group.failure(label + " shard=" + std::to_string(s),
-                          error.what());
-            leg_failed = true;
           }
+        } catch (const std::exception& error) {
+          group.failure(label + " shard=" + std::to_string(s), error.what());
+          leg_failed = true;
         }
-        if (!leg_failed) {
-          group.cell(label,
-                     report_fingerprint(ShardedSupervisor::merge(resumed)));
-        }
+      }
+      if (!leg_failed) {
+        group.cell(label,
+                   report_fingerprint(ShardedSupervisor::merge(resumed)));
       }
     }
 
@@ -262,7 +242,6 @@ void audit_matrix(const AuditOptions& options, const RuntimeConfig& base,
     // survivors resume from their own journals.
     if (shards >= 2) {
       RuntimeConfig config = base;
-      config.queue = options.queue_kinds.front();
       config.journal.path = options.scratch_dir + "/audit-" + tag + "-s" +
                             std::to_string(shards) + "-lost.journal";
       std::int64_t min_events = shard_events.front();
@@ -304,8 +283,7 @@ AuditResult run_determinism_audit(const AuditOptions& requested,
     std::filesystem::create_directories(options.scratch_dir);
   }
 
-  log << "determinism audit: " << options.queue_kinds.size()
-      << " queue kind(s) x " << options.shard_counts.size()
+  log << "determinism audit: " << options.shard_counts.size()
       << " shard count(s) x " << options.thread_counts.size()
       << " pool size(s) x " << options.kill_fractions.size()
       << " kill point(s)"

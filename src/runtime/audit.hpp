@@ -1,18 +1,18 @@
 // Determinism auditor: a logical race detector for the campaign runtime.
 //
 // The project's determinism contract says a campaign's RuntimeReport is a
-// pure function of (config, shard count) — the event-queue implementation,
-// the thread-pool size, and where a crash/resume cycle cuts the run must
-// not change a single byte. TSan can prove the absence of *data* races,
-// but an ordering bug — an unordered-container iteration feeding a merge,
-// a calendar-queue bucket mis-sort, a resume that replays one event short
-// — is invisible to it: every interleaving is memory-safe, the output is
-// just wrong on some of them.
+// pure function of (config, shard count) — the thread-pool size and where
+// a crash/resume cycle cuts the run must not change a single byte. TSan
+// can prove the absence of *data* races, but an ordering bug — an
+// unordered-container iteration feeding a merge, a calendar-queue bucket
+// mis-sort, a resume that replays one event short — is invisible to it:
+// every interleaving is memory-safe, the output is just wrong on some of
+// them.
 //
 // The auditor closes that gap empirically: it runs a matrix of equivalent
 // executions —
 //
-//     queue kinds x shard counts x thread-pool sizes x kill/resume points
+//     shard counts x thread-pool sizes x kill/resume points
 //
 // — fingerprints every resulting report with FNV-1a over a canonical
 // serialization, and fails loudly when any cell of a must-agree group
@@ -39,8 +39,8 @@ namespace redund::runtime {
 /// bit patterns). Two reports fingerprint equal iff they are value-equal.
 [[nodiscard]] std::uint64_t report_fingerprint(const RuntimeReport& report);
 
-/// The audit matrix. Defaults are the full CI matrix from the acceptance
-/// bar: 2 queue kinds x {1,2,8} shards x {1,4} threads x 2 kill points.
+/// The audit matrix. Defaults are the full matrix: {1,2,8} shards x {1,4}
+/// threads x 2 kill points.
 struct AuditOptions {
   /// Campaign under audit: a mid-size balanced plan; override for scale.
   std::int64_t target_tasks = 1200;
@@ -50,8 +50,6 @@ struct AuditOptions {
 
   std::vector<std::int64_t> shard_counts = {1, 2, 8};
   std::vector<std::size_t> thread_counts = {1, 4};
-  std::vector<QueueKind> queue_kinds = {QueueKind::kBinaryHeap,
-                                        QueueKind::kCalendar};
   /// Kill/resume cut points as fractions of each shard's uninterrupted
   /// event count.
   std::vector<double> kill_fractions = {0.25, 0.5};

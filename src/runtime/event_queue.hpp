@@ -15,27 +15,25 @@
 //
 // Two implementations share the interface (reserve / schedule / peek / pop):
 //
+//   * CalendarQueue — the queue the supervisor's loop runs on. A bucketed
+//     ring (Brown's calendar queue, CACM 1988): events hash into "day"
+//     buckets by floor(time / width), pop scans the ring from the current
+//     day. O(1) amortized schedule/pop when the bucket width tracks the
+//     mean event spacing, which periodic rebuilds maintain. Pops in
+//     exactly the same (time, seq) order as the binary heap: equal times
+//     always land in the same bucket (same day), buckets are kept sorted,
+//     and the day scan visits strictly increasing times.
 //   * EventQueue — a plain std::vector binary heap driven by
-//     std::push_heap/pop_heap. O(log n) per operation; the reference
-//     implementation every other queue must match pop-for-pop.
-//   * CalendarQueue — a bucketed ring (Brown's calendar queue, CACM 1988):
-//     events hash into "day" buckets by floor(time / width), pop scans the
-//     ring from the current day. O(1) amortized schedule/pop when the bucket
-//     width tracks the mean event spacing, which periodic rebuilds maintain.
-//     Pops in exactly the same (time, seq) order as the binary heap: equal
-//     times always land in the same bucket (same day), buckets are kept
-//     sorted, and the day scan visits strictly increasing times.
+//     std::push_heap/pop_heap. O(log n) per operation; the pop-order
+//     reference the calendar must match pop-for-pop (the queue tests and
+//     bench/e2e's hold probe run both).
 //
-// Both queues also expose pop_run(): the maximal same-timestamp run at the
-// head removed in one call, as an EventRun of two contiguous parts — the
-// supervisor's batch drain consumes runs, not single events. The calendar
-// returns the part held in its arena zero-copy (every initial deadline of
-// a campaign shares one timestamp), and copies out only the events on
-// that timestamp still waiting in its overflow heap.
-//
-// The supervisor selects between them via RuntimeConfig::queue; because the
-// pop order is contractually identical, the choice cannot change any
-// simulation result — only its speed.
+// The calendar also exposes pop_run(): the maximal same-timestamp run at
+// the head removed in one call, as an EventRun of two contiguous parts —
+// the supervisor's batch drain consumes runs, not single events. The part
+// held in the arena comes back zero-copy (every initial deadline of a
+// campaign shares one timestamp); only the events on that timestamp still
+// waiting in the overflow heap are copied out.
 #pragma once
 
 #include <algorithm>
@@ -63,10 +61,11 @@ enum class EventKind : std::uint8_t {
   kReplan,         ///< Periodic adaptive-controller re-plan review.
 };
 
-/// Which pending-event queue the supervisor's loop runs on.
+/// The supervisor's pending-event queue. The calendar is the only kind;
+/// the enum is kept only so callers that still name it compile (see
+/// RuntimeConfig::queue).
 enum class QueueKind : std::uint8_t {
-  kBinaryHeap,  ///< std::vector min-heap; O(log n), the reference.
-  kCalendar,    ///< Bucketed ring; O(1) amortized, same pop order.
+  kCalendar,  ///< CalendarQueue.
 };
 
 /// Width of Event::seq: 2^56 schedules per queue, far past any campaign.
@@ -155,21 +154,6 @@ class EventQueue {
     Event event = heap_.back();
     heap_.pop_back();
     return event;
-  }
-
-  /// Removes the maximal run of events sharing the head timestamp. The
-  /// whole run is `head`, backed by `scratch`; `tail` is empty.
-  // redund: hot
-  EventRun pop_run(std::vector<Event>& scratch) {
-    scratch.clear();
-    scratch.push_back(pop());  // redund-lint: allow(hot-alloc)
-    const double time = scratch.front().time;
-    while (!heap_.empty() && heap_.front().time == time) {
-      // Amortized by the caller's reused scratch buffer; the run replaces
-      // the per-event pops the supervisor would otherwise issue anyway.
-      scratch.push_back(pop());  // redund-lint: allow(hot-alloc, hot-per-element-insert)
-    }
-    return {.head = scratch, .tail = {}};
   }
 
  private:

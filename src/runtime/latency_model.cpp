@@ -19,13 +19,27 @@ ParticipantPool::ParticipantPool(const LatencyModel& model, std::int64_t count,
   if (count < 1) {
     throw std::invalid_argument("ParticipantPool: count >= 1");
   }
-  if (model.straggler_fraction < 0.0 || model.straggler_fraction > 1.0 ||
-      model.dropout_probability < 0.0 || model.dropout_probability > 1.0) {
+  // Written so that NaN fails every range test.
+  if (!(model.straggler_fraction >= 0.0 && model.straggler_fraction <= 1.0) ||
+      !(model.dropout_probability >= 0.0 &&
+        model.dropout_probability <= 1.0)) {
     throw std::invalid_argument(
         "ParticipantPool: straggler_fraction/dropout_probability in [0, 1]");
   }
-  if (!(model.straggler_slowdown >= 1.0)) {
-    throw std::invalid_argument("ParticipantPool: straggler_slowdown >= 1");
+  if (!(model.straggler_slowdown >= 1.0) ||
+      !std::isfinite(model.straggler_slowdown)) {
+    throw std::invalid_argument(
+        "ParticipantPool: straggler_slowdown must be finite and >= 1");
+  }
+  // Unit-mean normalization as in sim/des.cpp: divide the unit-median
+  // lognormal draw by exp(sigma^2/2). A correction that overflows would
+  // turn every speed into NaN.
+  const double mean_correction =
+      std::exp(0.5 * model.speed_sigma * model.speed_sigma);
+  if (!(model.speed_sigma >= 0.0) || !std::isfinite(mean_correction)) {
+    throw std::invalid_argument(
+        "ParticipantPool: speed_sigma must be >= 0 with exp(sigma^2/2) "
+        "finite");
   }
 
   const auto n = static_cast<std::size_t>(count);
@@ -33,10 +47,6 @@ ParticipantPool::ParticipantPool(const LatencyModel& model, std::int64_t count,
   straggler_.assign(n, 0);
   free_at_.assign(n, 0.0);
 
-  // Unit-mean normalization as in sim/des.cpp: divide the unit-median
-  // lognormal draw by exp(sigma^2/2).
-  const double mean_correction =
-      std::exp(0.5 * model.speed_sigma * model.speed_sigma);
   auto engine = rng::make_stream(seed ^ kSpeedSalt, 0);
   for (std::size_t p = 0; p < n; ++p) {
     double s = model.speed_sigma > 0.0

@@ -38,11 +38,12 @@ struct LatencyModel {
   /// Fixed supervisor<->participant round-trip added to each completion.
   static constexpr double kNetworkDelay = 0.0;
 
-  /// Lognormal sigma of base participant speeds (0 = homogeneous).
+  /// Lognormal sigma of base participant speeds (0 = homogeneous); >= 0,
+  /// and small enough that exp(sigma^2/2) is finite.
   double speed_sigma = 0.0;
   /// Probability a participant is a straggler.
   double straggler_fraction = 0.0;
-  /// Speed divisor applied to stragglers (>= 1).
+  /// Speed divisor applied to stragglers (finite, >= 1).
   double straggler_slowdown = 8.0;
   /// Per-issue probability the result never comes back.
   double dropout_probability = 0.0;

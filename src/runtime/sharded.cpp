@@ -51,7 +51,7 @@ ShardedSupervisor::ShardedSupervisor(const RuntimeConfig& base,
 
   configs_.reserve(static_cast<std::size_t>(s_count));
   for (std::int64_t s = 0; s < s_count; ++s) {
-    RuntimeConfig shard = base;  // Policies, latency model, queue kind.
+    RuntimeConfig shard = base;  // Policies, latency model, controller.
     shard.seed = seeds[static_cast<std::size_t>(s)];
     shard.honest_participants = share(base.honest_participants, s_count, s);
     shard.sybil_identities = share(base.sybil_identities, s_count, s);

@@ -65,19 +65,30 @@ void validate_config(const RuntimeConfig& config) {
     throw std::invalid_argument(
         "run_async_campaign: need at least one honest participant");
   }
-  if (config.sybil_identities < 0 || config.benign_error_rate < 0.0 ||
-      config.benign_error_rate >= 1.0) {
+  // Written so that NaN fails the range test.
+  if (config.sybil_identities < 0 ||
+      !(config.benign_error_rate >= 0.0 && config.benign_error_rate < 1.0)) {
     throw std::invalid_argument(
         "run_async_campaign: bad adversary/error settings");
   }
   if (config.retry.max_retries < 0) {
     throw std::invalid_argument("run_async_campaign: bad retry policy");
   }
+  if (!std::isfinite(config.retry.deadline)) {
+    throw std::invalid_argument(
+        "run_async_campaign: retry.deadline must be finite");
+  }
   if (config.adaptive.max_extra_replicas < 0) {
     throw std::invalid_argument("run_async_campaign: bad adaptive settings");
   }
-  if (config.sample_interval < 0.0) {
-    throw std::invalid_argument("run_async_campaign: sample_interval >= 0");
+  if (!(config.sample_interval >= 0.0) ||
+      !std::isfinite(config.sample_interval)) {
+    throw std::invalid_argument(
+        "run_async_campaign: sample_interval must be finite and >= 0");
+  }
+  if (!std::isfinite(config.health.max_sim_time)) {
+    throw std::invalid_argument(
+        "run_async_campaign: health.max_sim_time must be finite");
   }
   control::validate(config.control);
   config.faults.validate(config.honest_participants +
@@ -106,15 +117,15 @@ platform::Scheduler validated_scheduler(const RuntimeConfig& config) {
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   const std::int64_t extra = config.adaptive.max_extra_replicas;
   const std::int64_t boost =
-      config.control.enabled ? config.control.max_boost : 0;
+      config.control.enabled ? control::ControlConfig::kMaxBoost : 0;
   return platform::Scheduler(config.plan,
                              extra > kMax - boost ? kMax : extra + boost);
 }
 
 /// Canonical fingerprint of everything that determines the event stream
 /// (all of RuntimeConfig except the journal options, which only decide
-/// *recording*). A journal written under one fingerprint refuses to
-/// resume under another.
+/// *recording*, and the unread `queue`). A journal written under one
+/// fingerprint refuses to resume under another.
 std::uint64_t config_fingerprint(const RuntimeConfig& config) {
   StateWriter w;
   w.i64(static_cast<std::int64_t>(config.plan.counts.size()));
@@ -138,18 +149,9 @@ std::uint64_t config_fingerprint(const RuntimeConfig& config) {
   w.i64(config.adaptive.max_extra_replicas);
   w.boolean(config.control.enabled);
   w.f64(config.control.epsilon);
-  w.f64(config.control.quantile);
   w.i64(config.control.replan_interval);
   w.f64(config.control.check_interval);
-  w.i64(config.control.max_boost);
-  w.f64(config.control.prior_alpha);
-  w.f64(config.control.prior_beta);
   w.i64(config.control.min_observations);
-  w.i64(config.control.max_promotions);
-  w.i64(config.control.max_releases);
-  w.boolean(config.control.allow_release);
-  w.f64(config.control.release_dropout_ceiling);
-  w.f64(config.control.dropout_ewma_alpha);
   w.i64(static_cast<std::int64_t>(config.faults.events.size()));
   for (const FaultEvent& fault : config.faults.events) {
     w.f64(fault.time);
@@ -162,15 +164,11 @@ std::uint64_t config_fingerprint(const RuntimeConfig& config) {
   w.i64(config.health.recompute_budget);
   w.f64(config.health.max_sim_time);
   w.f64(config.sample_interval);
-  w.i64(static_cast<std::int64_t>(config.queue));
   return fnv1a_hash(w.text());
 }
 
 /// The whole asynchronous campaign: owns the registry, scheduler, pool,
-/// event queue, and all per-task / per-unit runtime state. Templated on
-/// the pending-event queue (binary heap or calendar ring); both pop in the
-/// identical (time, seq) order, so the instantiations are observationally
-/// equivalent.
+/// calendar event queue, and all per-task / per-unit runtime state.
 ///
 /// The unit table — each unit's task and assignee, and each task's run of
 /// units — is the Scheduler's; the Runner reads those lanes and runs and
@@ -185,7 +183,6 @@ std::uint64_t config_fingerprint(const RuntimeConfig& config) {
 /// stream draw, so the chaos layer adds no allocation per event. Only a
 /// blackout start allocates, once, the scratch of its one-pass requeue,
 /// sized by the units its leavers hold.
-template <typename Queue>
 class Runner {
  public:
   explicit Runner(const RuntimeConfig& config)
@@ -291,7 +288,8 @@ class Runner {
       for (std::size_t t = 0; t < task_count; ++t) {
         top = std::max(top, scheduler_.multiplicity(t));
       }
-      top += config.adaptive.max_extra_replicas + config.control.max_boost;
+      top += config.adaptive.max_extra_replicas +
+             control::ControlConfig::kMaxBoost;
       mix_.resize(static_cast<std::size_t>(top) + 1);
       for (std::size_t m = 0; m < mix_.size(); ++m) {
         mix_[m].multiplicity = static_cast<std::int64_t>(m);
@@ -402,8 +400,8 @@ class Runner {
   LoopExit loop_(std::int64_t max_events) {
 #if REDUND_ENABLE_INVARIANTS
     // Pop-order contract: the queue must deliver events in strictly
-    // ascending (time, seq) order — any regression here (a heap bug, a
-    // calendar-bucket mis-sort) silently breaks journal replay equality.
+    // ascending (time, seq) order — any regression here (an overflow
+    // heap bug, a bucket mis-sort) silently breaks journal replay equality.
     contracts::ScopedCampaignContext context_guard(
         {config_.seed, 0.0, report_.events_processed});
     bool have_last_popped = false;
@@ -1305,7 +1303,7 @@ class Runner {
   [[nodiscard]] bool promotable_(std::size_t t) const {
     return tasks_.state[t] == TaskState::kInProgress &&
            tasks_.is_ringer[t] == 0 &&
-           tasks_.control_boosts[t] < config_.control.max_boost;
+           tasks_.control_boosts[t] < control::ControlConfig::kMaxBoost;
   }
 
   /// Eligibility to give one previously escalated copy back: there must
@@ -1513,7 +1511,7 @@ class Runner {
   rng::Xoshiro256StarStar deal_engine_;
   sim::AdversaryConfig decision_;
   std::optional<ParticipantPool> pool_;
-  Queue queue_;
+  CalendarQueue queue_;
   RuntimeReport report_;
   std::optional<JournalWriter> journal_;
 
@@ -1573,11 +1571,7 @@ class Runner {
 }  // namespace
 
 RuntimeReport run_async_campaign(const RuntimeConfig& config) {
-  if (config.queue == QueueKind::kBinaryHeap) {
-    Runner<EventQueue> runner(config);
-    return runner.run();
-  }
-  Runner<CalendarQueue> runner(config);
+  Runner runner(config);
   return runner.run();
 }
 
@@ -1587,11 +1581,7 @@ std::optional<RuntimeReport> run_async_campaign_capped(
     throw std::invalid_argument(
         "run_async_campaign_capped: max_events must be >= 0");
   }
-  if (config.queue == QueueKind::kBinaryHeap) {
-    Runner<EventQueue> runner(config);
-    return runner.run_capped(max_events);
-  }
-  Runner<CalendarQueue> runner(config);
+  Runner runner(config);
   return runner.run_capped(max_events);
 }
 
@@ -1601,11 +1591,7 @@ RuntimeReport resume_async_campaign(const RuntimeConfig& config) {
         "resume_async_campaign: config.journal.path must name the journal "
         "to resume from");
   }
-  if (config.queue == QueueKind::kBinaryHeap) {
-    Runner<EventQueue> runner(config);
-    return runner.resume();
-  }
-  Runner<CalendarQueue> runner(config);
+  Runner runner(config);
   return runner.resume();
 }
 

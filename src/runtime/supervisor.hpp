@@ -27,8 +27,9 @@
 //     latency, and an optional counter time series.
 //
 // Deterministic for a fixed RuntimeConfig::seed: every random draw comes
-// from a SplitMix64-derived stream keyed by purpose and subject, and event
-// ties resolve by schedule order (runtime/event_queue.hpp).
+// from a SplitMix64-derived stream keyed by purpose and subject, and the
+// pending events sit in a calendar queue whose ties resolve by schedule
+// order (runtime/event_queue.hpp).
 #pragma once
 
 #include <cstdint>
@@ -147,9 +148,9 @@ struct RuntimeConfig {
   JournalOptions journal;
   /// Counter sampling period for RuntimeReport::series (0 disables).
   double sample_interval = 0.0;
-  /// Pending-event queue the supervisor's loop runs on. Both kinds pop in
-  /// the identical (time, seq) order, so this cannot change any result —
-  /// only throughput (the calendar queue is O(1) amortized per event).
+  /// No-op: nothing reads it, and the config fingerprint skips it. The
+  /// loop always runs on CalendarQueue. Kept only so callers that still
+  /// assign it compile.
   QueueKind queue = QueueKind::kCalendar;
   std::uint64_t seed = 0xA57C0DEULL;
 };

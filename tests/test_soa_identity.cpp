@@ -50,13 +50,6 @@ TEST(SoaIdentity, StaticCampaignMatchesPreRefactorFingerprint) {
   EXPECT_EQ(report_fingerprint(report), 0x6602968f97dd0fe3ULL);
 }
 
-TEST(SoaIdentity, HeapQueueMatchesPreRefactorFingerprint) {
-  RuntimeConfig config = pinned_base_config();
-  config.queue = QueueKind::kBinaryHeap;
-  const RuntimeReport report = run_async_campaign(config);
-  EXPECT_EQ(report_fingerprint(report), 0x6602968f97dd0fe3ULL);
-}
-
 /// Sampled, controller-on, two-shard campaign under a drifting adversary:
 /// the merge folds every kind of field, the posterior means included.
 RuntimeReport pinned_sharded_report() {

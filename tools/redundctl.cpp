@@ -11,8 +11,7 @@
 //                      [--deadline T] [--retries R] [--benign-rate B]
 //                      [--sample-interval T] [--no-adaptive] [--no-reactive]
 //                      [--adaptive [--replan-interval N]]
-//                      [--seed S] [--queue heap|calendar]
-//                      [--fault-plan FILE] [--max-sim-time T]
+//                      [--seed S] [--fault-plan FILE] [--max-sim-time T]
 //                      [--recompute-budget N]
 //                      [--journal FILE [--checkpoint-interval N] [--resume]]
 //                      [--shards S [--threads T]]
@@ -327,15 +326,6 @@ int cmd_run_async(const Args& args) {
     config.journal.checkpoint_interval =
         args.integer("checkpoint-interval", 4096);
   }
-  const std::string queue_name = args.get("queue").value_or("calendar");
-  if (queue_name == "heap") {
-    config.queue = runtime::QueueKind::kBinaryHeap;
-  } else if (queue_name == "calendar") {
-    config.queue = runtime::QueueKind::kCalendar;
-  } else {
-    throw std::invalid_argument("unknown --queue '" + queue_name +
-                                "' (heap|calendar)");
-  }
 
   const std::int64_t shards = args.integer("shards", 1);
   const bool resume = args.flag("resume");
@@ -430,8 +420,7 @@ subcommands:
            [--deadline T] [--retries R] [--benign-rate B]
            [--sample-interval T] [--no-adaptive] [--no-reactive] [--seed S]
            [--adaptive [--replan-interval N]]
-           [--queue heap|calendar] [--fault-plan FILE] [--max-sim-time T]
-           [--recompute-budget N]
+           [--fault-plan FILE] [--max-sim-time T] [--recompute-budget N]
            [--journal FILE [--checkpoint-interval N] [--resume]]
            [--shards S [--threads T]]
   budget   --tasks N --budget B [--adversary P]
@@ -466,7 +455,7 @@ int main(int argc, char** argv) {
           "strategy", "stragglers", "slowdown", "dropout", "speed-sigma",
           "deadline", "retries", "benign-rate", "sample-interval",
           "no-adaptive", "no-reactive", "adaptive", "replan-interval", "seed",
-          "queue", "fault-plan", "max-sim-time", "recompute-budget",
+          "fault-plan", "max-sim-time", "recompute-budget",
           "journal", "checkpoint-interval", "resume", "shards", "threads"}},
         {"budget", cmd_budget, {"tasks", "budget", "adversary"}},
         {"audit", cmd_audit, {"quick", "seed", "tasks", "scratch"}},
