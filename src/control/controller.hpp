@@ -23,15 +23,15 @@ namespace redund::control {
 
 /// Configuration of the online adaptive controller (all-default =
 /// disabled; every field participates in the runtime config
-/// fingerprint). The estimator's Beta(1, 19) prior (mean 0.05), the
-/// dropout EWMA's alpha = 0.05 and the 256/64 promotion/release caps per
-/// round are the defaults of AdversaryEstimator, RateEwma and
-/// ReplanBudgets.
+/// fingerprint). The estimator's Beta(1, 19) prior (mean 0.05) and the
+/// dropout EWMA's alpha = 0.05 are the constants
+/// AdversaryEstimator::kPriorAlpha/kPriorBeta and RateEwma::kAlpha; the
+/// 256/64 promotion/release caps per round are ReplanBudgets' defaults.
 struct ControlConfig {
   /// Posterior upper credible limit the re-planner evaluates at.
   static constexpr double kQuantile = 0.95;
   /// Controller-added copies allowed per task (its slot-table budget,
-  /// on top of AdaptiveConfig::max_extra_replicas).
+  /// on top of AdaptiveConfig::kMaxExtraReplicas).
   static constexpr std::int64_t kMaxBoost = 2;
   /// Fleet-health gate on de-escalation: releases are suppressed while
   /// the smoothed timeout rate exceeds this ceiling (an unresponsive

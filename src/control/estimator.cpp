@@ -69,16 +69,6 @@ double beta_cdf(double x, double a, double b) noexcept {
   return 1.0 - front * beta_continued_fraction(1.0 - x, b, a) / b;
 }
 
-AdversaryEstimator::AdversaryEstimator(double prior_alpha, double prior_beta)
-    : prior_alpha_(prior_alpha), prior_beta_(prior_beta) {
-  if (!(prior_alpha > 0.0) || !(prior_beta > 0.0) ||
-      !std::isfinite(prior_alpha) || !std::isfinite(prior_beta)) {
-    throw std::invalid_argument(
-        "AdversaryEstimator: prior pseudo-counts must be positive and "
-        "finite");
-  }
-}
-
 void AdversaryEstimator::observe(std::int64_t wrong, std::int64_t right) {
   if (wrong < 0 || right < 0) {
     throw std::invalid_argument(
@@ -89,8 +79,8 @@ void AdversaryEstimator::observe(std::int64_t wrong, std::int64_t right) {
 }
 
 double AdversaryEstimator::posterior_mean() const noexcept {
-  const double alpha = prior_alpha_ + static_cast<double>(wrong_);
-  const double beta = prior_beta_ + static_cast<double>(right_);
+  const double alpha = kPriorAlpha + static_cast<double>(wrong_);
+  const double beta = kPriorBeta + static_cast<double>(right_);
   return alpha / (alpha + beta);
 }
 
@@ -99,8 +89,8 @@ double AdversaryEstimator::upper_credible(double quantile) const {
     throw std::invalid_argument(
         "AdversaryEstimator::upper_credible: quantile must be in (0, 1)");
   }
-  const double alpha = prior_alpha_ + static_cast<double>(wrong_);
-  const double beta = prior_beta_ + static_cast<double>(right_);
+  const double alpha = kPriorAlpha + static_cast<double>(wrong_);
+  const double beta = kPriorBeta + static_cast<double>(right_);
   // Fixed-count bisection: deterministic and branch-stable, and 64
   // halvings of [0, 1] are far below double resolution anyway.
   double lo = 0.0;
@@ -116,12 +106,6 @@ double AdversaryEstimator::upper_credible(double quantile) const {
   return hi;
 }
 
-RateEwma::RateEwma(double alpha) : alpha_(alpha) {
-  if (!(alpha > 0.0) || alpha > 1.0) {
-    throw std::invalid_argument("RateEwma: alpha must be in (0, 1]");
-  }
-}
-
 void RateEwma::observe(bool hit) noexcept {
   const double sample = hit ? 1.0 : 0.0;
   if (!initialized_) {
@@ -129,7 +113,7 @@ void RateEwma::observe(bool hit) noexcept {
     initialized_ = true;
     return;
   }
-  value_ = alpha_ * sample + (1.0 - alpha_) * value_;
+  value_ = kAlpha * sample + (1.0 - kAlpha) * value_;
 }
 
 }  // namespace redund::control

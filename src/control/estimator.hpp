@@ -35,12 +35,10 @@ namespace redund::control {
 /// Conjugate Beta posterior over the per-copy wrong-result probability.
 class AdversaryEstimator {
  public:
-  AdversaryEstimator() = default;
-
-  /// Prior pseudo-counts: alpha0 wrong results, beta0 right results.
-  /// Both must be > 0 (a proper prior); the defaults below encode the
-  /// weakly-informative Beta(1, 19) prior (mean 0.05).
-  AdversaryEstimator(double prior_alpha, double prior_beta);
+  /// Prior pseudo-counts alpha0 (wrong results) and beta0 (right
+  /// results): the weakly-informative Beta(1, 19) prior, mean 0.05.
+  static constexpr double kPriorAlpha = 1.0;
+  static constexpr double kPriorBeta = 19.0;
 
   /// Folds `wrong` disagreeing and `right` agreeing copies into the
   /// posterior. Negative counts are invalid.
@@ -49,8 +47,6 @@ class AdversaryEstimator {
   [[nodiscard]] std::int64_t observations() const noexcept {
     return wrong_ + right_;
   }
-  [[nodiscard]] double prior_alpha() const noexcept { return prior_alpha_; }
-  [[nodiscard]] double prior_beta() const noexcept { return prior_beta_; }
 
   /// Posterior mean (alpha0 + wrong) / (alpha0 + beta0 + wrong + right).
   [[nodiscard]] double posterior_mean() const noexcept;
@@ -61,8 +57,6 @@ class AdversaryEstimator {
   [[nodiscard]] double upper_credible(double quantile) const;
 
  private:
-  double prior_alpha_ = 1.0;
-  double prior_beta_ = 19.0;
   std::int64_t wrong_ = 0;
   std::int64_t right_ = 0;
 };
@@ -74,8 +68,8 @@ class AdversaryEstimator {
 /// actually replying.
 class RateEwma {
  public:
-  RateEwma() = default;
-  explicit RateEwma(double alpha);
+  /// Smoothing factor: the weight of each new observation.
+  static constexpr double kAlpha = 0.05;
 
   void observe(bool hit) noexcept;
 
@@ -84,7 +78,6 @@ class RateEwma {
   [[nodiscard]] bool initialized() const noexcept { return initialized_; }
 
  private:
-  double alpha_ = 0.05;
   double value_ = 0.0;
   bool initialized_ = false;
 };

@@ -30,8 +30,6 @@ class Table {
   /// separators are skipped.
   void write_csv(std::ostream& out) const;
 
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;  // Empty vector = separator.

@@ -44,7 +44,6 @@ ParticipantPool::ParticipantPool(const LatencyModel& model, std::int64_t count,
 
   const auto n = static_cast<std::size_t>(count);
   speed_.resize(n);
-  straggler_.assign(n, 0);
   free_at_.assign(n, 0.0);
 
   auto engine = rng::make_stream(seed ^ kSpeedSalt, 0);
@@ -55,16 +54,11 @@ ParticipantPool::ParticipantPool(const LatencyModel& model, std::int64_t count,
                    : 1.0;
     if (model.straggler_fraction > 0.0 &&
         rng::bernoulli(model.straggler_fraction, engine)) {
-      straggler_[p] = 1;
+      ++straggler_count_;
       s /= model.straggler_slowdown;
     }
     speed_[p] = s;
   }
-}
-
-std::int64_t ParticipantPool::straggler_count() const noexcept {
-  return static_cast<std::int64_t>(
-      std::count(straggler_.begin(), straggler_.end(), char{1}));
 }
 
 ParticipantPool::Issue ParticipantPool::issue(platform::ParticipantId id,

@@ -58,8 +58,9 @@ struct LatencyModel {
   return unit * 64 + static_cast<std::uint64_t>(attempt & 63);
 }
 
-/// Materialized per-participant state: speeds, straggler flags, and the
-/// FCFS busy-until clock used to serialize each participant's queue.
+/// Materialized per-participant state: speeds (stragglers already slowed)
+/// and the FCFS busy-until clock used to serialize each participant's
+/// queue.
 class ParticipantPool {
  public:
   /// Draws speeds and straggler flags for `count` participants from streams
@@ -70,13 +71,9 @@ class ParticipantPool {
   [[nodiscard]] std::int64_t size() const noexcept {
     return static_cast<std::int64_t>(speed_.size());
   }
-  [[nodiscard]] double speed(platform::ParticipantId id) const {
-    return speed_[id];
+  [[nodiscard]] std::int64_t straggler_count() const noexcept {
+    return straggler_count_;
   }
-  [[nodiscard]] bool is_straggler(platform::ParticipantId id) const {
-    return straggler_[id] != 0;
-  }
-  [[nodiscard]] std::int64_t straggler_count() const noexcept;
 
   /// Outcome of issuing one unit to one participant.
   struct Issue {
@@ -94,7 +91,7 @@ class ParticipantPool {
   const LatencyModel model_;
   const std::uint64_t seed_;
   std::vector<double> speed_;
-  std::vector<char> straggler_;
+  std::int64_t straggler_count_ = 0;
   std::vector<double> free_at_;
 };
 

@@ -1,6 +1,11 @@
 // Branchless quorum/validation counting over packed vote words.
 //
-// The validator's hot path asks two questions about the (few) result
+// The runtime's validator does not call these kernels: it answers
+// unanimity from a per-task aggregate and resolves every mismatch by a
+// supervisor recompute. They remain for bench/e2e's quorum probe and
+// tests/test_quorum.cpp.
+//
+// A plurality validator asks two questions about the (few) result
 // copies of a task: do they all agree, and if not, which value has the
 // plurality? The scalar tally answers both with per-replica branching
 // (a compare-and-branch per copy per distinct value) that the branch

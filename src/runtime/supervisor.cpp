@@ -16,7 +16,6 @@
 #include "rng/distributions.hpp"
 #include "runtime/event_queue.hpp"
 #include "runtime/journal.hpp"
-#include "runtime/quorum.hpp"
 #include "runtime/task_state.hpp"
 
 namespace redund::runtime {
@@ -78,9 +77,6 @@ void validate_config(const RuntimeConfig& config) {
     throw std::invalid_argument(
         "run_async_campaign: retry.deadline must be finite");
   }
-  if (config.adaptive.max_extra_replicas < 0) {
-    throw std::invalid_argument("run_async_campaign: bad adaptive settings");
-  }
   if (!(config.sample_interval >= 0.0) ||
       !std::isfinite(config.sample_interval)) {
     throw std::invalid_argument(
@@ -109,17 +105,14 @@ void validate_config(const RuntimeConfig& config) {
 
 /// The campaign's Scheduler, built once validate_config has passed (the
 /// Runner's member-init list builds it first). Each task's run has room
-/// for the adaptive/quorum replicas plus, with the controller on, its
-/// escalations; the sum saturates, and the Scheduler refuses a budget
-/// that large anyway.
+/// for the adaptive/INCONCLUSIVE replicas plus, with the controller on,
+/// its escalations.
 platform::Scheduler validated_scheduler(const RuntimeConfig& config) {
   validate_config(config);
-  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  const std::int64_t extra = config.adaptive.max_extra_replicas;
-  const std::int64_t boost =
-      config.control.enabled ? control::ControlConfig::kMaxBoost : 0;
-  return platform::Scheduler(config.plan,
-                             extra > kMax - boost ? kMax : extra + boost);
+  return platform::Scheduler(
+      config.plan,
+      AdaptiveConfig::kMaxExtraReplicas +
+          (config.control.enabled ? control::ControlConfig::kMaxBoost : 0));
 }
 
 /// Canonical fingerprint of everything that determines the event stream
@@ -137,7 +130,6 @@ std::uint64_t config_fingerprint(const RuntimeConfig& config) {
   w.i64(static_cast<std::int64_t>(config.strategy));
   w.i64(config.tuple_size);
   w.f64(config.benign_error_rate);
-  w.i64(static_cast<std::int64_t>(config.resolution));
   w.boolean(config.reactive);
   w.f64(config.latency.speed_sigma);
   w.f64(config.latency.straggler_fraction);
@@ -146,7 +138,6 @@ std::uint64_t config_fingerprint(const RuntimeConfig& config) {
   w.f64(config.retry.deadline);
   w.i64(config.retry.max_retries);
   w.boolean(config.adaptive.enabled);
-  w.i64(config.adaptive.max_extra_replicas);
   w.boolean(config.control.enabled);
   w.f64(config.control.epsilon);
   w.i64(config.control.replan_interval);
@@ -227,7 +218,6 @@ class Runner {
     units_.resize(unit_count);
     tasks_.resize(task_count);
     batch_.reserve(64);
-    vote_scratch_.reserve(16);
     adversary_held_.assign(task_count, 0);
     // Immutable per-participant principal bitmap: the hot result path only
     // needs "is this an adversary identity", not the whole registry row.
@@ -288,7 +278,7 @@ class Runner {
       for (std::size_t t = 0; t < task_count; ++t) {
         top = std::max(top, scheduler_.multiplicity(t));
       }
-      top += config.adaptive.max_extra_replicas +
+      top += AdaptiveConfig::kMaxExtraReplicas +
              control::ControlConfig::kMaxBoost;
       mix_.resize(static_cast<std::size_t>(top) + 1);
       for (std::size_t m = 0; m < mix_.size(); ++m) {
@@ -1005,20 +995,6 @@ class Runner {
 
   // ---------------------------------------------------------- transitioner
 
-  /// Gathers the task's vote word: values of its run's units into
-  /// `values` (lane = run position) and a presence bit per value-bearing
-  /// unit. Requires a run of at most kMaxPackedQuorum units.
-  [[nodiscard]] std::uint64_t gather_votes_(std::size_t t,
-                                            std::uint64_t* values) const {
-    const std::span<const std::uint32_t> run = scheduler_.run(t);
-    std::uint64_t present = 0;
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      values[i] = units_.value[run[i]];
-      present |= static_cast<std::uint64_t>(units_.has_value(run[i])) << i;
-    }
-    return present;
-  }
-
   void validate(std::size_t t, double now) {
     update_task_(t,
                  [&] { tasks_.state[t] = TaskState::kPendingValidation; });
@@ -1030,27 +1006,15 @@ class Runner {
     }
 
     // Unanimity fast path: on_result folded every arriving value into the
-    // per-task vote aggregate as it landed, so the common all-agree case
-    // answers from two task lanes instead of gathering the (randomly
-    // scattered) unit slots. kVoteSeen clear means zero value-bearing
-    // copies — the gather's present==0 case, which accepts 0.
+    // per-task vote aggregate as it landed, so the all-agree case answers
+    // from two task lanes. kVoteSeen clear means zero value-bearing copies,
+    // which accepts 0.
     if (!tasks_.test(t, TaskTable::kVoteMismatch)) {
       accept(t,
              tasks_.test(t, TaskTable::kVoteSeen) ? tasks_.vote_value[t] : 0,
              now);
       return;
     }
-
-    // Copies disagree — gather the vote word over the task's run:
-    // lane i is the i-th unit's value, the presence mask selects the
-    // value-bearing units. The plurality tally runs branchlessly over the
-    // word; the run outgrowing the word (multiplicity + replica
-    // budget past 64 — no realized plan does) falls back to the scalar
-    // tally.
-    const bool packed = scheduler_.run(t).size() <= kMaxPackedQuorum;
-    std::uint64_t vote_values[kMaxPackedQuorum];
-    std::uint64_t present = 0;
-    if (packed) present = gather_votes_(t, vote_values);
 
     // Copies disagree: the alarm condition of the paper's model.
     record_detection(t, now);
@@ -1063,9 +1027,10 @@ class Runner {
       ++report_.tasks_inconclusive;
     }
 
-    // BOINC-style INCONCLUSIVE: buy information with an extra replica
-    // before spending a trusted recompute.
-    if (tasks_.extra_replicas[t] < config_.adaptive.max_extra_replicas) {
+    // BOINC-style INCONCLUSIVE: one more copy before the trusted
+    // recompute. The mismatch latch is sticky, so this copy never changes
+    // the accepted value.
+    if (tasks_.extra_replicas[t] < AdaptiveConfig::kMaxExtraReplicas) {
       if (const auto nu =
               scheduler_.try_add_replica(static_cast<std::int64_t>(t),
                                          registry_, deal_engine_)) {
@@ -1081,55 +1046,10 @@ class Runner {
       }
     }
 
-    // Replicas exhausted: resolve by policy. The winner is independent
-    // of tally order — a unique plurality wins, any tie resolves to
-    // truth (tally_packed reports ties the same way the scalar scratch
-    // did; tests/test_quorum.cpp pins the equivalence).
-    std::uint64_t resolved = 0;
-    if (config_.resolution == platform::Resolution::kRecompute) {
-      ++report_.supervisor_recomputes;
-      resolved = truth;
-    } else if (packed) {
-      const QuorumTally tally = tally_packed(
-          vote_values, present, static_cast<int>(scheduler_.run(t).size()));
-      if (tally.tie) {
-        ++report_.supervisor_recomputes;
-        resolved = truth;
-      } else {
-        resolved = tally.winner;
-      }
-    } else {
-      vote_scratch_.clear();
-      for (const std::uint32_t u : scheduler_.run(t)) {
-        if (!units_.has_value(u)) continue;
-        const std::uint64_t value = units_.value[u];
-        bool counted = false;
-        for (auto& [seen, count] : vote_scratch_) {
-          if (seen == value) {
-            ++count;
-            counted = true;
-            break;
-          }
-        }
-        if (!counted) vote_scratch_.emplace_back(value, 1);
-      }
-      int best = 0;
-      bool tie = false;
-      for (const auto& [value, count] : vote_scratch_) {
-        if (count > best) {
-          best = count;
-          resolved = value;
-          tie = false;
-        } else if (count == best) {
-          tie = true;
-        }
-      }
-      if (tie) {
-        ++report_.supervisor_recomputes;
-        resolved = truth;
-      }
-    }
-    accept(t, resolved, now);
+    // Replicas exhausted: the supervisor does the work itself (the
+    // paper's reactive measure) and accepts the truth.
+    ++report_.supervisor_recomputes;
+    accept(t, truth, now);
   }
 
   void accept(std::size_t t, std::uint64_t value, double now) {
@@ -1270,7 +1190,7 @@ class Runner {
     if (outstanding > 0 &&
         score_total / static_cast<double>(outstanding) <
             AdaptiveConfig::kReliabilityFloor &&
-        tasks_.extra_replicas[t] < config_.adaptive.max_extra_replicas) {
+        tasks_.extra_replicas[t] < AdaptiveConfig::kMaxExtraReplicas) {
       if (const auto nu =
               scheduler_.try_add_replica(static_cast<std::int64_t>(t),
                                          registry_, deal_engine_)) {
@@ -1525,7 +1445,6 @@ class Runner {
   std::vector<std::int64_t> offline_count_; ///< Churn nesting per identity.
   std::vector<char> window_active_;         ///< Open windows per fault event.
   std::vector<Event> batch_;                ///< Same-timestamp drain scratch.
-  std::vector<std::pair<std::uint64_t, int>> vote_scratch_;
   /// The residual mix, kept current while the controller is on (empty
   /// when it is off): row m counts the unfinished tasks whose target is m
   /// copies, and how many of them are promotable and demotable.

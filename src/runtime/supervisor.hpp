@@ -19,7 +19,8 @@
 //     runtime reads it and keeps only runtime state beside it;
 //   * a per-task transitioner/validator state machine
 //     (runtime/task_state.hpp) with quorum agreement, ringer ground-truth
-//     checks, and the resolution policies of platform::Campaign;
+//     checks, and a trusted supervisor recompute for any task whose
+//     copies still disagree once its replicas are exhausted;
 //   * adaptive replication: per-identity reliability scores (EWMA over
 //     timeouts and validated results) gate delayed extra replicas for
 //     straggling tasks held by unreliable identities;
@@ -38,7 +39,7 @@
 
 #include "control/controller.hpp"
 #include "core/realize.hpp"
-#include "platform/campaign.hpp"
+#include "platform/identity.hpp"
 #include "runtime/event_queue.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/latency_model.hpp"
@@ -75,9 +76,10 @@ struct AdaptiveConfig {
   static constexpr double kScoreGain = 0.1;
   static constexpr double kScoreLoss = 0.3;
 
-  bool enabled = true;
   /// Cap on extra replicas per task (adaptive + INCONCLUSIVE combined).
-  std::int64_t max_extra_replicas = 2;
+  static constexpr std::int64_t kMaxExtraReplicas = 2;
+
+  bool enabled = true;
 };
 
 /// Campaign health monitoring and graceful degradation.
@@ -131,7 +133,6 @@ struct RuntimeConfig {
   sim::CheatStrategy strategy = sim::CheatStrategy::kAlwaysCheat;
   std::int64_t tuple_size = 1;           ///< For the tuple strategies.
   double benign_error_rate = 0.0;        ///< Honest per-unit error prob.
-  platform::Resolution resolution = platform::Resolution::kRecompute;
   bool reactive = true;                  ///< Blacklist + requeue on catch.
   LatencyModel latency;
   RetryPolicy retry;

@@ -7,11 +7,12 @@
 //     PENDING_VALIDATION --copies agree (or ringer)--> VALID
 //     PENDING_VALIDATION --copies disagree--> INCONCLUSIVE
 //       INCONCLUSIVE --extra replica issued--> IN_PROGRESS
-//       INCONCLUSIVE --replicas exhausted, policy resolves--> VALID
+//       INCONCLUSIVE --replicas exhausted, supervisor recomputes--> VALID
 //
 // VALID is the only terminal state: the runtime guarantees every task gets
 // there because a unit that exhausts its retries is recomputed by the
-// supervisor, and the resolution policies always produce an accepted value.
+// supervisor, and a task whose copies still disagree once its replicas
+// are exhausted is recomputed too and accepts the truth.
 #pragma once
 
 #include <cstddef>
@@ -72,11 +73,6 @@ enum class UnitState : std::uint8_t {
 /// pack 16-64 units per line. Lane widths are sized to the values'
 /// actual ranges (attempts is bounded by the retry policy, epoch by a
 /// few increments per attempt).
-///
-/// `has_value` is not stored: a unit has a reportable value iff its
-/// state is kCompleted or kRecomputed (the only transitions that assign
-/// `value`, and both are terminal), so the flag is derived from the
-/// state lane.
 struct UnitTable {
   std::vector<UnitState> state;
   std::vector<std::int32_t> attempts;   ///< Issues so far (1 = initial deal).
@@ -105,13 +101,6 @@ struct UnitTable {
     attempts.push_back(0);
     epoch.push_back(0);
     value.push_back(0);
-  }
-
-  /// True iff unit `u` holds a reportable value (completed or
-  /// supervisor-recomputed — the two terminal value-bearing states).
-  [[nodiscard]] bool has_value(std::size_t u) const noexcept {
-    return state[u] == UnitState::kCompleted ||
-           state[u] == UnitState::kRecomputed;
   }
 };
 
@@ -146,9 +135,9 @@ struct TaskTable {
   std::vector<std::uint8_t> is_ringer;  ///< Immutable ringer membership.
   /// Running unanimity aggregate: the first value folded in (arrival
   /// order). Valid only while kVoteMismatch is clear — once two values
-  /// disagree the validator re-gathers the full vote word anyway. Folding
-  /// order cannot change behavior: the mismatch latch is symmetric in its
-  /// inputs, and when it stays clear every folded value equals this one.
+  /// disagree the validator ignores it. Folding order cannot change
+  /// behavior: the mismatch latch is symmetric in its inputs, and when it
+  /// stays clear every folded value equals this one.
   std::vector<std::uint64_t> vote_value;
 
   [[nodiscard]] std::size_t size() const noexcept { return state.size(); }

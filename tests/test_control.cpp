@@ -106,8 +106,6 @@ TEST(AdversaryEstimator, UpperCredibleCoversAndTightens) {
 }
 
 TEST(AdversaryEstimator, RejectsInvalidInputs) {
-  EXPECT_THROW(control::AdversaryEstimator(0.0, 19.0), std::invalid_argument);
-  EXPECT_THROW(control::AdversaryEstimator(1.0, -1.0), std::invalid_argument);
   control::AdversaryEstimator estimator;
   EXPECT_THROW(estimator.observe(-1, 0), std::invalid_argument);
   EXPECT_THROW(estimator.observe(0, -1), std::invalid_argument);
@@ -116,14 +114,14 @@ TEST(AdversaryEstimator, RejectsInvalidInputs) {
 }
 
 TEST(RateEwma, SmoothsTowardTheObservedRate) {
-  control::RateEwma ewma(0.5);
+  control::RateEwma ewma;
   EXPECT_FALSE(ewma.initialized());
   EXPECT_EQ(ewma.value(), 0.0);
   ewma.observe(true);  // First observation seeds the value.
   EXPECT_TRUE(ewma.initialized());
   EXPECT_EQ(ewma.value(), 1.0);
-  ewma.observe(false);
-  EXPECT_NEAR(ewma.value(), 0.5, 1e-12);
+  ewma.observe(false);  // 1 - alpha = 0.95 of the old value remains.
+  EXPECT_NEAR(ewma.value(), 0.95, 1e-12);
 }
 
 // ----------------------------------------------------------- plan_remaining

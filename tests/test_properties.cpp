@@ -6,7 +6,10 @@
 // distributional agreement between the two allocation samplers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "core/detection.hpp"
@@ -19,7 +22,6 @@
 #include "rng/distributions.hpp"
 #include "rng/engines.hpp"
 #include "sim/engine.hpp"
-#include "stats/histogram.hpp"
 
 namespace core = redund::core;
 namespace sim = redund::sim;
@@ -180,8 +182,15 @@ TEST(AllocationAgreement, HeldCountHistogramsMatch) {
   constexpr double kShare = 0.4;
   constexpr int kDraws = 20000;
 
-  redund::stats::IntHistogram hyper(4);
-  redund::stats::IntHistogram pool(4);
+  // Attempts by copies held: buckets 0..4, then one overflow bucket.
+  std::array<double, 6> hyper{};
+  std::array<double, 6> pool{};
+  const auto add_profile = [](std::array<double, 6>& into,
+                              const std::vector<std::int64_t>& by_held) {
+    for (std::size_t k = 1; k < by_held.size(); ++k) {
+      into[std::min<std::size_t>(k, 5)] += static_cast<double>(by_held[k]);
+    }
+  };
   sim::AdversaryConfig adversary{.proportion = kShare,
                                  .strategy = sim::CheatStrategy::kAlwaysCheat};
   for (std::uint64_t r = 0; r < kDraws; ++r) {
@@ -192,25 +201,18 @@ TEST(AllocationAgreement, HeldCountHistogramsMatch) {
     const auto b =
         sim::run_replica(workload, adversary, e2, sim::Allocation::kPoolShuffle);
     // Compare the attempts-by-held profiles across all tasks.
-    for (std::size_t k = 1; k < a.attempts_by_held.size(); ++k) {
-      for (std::int64_t c = 0; c < a.attempts_by_held[k]; ++c) {
-        hyper.add(k);
-      }
-    }
-    for (std::size_t k = 1; k < b.attempts_by_held.size(); ++k) {
-      for (std::int64_t c = 0; c < b.attempts_by_held[k]; ++c) {
-        pool.add(k);
-      }
-    }
+    add_profile(hyper, a.attempts_by_held);
+    add_profile(pool, b.attempts_by_held);
   }
-  ASSERT_GT(hyper.total(), 0u);
-  ASSERT_GT(pool.total(), 0u);
+  const double hyper_total = std::accumulate(hyper.begin(), hyper.end(), 0.0);
+  const double pool_total = std::accumulate(pool.begin(), pool.end(), 0.0);
+  ASSERT_GT(hyper_total, 0.0);
+  ASSERT_GT(pool_total, 0.0);
   for (std::size_t k = 1; k <= 4; ++k) {
-    const double fa = hyper.frequency(k);
-    const double fb = pool.frequency(k);
-    const double sigma = std::sqrt(
-        fa * (1.0 - fa) / static_cast<double>(hyper.total()) +
-        fb * (1.0 - fb) / static_cast<double>(pool.total()));
+    const double fa = hyper[k] / hyper_total;
+    const double fb = pool[k] / pool_total;
+    const double sigma = std::sqrt(fa * (1.0 - fa) / hyper_total +
+                                   fb * (1.0 - fb) / pool_total);
     EXPECT_NEAR(fa, fb, 6.0 * sigma + 1e-3) << "k=" << k;
   }
 }

@@ -193,6 +193,27 @@ TEST(AsyncRuntime, QuorumDisagreementSpawnsExtraReplicas) {
             report.tasks);
 }
 
+TEST(AsyncRuntime, DisagreeingCopiesResolveByRecompute) {
+  // Honest copies only, so every mismatch is a benign error. With no
+  // timeouts, each recompute is the resolution of a task whose copies
+  // still disagreed once its replicas ran out, and it accepts the truth.
+  runtime::RuntimeConfig config;
+  config.plan = flat_plan(2000, 2);
+  config.honest_participants = 100;
+  config.benign_error_rate = 0.05;
+  config.reactive = false;
+  config.adaptive.enabled = false;
+  config.retry.deadline = 1e6;
+  config.seed = 11;
+
+  const auto report = runtime::run_async_campaign(config);
+  EXPECT_EQ(report.units_timed_out, 0);
+  EXPECT_GT(report.tasks_inconclusive, 0);
+  EXPECT_EQ(report.supervisor_recomputes, report.tasks_inconclusive);
+  EXPECT_EQ(report.final_corrupt_tasks, 0);
+  EXPECT_EQ(report.tasks_valid, report.tasks);
+}
+
 TEST(AsyncRuntime, ReactiveSupervisionBlacklistsCaughtIdentities) {
   runtime::RuntimeConfig config;
   config.plan = balanced_plan(600, 0.5);
@@ -222,7 +243,7 @@ TEST(AsyncRuntime, AdaptiveReplicationTriggersOnUnreliableHolders) {
   EXPECT_GT(with_adaptive.adaptive_replicas, 0);
   // The per-task cap bounds the extra copies.
   EXPECT_LE(with_adaptive.adaptive_replicas + with_adaptive.quorum_replicas,
-            config.adaptive.max_extra_replicas * with_adaptive.tasks);
+            runtime::AdaptiveConfig::kMaxExtraReplicas * with_adaptive.tasks);
   EXPECT_EQ(with_adaptive.tasks_valid, with_adaptive.tasks);
 
   config.adaptive.enabled = false;
@@ -348,10 +369,6 @@ TEST(AsyncRuntime, RejectsBadConfig) {
   EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
 
   bad = good;
-  bad.adaptive.max_extra_replicas = -1;
-  EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
-
-  bad = good;
   bad.sample_interval = -1.0;
   EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
 
@@ -411,13 +428,12 @@ TEST(AsyncRuntime, RejectsPlansBeyond32BitEventSubjects) {
   EXPECT_THROW((void)runtime::run_async_campaign_capped(bad, 0),
                std::invalid_argument);
 
-  // 2^20 units, but the per-task replica budget adds 2^31 slots.
-  bad.plan = flat_plan(std::int64_t{1} << 20, 1);
-  bad.adaptive.max_extra_replicas = 1 << 11;
+  // 1.5 * 2^30 units fit, but the per-task replica budget takes the slots
+  // to 3 * 2^30.
+  bad.plan = flat_plan(std::int64_t{3} << 28, 2);
   EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);
 
   // Counts far past 2^63 / multiplicity saturate instead of overflowing.
-  bad.adaptive.max_extra_replicas = 0;
   bad.plan = core::RealizedPlan{};
   bad.plan.counts = {0, 0, std::numeric_limits<std::int64_t>::max()};
   EXPECT_THROW((void)runtime::run_async_campaign(bad), std::invalid_argument);

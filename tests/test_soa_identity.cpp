@@ -5,15 +5,15 @@
 // index) must not move a single byte of any report. These tests pin the
 // FNV-1a report fingerprints of representative campaigns as produced by
 // the pre-refactor runtime, so any behavioural drift — a reordered draw,
-// a changed tie-break, a vote tallied differently — fails loudly rather
-// than silently shifting every downstream number.
+// a changed tie-break, a mismatch resolved differently — fails loudly
+// rather than silently shifting every downstream number.
 //
 // The configs mirror the determinism auditor's base campaigns plus a
 // fault-heavy leg, covering: stragglers/dropouts/retries, adversary
-// commits and plurality votes, ringer catches, benign-error INCONCLUSIVE
-// replicas, the online controller with a drifting adversary, the
-// controller under overlapping blackouts and churn, the sharded
-// merge, and every windowed fault kind.
+// commits and the recomputes that resolve them, ringer catches,
+// benign-error INCONCLUSIVE replicas, the online controller with a
+// drifting adversary, the controller under overlapping blackouts and
+// churn, the sharded merge, and every windowed fault kind.
 #include <gtest/gtest.h>
 
 #include <algorithm>

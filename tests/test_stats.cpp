@@ -1,5 +1,5 @@
 // Unit tests for redund_stats: Welford accumulators, merge correctness,
-// confidence intervals, and histograms.
+// and confidence intervals.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "rng/distributions.hpp"
 #include "rng/engines.hpp"
 #include "stats/accumulator.hpp"
-#include "stats/histogram.hpp"
 
 namespace s = redund::stats;
 
@@ -140,55 +139,6 @@ TEST(BernoulliCounter, ConfidenceCoversTruth) {
     counter.add(redund::rng::bernoulli(0.3, engine));
   }
   EXPECT_TRUE(counter.confidence(3.29).contains(0.3));
-}
-
-// ---------------------------------------------------------------- histogram
-
-TEST(IntHistogram, CountsAndFrequencies) {
-  s::IntHistogram hist(5);
-  for (std::uint64_t v = 0; v <= 5; ++v) {
-    for (std::uint64_t i = 0; i <= v; ++i) hist.add(v);
-  }
-  EXPECT_EQ(hist.total(), 1u + 2 + 3 + 4 + 5 + 6);
-  EXPECT_EQ(hist.count(0), 1u);
-  EXPECT_EQ(hist.count(5), 6u);
-  EXPECT_EQ(hist.overflow(), 0u);
-  EXPECT_NEAR(hist.frequency(5), 6.0 / 21.0, 1e-12);
-}
-
-TEST(IntHistogram, OverflowClamps) {
-  s::IntHistogram hist(3);
-  hist.add(10);
-  hist.add(4);
-  hist.add(3);
-  EXPECT_EQ(hist.overflow(), 2u);
-  EXPECT_EQ(hist.count(3), 1u);
-}
-
-TEST(IntHistogram, MergeAddsCounts) {
-  s::IntHistogram a(4);
-  s::IntHistogram b(4);
-  a.add(1);
-  a.add(2);
-  b.add(2);
-  b.add(9);  // Overflow in b.
-  a.merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.count(2), 2u);
-  EXPECT_EQ(a.overflow(), 1u);
-}
-
-TEST(IntHistogram, MeanMatchesAccumulator) {
-  s::IntHistogram hist(100);
-  s::Accumulator acc;
-  redund::rng::Xoshiro256StarStar engine(14);
-  for (int i = 0; i < 5000; ++i) {
-    const auto v =
-        static_cast<std::uint64_t>(redund::rng::uniform_below(80, engine));
-    hist.add(v);
-    acc.add(static_cast<double>(v));
-  }
-  EXPECT_NEAR(hist.mean(), acc.mean(), 1e-9);
 }
 
 }  // namespace

@@ -177,6 +177,17 @@ sim::CheatStrategy parse_strategy(const std::string& name) {
   throw std::invalid_argument("unknown strategy '" + name + "'");
 }
 
+/// --threads T: the pool's worker count, 0 (the default) meaning one per
+/// hardware thread. A negative count is an error naming the flag.
+std::size_t thread_count(const Args& args) {
+  const std::int64_t threads = args.integer("threads", 0);
+  if (threads < 0) {
+    throw std::invalid_argument("--threads must be >= 0, got " +
+                                std::to_string(threads));
+  }
+  return static_cast<std::size_t>(threads);
+}
+
 core::RealizedPlan load_plan(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::invalid_argument("cannot open plan file '" + path + "'");
@@ -258,8 +269,7 @@ int cmd_simulate(const Args& args) {
   config.replicas = args.integer("replicas", 100);
   config.master_seed = static_cast<std::uint64_t>(args.integer("seed", 1));
 
-  redund::parallel::ThreadPool pool(
-      static_cast<std::size_t>(args.integer("threads", 0)));
+  redund::parallel::ThreadPool pool(thread_count(args));
   const sim::Workload workload(plan);
   const auto result = sim::run_monte_carlo(pool, workload, adversary, config);
 
@@ -328,6 +338,11 @@ int cmd_run_async(const Args& args) {
   }
 
   const std::int64_t shards = args.integer("shards", 1);
+  if (shards < 1) {
+    throw std::invalid_argument("--shards must be >= 1, got " +
+                                std::to_string(shards));
+  }
+  const std::size_t threads = thread_count(args);
   const bool resume = args.flag("resume");
   if (resume) {
     if (config.journal.path.empty()) {
@@ -337,8 +352,7 @@ int cmd_run_async(const Args& args) {
       // Fleet resume: each shard resumes from its own journal, or is
       // re-run from its seed when that journal is lost — bit-identical
       // either way.
-      redund::parallel::ThreadPool pool(
-          static_cast<std::size_t>(args.integer("threads", 0)));
+      redund::parallel::ThreadPool pool(threads);
       const runtime::RuntimeReport report =
           runtime::resume_sharded_campaign(config, shards, pool);
       runtime::print(std::cout, report);
@@ -350,8 +364,7 @@ int cmd_run_async(const Args& args) {
     return 0;
   }
   if (shards > 1) {
-    redund::parallel::ThreadPool pool(
-        static_cast<std::size_t>(args.integer("threads", 0)));
+    redund::parallel::ThreadPool pool(threads);
     const runtime::RuntimeReport report =
         runtime::run_sharded_campaign(config, shards, pool);
     runtime::print(std::cout, report);
