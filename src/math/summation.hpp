@@ -73,25 +73,4 @@ class NeumaierSum {
   double compensation_ = 0.0;
 };
 
-/// Compensated sum of a contiguous range in one call.
-[[nodiscard]] constexpr double neumaier_sum(std::span<const double> terms) noexcept {
-  NeumaierSum acc;
-  acc.add(terms);
-  return acc.value();
-}
-
-/// Compensated dot product sum(i * w[i-1]) style weighted sums used for
-/// assignment totals: returns sum over idx of weight(idx) * values[idx].
-///
-/// `WeightFn` is invoked with the zero-based index and must return double.
-template <typename WeightFn>
-[[nodiscard]] constexpr double weighted_sum(std::span<const double> values,
-                                            WeightFn&& weight) noexcept {
-  NeumaierSum acc;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    acc.add(static_cast<double>(weight(i)) * values[i]);
-  }
-  return acc.value();
-}
-
 }  // namespace redund::math

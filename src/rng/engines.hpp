@@ -67,24 +67,6 @@ class Xoshiro256StarStar {
     return result;
   }
 
-  /// Advances the state by 2^128 draws; calling jump() k times on copies of
-  /// one engine yields 2^128-spaced, provably non-overlapping subsequences.
-  constexpr void jump() noexcept {
-    constexpr std::array<std::uint64_t, 4> kJump = {
-        0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL,
-        0xA9582618E03FC9AAULL, 0x39ABDC4529B1661CULL};
-    std::array<std::uint64_t, 4> accumulated = {0, 0, 0, 0};
-    for (const std::uint64_t word : kJump) {
-      for (int bit = 0; bit < 64; ++bit) {
-        if ((word & (std::uint64_t{1} << bit)) != 0) {
-          for (int i = 0; i < 4; ++i) accumulated[static_cast<std::size_t>(i)] ^= state_[static_cast<std::size_t>(i)];
-        }
-        (*this)();
-      }
-    }
-    state_ = accumulated;
-  }
-
  private:
   static constexpr std::uint64_t rotl_(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -56,7 +56,8 @@ double automatic_deadline(double queue_depth) {
 }
 
 /// The colluders' agreed wrong value is truth ^ kCollusionMask: identical
-/// across all their copies, derivable from the precomputed truth lane.
+/// across all their copies, derivable from the truth the supervisor
+/// recomputes at will.
 constexpr std::uint64_t kCollusionMask = 0xBAD0BEEFCAFEF00DULL;
 
 void validate_config(const RuntimeConfig& config) {
@@ -167,9 +168,8 @@ std::uint64_t config_fingerprint(const RuntimeConfig& config) {
 ///
 /// The steady-state loop is allocation-free: the event queues pre-size
 /// their storage, the Scheduler sizes every task's run with its replica
-/// budget built in, vote counting reuses a flat scratch vector,
-/// the controller's residual mix has a row per reachable target from the
-/// start, and blacklist membership is a plain bitmap. Fault windows are a
+/// budget built in, the controller's residual mix has a row per reachable
+/// target from the start, and blacklist membership is a plain bitmap. Fault windows are a
 /// plain bitmap over the (small) schedule and every fault coin is a keyed
 /// stream draw, so the chaos layer adds no allocation per event. Only a
 /// blackout start allocates, once, the scratch of its one-pass requeue,
@@ -218,7 +218,6 @@ class Runner {
     units_.resize(unit_count);
     tasks_.resize(task_count);
     batch_.reserve(64);
-    adversary_held_.assign(task_count, 0);
     // Immutable per-participant principal bitmap: the hot result path only
     // needs "is this an adversary identity", not the whole registry row.
     is_adversary_.resize(static_cast<std::size_t>(registry_.size()));
@@ -230,10 +229,6 @@ class Runner {
               : 0;
     }
 
-    for (std::size_t u = 0; u < unit_count; ++u) {
-      adversary_held_[scheduler_.task_of(u)] +=
-          is_adversary_[scheduler_.assignee_of(u)];
-    }
     // Assignment conservation: the initial deal must place exactly the
     // plan's Σ i·x_i work units (plus ringers).
     REDUND_INVARIANT(
@@ -242,9 +237,6 @@ class Runner {
     for (std::size_t t = 0; t < task_count; ++t) {
       tasks_.target_copies[t] =
           static_cast<std::int32_t>(scheduler_.multiplicity(t));
-      tasks_.truth[t] =
-          truth_value(config.seed, static_cast<std::int64_t>(t));
-      tasks_.is_ringer[t] = scheduler_.is_ringer(t) ? 1 : 0;
     }
     score_.assign(static_cast<std::size_t>(registry_.size()),
                   AdaptiveConfig::kScoreInit);
@@ -506,16 +498,6 @@ class Runner {
       record_sample(report_.makespan);
     }
 
-    // Ground-truth audit of the accepted output — validated tasks only;
-    // unfinished tasks have no accepted value to audit.
-    for (std::size_t t = 0; t < tasks_.size(); ++t) {
-      if (tasks_.state[t] != TaskState::kValid) continue;
-      if (tasks_.accepted[t] == tasks_.truth[t]) {
-        ++report_.final_correct_tasks;
-      } else {
-        ++report_.final_corrupt_tasks;
-      }
-    }
     if (report_.detections > 0) {
       report_.mean_detection_latency =
           detection_time_total_ / static_cast<double>(report_.detections);
@@ -571,6 +553,24 @@ class Runner {
   [[nodiscard]] bool fault_coin_(std::uint64_t salt, std::size_t fault_index,
                                  std::uint64_t stream, double p) const {
     return fault_coin(config_.seed, salt, fault_index, stream, p);
+  }
+
+  /// Whether an open window of the single-coin fault `kind` (dropout
+  /// burst, message loss, duplication) hits attempt `attempt` of unit
+  /// `u`. Each open window of that kind draws its keyed coin in schedule
+  /// order, and the first hit ends the scan.
+  [[nodiscard]] bool window_hit_(FaultKind kind, std::uint64_t salt,
+                                 std::size_t u, std::int64_t attempt) const {
+    for (std::size_t i = 0; i < window_active_.size(); ++i) {
+      if (window_active_[i] == 0) continue;
+      const FaultEvent& fault = config_.faults.events[i];
+      if (fault.kind == kind &&
+          fault_coin_(salt, i, unit_attempt_stream(u, attempt),
+                      fault.probability)) {
+        return true;
+      }
+    }
+    return false;
   }
 
   void on_fault(const Event& event) {
@@ -752,22 +752,10 @@ class Runner {
     const auto outcome = pool_->issue(
         scheduler_.assignee_of(u), now, demand_[t],
         static_cast<std::uint64_t>(u), attempt);
-    bool delivered = outcome.replies;
-    if (delivered) {
-      // Active dropout-burst windows stack their coins on the static
-      // model's: any hit drops the issue.
-      for (std::size_t i = 0; i < window_active_.size(); ++i) {
-        if (window_active_[i] == 0) continue;
-        const FaultEvent& fault = config_.faults.events[i];
-        if (fault.kind != FaultKind::kDropoutBurst) continue;
-        if (fault_coin_(kBurstSalt, i, unit_attempt_stream(u, attempt),
-                        fault.probability)) {
-          delivered = false;
-          break;
-        }
-      }
-    }
-    if (delivered) {
+    // Active dropout-burst windows stack their coins on the static model's:
+    // any hit drops the issue.
+    if (outcome.replies &&
+        !window_hit_(FaultKind::kDropoutBurst, kBurstSalt, u, attempt)) {
       queue_.schedule(outcome.completion_time, EventKind::kCompletion,
                       static_cast<std::int64_t>(u), units_.epoch[u]);
       ++completions_pending_;
@@ -794,15 +782,9 @@ class Runner {
     const std::int64_t attempt = units_.attempts[u];
     // Message-loss window: the work was done but the report vanishes in
     // transit; the unit stays in progress and its deadline will fire.
-    for (std::size_t i = 0; i < window_active_.size(); ++i) {
-      if (window_active_[i] == 0) continue;
-      const FaultEvent& fault = config_.faults.events[i];
-      if (fault.kind != FaultKind::kMessageLoss) continue;
-      if (fault_coin_(kLossSalt, i, unit_attempt_stream(u, attempt),
-                      fault.probability)) {
-        ++report_.results_lost;
-        return;
-      }
+    if (window_hit_(FaultKind::kMessageLoss, kLossSalt, u, attempt)) {
+      ++report_.results_lost;
+      return;
     }
     units_.state[u] = UnitState::kCompleted;
     ++report_.units_completed;
@@ -832,19 +814,12 @@ class Runner {
     on_result(u, event.time);
     // Duplication window: the network re-delivers the same report after
     // another network delay; the copy drains as a late result.
-    for (std::size_t i = 0; i < window_active_.size(); ++i) {
-      if (window_active_[i] == 0) continue;
-      const FaultEvent& fault = config_.faults.events[i];
-      if (fault.kind != FaultKind::kDuplication) continue;
-      if (fault_coin_(kDupSalt, i, unit_attempt_stream(u, attempt),
-                      fault.probability)) {
-        queue_.schedule(event.time + LatencyModel::kNetworkDelay,
-                        EventKind::kCompletion,
-                        static_cast<std::int64_t>(u), event.epoch);
-        ++completions_pending_;
-        ++report_.duplicate_results;
-        break;
-      }
+    if (window_hit_(FaultKind::kDuplication, kDupSalt, u, attempt)) {
+      queue_.schedule(event.time + LatencyModel::kNetworkDelay,
+                      EventKind::kCompletion, static_cast<std::int64_t>(u),
+                      event.epoch);
+      ++completions_pending_;
+      ++report_.duplicate_results;
     }
   }
 
@@ -879,17 +854,12 @@ class Runner {
         units_.epoch[u] != event.epoch) {
       return;
     }
-    const ParticipantId old_assignee = scheduler_.assignee_of(u);
-    const auto next =
-        scheduler_.try_reassign_unit(u, registry_, deal_engine_);
-    if (!next) {
+    if (!scheduler_.try_reassign_unit(u, registry_, deal_engine_)) {
       // Nobody eligible is left; the supervisor does the work itself.
       recompute_unit(u, event.time);
       return;
     }
     ++report_.units_reissued;
-    adversary_held_[scheduler_.task_of(u)] +=
-        is_adversary_[*next] - is_adversary_[old_assignee];
     issue_unit(u, event.time);
   }
 
@@ -908,7 +878,7 @@ class Runner {
     ++recompute_used_;
     units_.state[u] = UnitState::kRecomputed;
     units_.epoch[u] += 1;
-    units_.value[u] = tasks_.truth[scheduler_.task_of(u)];
+    units_.value[u] = truth_(scheduler_.task_of(u));
     ++report_.supervisor_recomputes;
     on_result(u, now);
   }
@@ -918,14 +888,18 @@ class Runner {
   void compute_value(std::size_t u, double now) {
     const std::size_t t = scheduler_.task_of(u);
     const ParticipantId assignee = scheduler_.assignee_of(u);
-    const std::uint64_t truth = tasks_.truth[t];
+    const std::uint64_t truth = truth_(t);
     std::uint64_t value = truth;
     if (is_adversary_[assignee] != 0) {
       // The principal commits to a per-task plan the first time any of her
       // identities reports a copy, based on how many copies she holds then.
       if (!tasks_.test(t, TaskTable::kAdversaryCommitted)) {
         tasks_.set(t, TaskTable::kAdversaryCommitted);
-        bool cheats = decision_.should_cheat(adversary_held_[t]);
+        std::int64_t held = 0;
+        for (const std::uint32_t v : scheduler_.run(t)) {
+          held += is_adversary_[scheduler_.assignee_of(v)];
+        }
+        bool cheats = decision_.should_cheat(held);
         // Under a kPDrift schedule the principal only plays a fraction of
         // her playable tuples; the coin is keyed per task, so commit
         // *order* never changes the draw, only the active fraction at
@@ -979,9 +953,9 @@ class Runner {
 
     // Ringer copies are checked the moment they arrive: the supervisor
     // knows the answer outright, so a wrong value is an immediate catch.
-    if (tasks_.is_ringer[t] != 0 &&
+    if (scheduler_.is_ringer(t) &&
         units_.state[u] == UnitState::kCompleted &&
-        units_.value[u] != tasks_.truth[t]) {
+        units_.value[u] != truth_(t)) {
       if (!tasks_.test(t, TaskTable::kRingerCounted)) {
         tasks_.set(t, TaskTable::kRingerCounted);
         ++report_.ringer_catches;
@@ -998,9 +972,9 @@ class Runner {
   void validate(std::size_t t, double now) {
     update_task_(t,
                  [&] { tasks_.state[t] = TaskState::kPendingValidation; });
-    const std::uint64_t truth = tasks_.truth[t];
+    const std::uint64_t truth = truth_(t);
 
-    if (tasks_.is_ringer[t] != 0) {
+    if (scheduler_.is_ringer(t)) {
       accept(t, truth, now);
       return;
     }
@@ -1030,17 +1004,16 @@ class Runner {
     // BOINC-style INCONCLUSIVE: one more copy before the trusted
     // recompute. The mismatch latch is sticky, so this copy never changes
     // the accepted value.
-    if (tasks_.extra_replicas[t] < AdaptiveConfig::kMaxExtraReplicas) {
+    if (extra_replicas_(t) < AdaptiveConfig::kMaxExtraReplicas) {
       if (const auto nu =
               scheduler_.try_add_replica(static_cast<std::int64_t>(t),
                                          registry_, deal_engine_)) {
         update_task_(t, [&] {
           tasks_.state[t] = TaskState::kInconclusive;
-          ++tasks_.extra_replicas[t];
           ++tasks_.target_copies[t];
         });
         ++report_.quorum_replicas;
-        register_replica(*nu);
+        units_.append();
         issue_unit(*nu, now);
         return;
       }
@@ -1052,10 +1025,17 @@ class Runner {
     accept(t, truth, now);
   }
 
+  /// Marks task `t` VALID with `value` and audits that value against the
+  /// ground truth. VALID is terminal, so each task passes here once.
   void accept(std::size_t t, std::uint64_t value, double now) {
-    tasks_.accepted[t] = value;
     update_task_(t, [&] { tasks_.state[t] = TaskState::kValid; });
     ++report_.tasks_valid;
+    const std::uint64_t truth = truth_(t);
+    if (value == truth) {
+      ++report_.final_correct_tasks;
+    } else {
+      ++report_.final_corrupt_tasks;
+    }
     report_.makespan = std::max(report_.makespan, now);
 
     // Per-copy judgments feed exactly three consumers: the adaptive
@@ -1072,7 +1052,6 @@ class Runner {
       return;
     }
 
-    const std::uint64_t truth = tasks_.truth[t];
     for (const std::uint32_t u : scheduler_.run(t)) {
       if (units_.state[u] != UnitState::kCompleted) continue;  // No report.
       const auto submitter = scheduler_.assignee_of(u);
@@ -1190,16 +1169,13 @@ class Runner {
     if (outstanding > 0 &&
         score_total / static_cast<double>(outstanding) <
             AdaptiveConfig::kReliabilityFloor &&
-        tasks_.extra_replicas[t] < AdaptiveConfig::kMaxExtraReplicas) {
+        extra_replicas_(t) < AdaptiveConfig::kMaxExtraReplicas) {
       if (const auto nu =
               scheduler_.try_add_replica(static_cast<std::int64_t>(t),
                                          registry_, deal_engine_)) {
-        update_task_(t, [&] {
-          ++tasks_.extra_replicas[t];
-          ++tasks_.target_copies[t];
-        });
+        update_task_(t, [&] { ++tasks_.target_copies[t]; });
         ++report_.adaptive_replicas;
-        register_replica(*nu);
+        units_.append();
         issue_unit(*nu, event.time);
       }
     }
@@ -1222,7 +1198,7 @@ class Runner {
   /// both stay out of the controller's hands.
   [[nodiscard]] bool promotable_(std::size_t t) const {
     return tasks_.state[t] == TaskState::kInProgress &&
-           tasks_.is_ringer[t] == 0 &&
+           !scheduler_.is_ringer(t) &&
            tasks_.control_boosts[t] < control::ControlConfig::kMaxBoost;
   }
 
@@ -1231,7 +1207,7 @@ class Runner {
   /// dropping the target below the already-arrived count.
   [[nodiscard]] bool demotable_(std::size_t t) const {
     return tasks_.state[t] == TaskState::kInProgress &&
-           tasks_.is_ringer[t] == 0 &&
+           !scheduler_.is_ringer(t) &&
            tasks_.control_boosts[t] > tasks_.control_released[t] &&
            tasks_.target_copies[t] - 1 >= tasks_.arrived[t];
   }
@@ -1345,7 +1321,7 @@ class Runner {
           ++tasks_.target_copies[t];
         });
         ++report_.control_boosts;
-        register_replica(*nu);
+        units_.append();
         issue_unit(*nu, now);
         --remaining;
       }
@@ -1392,12 +1368,19 @@ class Runner {
 
   // -------------------------------------------------------------- plumbing
 
-  /// Extends the runtime state for unit `u`, just appended by
-  /// Scheduler::try_add_replica.
-  void register_replica(std::size_t u) {
-    units_.append();
-    adversary_held_[scheduler_.task_of(u)] +=
-        is_adversary_[scheduler_.assignee_of(u)];
+  /// Ground truth of task `t`: the keyed hash of the seed, recomputed on
+  /// every read rather than stored.
+  [[nodiscard]] std::uint64_t truth_(std::size_t t) const {
+    return truth_value(config_.seed, static_cast<std::int64_t>(t));
+  }
+
+  /// INCONCLUSIVE and adaptive replicas task `t` has gained. Every unit
+  /// its run holds beyond the dealt copies is one of those or a
+  /// controller boost, and a release cancels a unit but never shrinks
+  /// the run.
+  [[nodiscard]] std::int64_t extra_replicas_(std::size_t t) const {
+    return static_cast<std::int64_t>(scheduler_.run(t).size()) -
+           scheduler_.multiplicity(t) - tasks_.control_boosts[t];
   }
 
   void record_detection(std::size_t t, double now) {
@@ -1439,7 +1422,6 @@ class Runner {
   UnitTable units_;                         ///< SoA per-unit runtime state.
   TaskTable tasks_;                         ///< SoA per-task runtime state.
   std::vector<char> is_adversary_;          ///< Immutable, per identity.
-  std::vector<std::int32_t> adversary_held_;  ///< Copies per task.
   std::vector<double> score_;               ///< Per identity.
   std::vector<char> flagged_;               ///< Blacklist bitmap per identity.
   std::vector<std::int64_t> offline_count_; ///< Churn nesting per identity.

@@ -104,9 +104,10 @@ struct UnitTable {
   }
 };
 
-/// Structure-of-arrays table of the mutable per-task runtime state, plus
-/// the immutable per-task facts the validator consults on every result
-/// (ground truth, ringer membership).
+/// Structure-of-arrays table of the mutable per-task runtime state. What
+/// follows from elsewhere is not stored: ground truth is a keyed hash of
+/// the seed, ringer membership and the replica count are the Scheduler's,
+/// and the accepted value is counted when it is accepted.
 ///
 /// The eight per-task latch booleans pack into one flags byte: they are
 /// set-once markers the hot path only tests.
@@ -127,12 +128,8 @@ struct TaskTable {
   std::vector<std::uint8_t> flags;
   std::vector<std::int32_t> target_copies;  ///< Multiplicity + replicas.
   std::vector<std::int32_t> arrived;        ///< Completed/recomputed copies.
-  std::vector<std::int32_t> extra_replicas;
   std::vector<std::int32_t> control_boosts;
   std::vector<std::int32_t> control_released;
-  std::vector<std::uint64_t> accepted;
-  std::vector<std::uint64_t> truth;     ///< Immutable ground-truth values.
-  std::vector<std::uint8_t> is_ringer;  ///< Immutable ringer membership.
   /// Running unanimity aggregate: the first value folded in (arrival
   /// order). Valid only while kVoteMismatch is clear — once two values
   /// disagree the validator ignores it. Folding order cannot change
@@ -147,12 +144,8 @@ struct TaskTable {
     flags.resize(count, 0);
     target_copies.resize(count, 0);
     arrived.resize(count, 0);
-    extra_replicas.resize(count, 0);
     control_boosts.resize(count, 0);
     control_released.resize(count, 0);
-    accepted.resize(count, 0);
-    truth.resize(count, 0);
-    is_ringer.resize(count, 0);
     vote_value.resize(count, 0);
   }
 

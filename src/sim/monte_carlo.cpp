@@ -1,17 +1,32 @@
 #include "sim/monte_carlo.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "rng/bulk.hpp"
 
 namespace redund::sim {
 
+namespace {
+
+/// Rejects a replica count below 1 before it is cast to a size.
+void require_replicas(const MonteCarloConfig& config, const char* caller) {
+  if (config.replicas < 1) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": replicas must be >= 1, got " +
+                                std::to_string(config.replicas));
+  }
+}
+
+}  // namespace
+
 ReplicaResult run_monte_carlo(parallel::ThreadPool& pool,
                               const Workload& workload,
                               const AdversaryConfig& adversary,
                               const MonteCarloConfig& config,
                               Allocation allocation) {
+  require_replicas(config, "run_monte_carlo");
   return parallel::parallel_reduce_blocks<ReplicaResult>(
       pool, static_cast<std::size_t>(config.replicas), ReplicaResult{},
       [&](std::size_t begin, std::size_t end) {
@@ -41,6 +56,7 @@ TwoPhaseAggregate run_two_phase_monte_carlo(parallel::ThreadPool& pool,
                                             std::int64_t adversary_work,
                                             const MonteCarloConfig& config,
                                             TwoPhaseMethod method) {
+  require_replicas(config, "run_two_phase_monte_carlo");
   const auto combine = [](TwoPhaseAggregate merged,
                           const TwoPhaseAggregate& next) {
     merged.overlap.merge(next.overlap);

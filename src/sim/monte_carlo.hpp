@@ -24,7 +24,8 @@ struct MonteCarloConfig {
 };
 
 /// Runs `config.replicas` replicas of `workload` vs `adversary` on `pool`
-/// and returns the merged counters.
+/// and returns the merged counters. Throws std::invalid_argument when
+/// `config.replicas` is below 1.
 [[nodiscard]] ReplicaResult run_monte_carlo(
     parallel::ThreadPool& pool, const Workload& workload,
     const AdversaryConfig& adversary, const MonteCarloConfig& config,
@@ -36,7 +37,8 @@ struct TwoPhaseAggregate {
   stats::BernoulliCounter can_cheat;  ///< Replicas with >= 1 such task.
 };
 
-/// Runs `config.replicas` independent two-phase rounds.
+/// Runs `config.replicas` independent two-phase rounds. Throws
+/// std::invalid_argument when `config.replicas` is below 1.
 [[nodiscard]] TwoPhaseAggregate run_two_phase_monte_carlo(
     parallel::ThreadPool& pool, std::int64_t task_count,
     std::int64_t adversary_work, const MonteCarloConfig& config,

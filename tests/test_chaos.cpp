@@ -145,6 +145,9 @@ TEST(ChaosSweep, EveryScenarioIsDeterministicAndConserving) {
     // Task conservation: every task is either validated or reported
     // unfinished, and a completed campaign left nothing behind.
     EXPECT_EQ(a.tasks_valid + a.tasks_unfinished, a.tasks) << scenario.name;
+    // Each validated task is audited against the truth exactly once.
+    EXPECT_EQ(a.final_correct_tasks + a.final_corrupt_tasks, a.tasks_valid)
+        << scenario.name;
     if (a.outcome == CampaignOutcome::kCompleted) {
       EXPECT_EQ(a.tasks_unfinished, 0) << scenario.name;
       EXPECT_EQ(a.tasks_valid, a.tasks) << scenario.name;
@@ -239,6 +242,8 @@ TEST(ChaosDegradation, FleetCollapseStallsInBoundedTime) {
   EXPECT_EQ(report.outcome, CampaignOutcome::kStalled);
   EXPECT_GT(report.tasks_unfinished, 0);
   EXPECT_EQ(report.tasks_valid + report.tasks_unfinished, report.tasks);
+  EXPECT_EQ(report.final_correct_tasks + report.final_corrupt_tasks,
+            report.tasks_valid);
   EXPECT_EQ(report.min_live_fleet, 0);
   // Bounded simulated time: the health monitor ended the campaign instead
   // of spinning on an empty fleet.
@@ -259,6 +264,25 @@ TEST(ChaosDegradation, MaxSimTimeAbortsWithAPartialReport) {
   EXPECT_DOUBLE_EQ(report.end_time, 15.0);
   EXPECT_GT(report.tasks_unfinished, 0);
   EXPECT_EQ(report.tasks_valid + report.tasks_unfinished, report.tasks);
+  EXPECT_EQ(report.final_correct_tasks + report.final_corrupt_tasks,
+            report.tasks_valid);
+}
+
+// Both partial reports above validate no task, so this one caps a
+// campaign whose sybils cheat mid-way: some tasks are accepted, correct
+// and corrupt, and the rest are cut off unfinished.
+TEST(ChaosDegradation, AbortedReportAuditsOnlyItsValidatedTasks) {
+  auto config = base_config();
+  config.latency.straggler_fraction = 1.0;
+  config.latency.straggler_slowdown = 20.0;
+  config.health.max_sim_time = 40.0;
+  const auto report = runtime::run_async_campaign(config);
+  EXPECT_EQ(report.outcome, CampaignOutcome::kAborted);
+  EXPECT_GT(report.tasks_valid, 0);
+  EXPECT_GT(report.tasks_unfinished, 0);
+  EXPECT_GT(report.final_corrupt_tasks, 0);
+  EXPECT_EQ(report.final_correct_tasks + report.final_corrupt_tasks,
+            report.tasks_valid);
 }
 
 // ------------------------------------------------------------------ sharded

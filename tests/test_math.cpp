@@ -61,23 +61,6 @@ TEST(NeumaierSum, ResetClearsState) {
   EXPECT_EQ(acc.value(), 0.0);
 }
 
-TEST(NeumaierSum, SpanOverloadMatchesLoop) {
-  const std::vector<double> terms = {0.1, 0.2, 0.3, 1e9, -1e9, 0.4};
-  EXPECT_DOUBLE_EQ(m::neumaier_sum(terms), [&] {
-    m::NeumaierSum acc;
-    for (double t : terms) acc.add(t);
-    return acc.value();
-  }());
-}
-
-TEST(WeightedSum, AppliesIndexWeights) {
-  const std::vector<double> values = {1.0, 2.0, 3.0};
-  // sum (i+1) * v_i = 1 + 4 + 9 = 14.
-  const double got = m::weighted_sum(
-      values, [](std::size_t i) { return static_cast<double>(i + 1); });
-  EXPECT_DOUBLE_EQ(got, 14.0);
-}
-
 // ---------------------------------------------------------------- binomial
 
 TEST(Binomial, MatchesHandValues) {

@@ -2,7 +2,7 @@
 // algebraic identities re-verified with zero floating-point involvement.
 #include <gtest/gtest.h>
 
-#include "math/rational.hpp"
+#include "rational.hpp"
 
 using redund::math::Rational;
 using redund::math::rational_binomial;

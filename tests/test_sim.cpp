@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/realize.hpp"
 #include "core/schemes/balanced.hpp"
@@ -375,6 +376,30 @@ TEST(MonteCarlo, DeterministicAcrossThreadCounts) {
   EXPECT_EQ(r1.detected_cheats, r4.detected_cheats);
   EXPECT_EQ(r1.successful_cheats, r4.successful_cheats);
   EXPECT_EQ(r1.attempts_by_held, r4.attempts_by_held);
+}
+
+TEST(MonteCarlo, RejectsNonPositiveReplicas) {
+  constexpr std::int64_t kN = 200;
+  const auto plan = core::realize(
+      core::make_balanced(kN, 0.5, {.truncate_below = 1e-9}), kN, 0.5);
+  const sim::Workload workload(plan);
+  const sim::AdversaryConfig adversary{
+      .proportion = 0.1, .strategy = sim::CheatStrategy::kAlwaysCheat};
+  redund::parallel::ThreadPool pool(1);
+  for (const std::int64_t replicas : {0, -1}) {
+    const sim::MonteCarloConfig config{.replicas = replicas};
+    EXPECT_THROW(static_cast<void>(
+                     sim::run_monte_carlo(pool, workload, adversary, config)),
+                 std::invalid_argument)
+        << "replicas=" << replicas;
+    for (const auto method : {sim::TwoPhaseMethod::kHypergeometric,
+                              sim::TwoPhaseMethod::kExplicitDeal}) {
+      EXPECT_THROW(static_cast<void>(sim::run_two_phase_monte_carlo(
+                       pool, kN, 10, config, method)),
+                   std::invalid_argument)
+          << "replicas=" << replicas;
+    }
+  }
 }
 
 }  // namespace

@@ -258,6 +258,13 @@ int cmd_analyze(const Args& args) {
 }
 
 int cmd_simulate(const Args& args) {
+  sim::MonteCarloConfig config;
+  config.replicas = args.integer("replicas", 100);
+  if (config.replicas < 1) {
+    throw std::invalid_argument("--replicas must be >= 1, got " +
+                                std::to_string(config.replicas));
+  }
+  config.master_seed = static_cast<std::uint64_t>(args.integer("seed", 1));
   const core::RealizedPlan plan = load_plan(args.require("plan"));
   sim::AdversaryConfig adversary;
   adversary.proportion = args.number("adversary");
@@ -265,9 +272,6 @@ int cmd_simulate(const Args& args) {
   if (adversary.strategy == sim::CheatStrategy::kExactTuple) {
     adversary.tuple_size = 2;
   }
-  sim::MonteCarloConfig config;
-  config.replicas = args.integer("replicas", 100);
-  config.master_seed = static_cast<std::uint64_t>(args.integer("seed", 1));
 
   redund::parallel::ThreadPool pool(thread_count(args));
   const sim::Workload workload(plan);
@@ -277,7 +281,7 @@ int cmd_simulate(const Args& args) {
             << "adversary share:     " << adversary.proportion << " ("
             << to_string(adversary.strategy) << ")\n"
             << "cheat attempts/run:  "
-            << result.cheat_attempts / std::max<std::int64_t>(1, result.replicas)
+            << result.cheat_attempts / result.replicas
             << "\n"
             << "detection rate:      "
             << rep::fixed(result.detection_rate(), 4) << "\n"
