@@ -26,7 +26,8 @@ namespace redund::control {
 /// fingerprint). The estimator's Beta(1, 19) prior (mean 0.05) and the
 /// dropout EWMA's alpha = 0.05 are the constants
 /// AdversaryEstimator::kPriorAlpha/kPriorBeta and RateEwma::kAlpha; the
-/// 256/64 promotion/release caps per round are ReplanBudgets' defaults.
+/// 256/64 promotion/release caps per round are
+/// ReplanBudgets::kMaxPromotions/kMaxReleases.
 struct ControlConfig {
   /// Posterior upper credible limit the re-planner evaluates at.
   static constexpr double kQuantile = 0.95;

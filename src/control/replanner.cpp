@@ -64,9 +64,6 @@ ReplanDecision plan_remaining(const std::vector<ResidualClass>& classes,
     throw std::invalid_argument(
         "plan_remaining: epsilon must be in [0, 1]");
   }
-  if (budgets.max_promotions < 0 || budgets.max_releases < 0) {
-    throw std::invalid_argument("plan_remaining: budgets must be >= 0");
-  }
   std::int64_t max_multiplicity = 0;
   for (const ResidualClass& cls : classes) {
     if (cls.multiplicity < 1 || cls.tasks < 0 || cls.promotable < 0 ||
@@ -101,7 +98,7 @@ ReplanDecision plan_remaining(const std::vector<ResidualClass>& classes,
   // bound clears epsilon. Promoted mass lands one class up but is not
   // re-promotable this round, so every task moves at most one step.
   std::int64_t promoted = 0;
-  while (level < budgets.epsilon && promoted < budgets.max_promotions) {
+  while (level < budgets.epsilon && promoted < ReplanBudgets::kMaxPromotions) {
     const std::int64_t weakest = weakest_class(counts, p_upper, include_top);
     if (weakest < 1) break;  // No attack surface at all.
     // An unverified top class can never be protected by promotion: the
@@ -141,7 +138,7 @@ ReplanDecision plan_remaining(const std::vector<ResidualClass>& classes,
   // the round — the mix never crosses the feasible minimum.
   if (budgets.allow_release && level >= budgets.epsilon) {
     std::int64_t released = 0;
-    while (released < budgets.max_releases) {
+    while (released < ReplanBudgets::kMaxReleases) {
       std::size_t from = counts.size();
       for (std::size_t i = counts.size(); i-- > 1;) {
         if (demotable[i] > 0 && counts[i] > 0.0) {

@@ -44,9 +44,11 @@ struct ResidualClass {
 
 /// Caps and targets for one re-plan round.
 struct ReplanBudgets {
-  double epsilon = 0.5;               ///< Required min_k P_{k,p}.
-  std::int64_t max_promotions = 256;  ///< Escalation step bound per round.
-  std::int64_t max_releases = 64;     ///< De-escalation step bound per round.
+  /// Escalation and de-escalation step bounds per round.
+  static constexpr std::int64_t kMaxPromotions = 256;
+  static constexpr std::int64_t kMaxReleases = 64;
+
+  double epsilon = 0.5;  ///< Required min_k P_{k,p}.
   bool allow_release = true;
   /// True when the residual top class is supervisor-verified (ringers):
   /// the top tuple is then not an attack surface, matching the planner's
@@ -79,7 +81,8 @@ struct ReplanDecision {
 /// adversary proportion `p_upper`. Pure and deterministic; every task
 /// moves at most one step per round (multi-step escalation happens
 /// across successive rounds, each re-anchored on fresh observations).
-/// Throws std::invalid_argument on malformed classes or budgets.
+/// Throws std::invalid_argument on malformed classes, an out-of-range
+/// p_upper or an out-of-range budgets.epsilon.
 [[nodiscard]] ReplanDecision plan_remaining(
     const std::vector<ResidualClass>& classes, double p_upper,
     const ReplanBudgets& budgets);

@@ -31,8 +31,7 @@ Plan make_plan(const PlanRequest& request) {
   plan.epsilon = request.epsilon;
   switch (request.scheme) {
     case Scheme::kSimple:
-      plan.theoretical =
-          make_simple_redundancy(n, request.simple_multiplicity);
+      plan.theoretical = make_simple_redundancy(n, 2);
       break;
     case Scheme::kGolleStubblebine:
       plan.theoretical =

@@ -16,7 +16,7 @@ namespace redund::core {
 
 /// Scheme selector for make_plan().
 enum class Scheme {
-  kSimple,            ///< All tasks assigned `simple_multiplicity` times.
+  kSimple,            ///< Simple redundancy: every task assigned twice.
   kGolleStubblebine,  ///< Geometric baseline (Section 3.1).
   kBalanced,          ///< The paper's Balanced distribution (Section 4).
   kMinAssignment,     ///< LP-optimal S_m (Section 3.2) — cheapest, fragile.
@@ -30,7 +30,6 @@ struct PlanRequest {
   std::int64_t task_count = 0;   ///< N, number of distinct tasks (>= 1).
   double epsilon = 0.5;          ///< Target detection level in (0, 1).
   Scheme scheme = Scheme::kBalanced;
-  std::int64_t simple_multiplicity = 2;  ///< For kSimple.
   std::int64_t minimum_multiplicity = 2; ///< For kMinMultiplicity.
   std::int64_t lp_dimension = 12;        ///< For kMinAssignment (>= 2).
   bool add_ringers = true;               ///< Guard the top multiplicity.

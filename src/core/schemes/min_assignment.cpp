@@ -65,8 +65,7 @@ lp::Model build_model(double task_count, double epsilon, std::int64_t dimension,
 MinAssignmentResult solve_model(const lp::Model& model, double epsilon,
                                 std::int64_t dimension) {
   MinAssignmentResult result;
-  const lp::SimplexSolver solver;
-  const lp::Solution solution = solver.solve(model);
+  const lp::Solution solution = lp::solve(model);
   result.status = solution.status;
   if (solution.status != lp::SolveStatus::kOptimal) return result;
 

@@ -20,6 +20,15 @@ std::string to_string(SolveStatus status) {
 
 namespace {
 
+/// Entries below this are treated as zero.
+constexpr double kPivotTolerance = 1e-9;
+/// Reduced-cost optimality threshold.
+constexpr double kCostTolerance = 1e-9;
+/// Per-phase pivot budget.
+constexpr int kMaxPivots = 100000;
+/// Pivots before switching from Dantzig's rule to Bland's.
+constexpr int kDantzigPivots = 2000;
+
 /// Fully updated dense tableau: rows are basic-variable equations, columns
 /// are all variables (structural, slack/surplus, artificial), plus rhs.
 struct Tableau {
@@ -78,9 +87,9 @@ enum class PhaseOutcome { kOptimal, kUnbounded, kIterationLimit };
 /// the numbers are still numbers. Deliberately structural-only — exact
 /// properties of a correct implementation on any input. Near-feasibility
 /// of the rhs is NOT asserted here: it is a numerical property, not an
-/// implementation contract, and the row-equilibration ablation test runs
-/// an ill-conditioned system where rounding error drives the rhs ~1e-4 of
-/// the tableau scale negative while the algorithm behaves as documented.
+/// implementation contract — on an ill-conditioned system rounding error
+/// can drive the rhs ~1e-4 of the tableau scale negative while the
+/// algorithm behaves as documented.
 bool tableau_consistent(const Tableau& tableau) {
   for (std::size_t i = 0; i < tableau.rows; ++i) {
     if (tableau.basis[i] >= tableau.cols) return false;
@@ -94,15 +103,14 @@ bool tableau_consistent(const Tableau& tableau) {
 /// with allowed[j] == false may not enter the basis (used to lock out
 /// artificials in phase 2).
 PhaseOutcome run_phase(Tableau& tableau, const std::vector<double>& costs,
-                       const std::vector<char>& allowed,
-                       const SimplexOptions& options, int& pivots) {
-  for (pivots = 0; pivots < options.max_pivots; ++pivots) {
-    const bool use_bland = pivots >= options.dantzig_pivots;
+                       const std::vector<char>& allowed) {
+  for (int pivots = 0; pivots < kMaxPivots; ++pivots) {
+    const bool use_bland = pivots >= kDantzigPivots;
 
     // Entering column: Dantzig (most negative reduced cost) early, Bland
     // (first negative) once degeneracy is suspected.
     std::size_t entering = tableau.cols;
-    double best = -options.cost_tolerance;
+    double best = -kCostTolerance;
     for (std::size_t j = 0; j < tableau.cols; ++j) {
       if (!allowed[j]) continue;
       const double d = reduced_cost(tableau, costs, j);
@@ -119,10 +127,10 @@ PhaseOutcome run_phase(Tableau& tableau, const std::vector<double>& costs,
     double best_ratio = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < tableau.rows; ++i) {
       const double entry = tableau.at(i, entering);
-      if (entry <= options.pivot_tolerance) continue;
+      if (entry <= kPivotTolerance) continue;
       const double ratio = tableau.rhs[i] / entry;
-      if (ratio < best_ratio - options.pivot_tolerance ||
-          (ratio < best_ratio + options.pivot_tolerance &&
+      if (ratio < best_ratio - kPivotTolerance ||
+          (ratio < best_ratio + kPivotTolerance &&
            (leaving == tableau.rows ||
             tableau.basis[i] < tableau.basis[leaving]))) {
         best_ratio = ratio;
@@ -141,7 +149,7 @@ PhaseOutcome run_phase(Tableau& tableau, const std::vector<double>& costs,
 
 }  // namespace
 
-Solution SimplexSolver::solve(const Model& model) const {
+Solution solve(const Model& model) {
   const std::size_t n = model.variable_count();
   const std::size_t m = model.constraint_count();
 
@@ -182,17 +190,16 @@ Solution SimplexSolver::solve(const Model& model) const {
             : rel == Relation::kGreaterEqual ? Relation::kLessEqual
                                              : Relation::kEqual;
     }
-    // Row equilibration: divide the row by its largest structural
-    // coefficient so rows with huge entries (e.g. binomial coefficients in
-    // the S_m systems) do not wreck the pivoting numerics. This rescales
-    // the constraint, not the solution set.
+    // Row equilibration: divide the row by its largest coefficient so
+    // rows with huge entries (the binomial coefficients of the S_m
+    // systems) do not wreck the pivoting numerics. The S_m systems
+    // misconverge without it from m ~ 20. This rescales the constraint,
+    // not the solution set.
     double row_scale = 0.0;
-    if (options_.row_equilibration) {
-      for (const double coefficient : c.coefficients) {
-        row_scale = std::max(row_scale, std::abs(coefficient));
-      }
-      row_scale = std::max(row_scale, std::abs(c.rhs));
+    for (const double coefficient : c.coefficients) {
+      row_scale = std::max(row_scale, std::abs(coefficient));
     }
+    row_scale = std::max(row_scale, std::abs(c.rhs));
     const double inv_scale = row_scale > 0.0 ? 1.0 / row_scale : 1.0;
     for (std::size_t t = 0; t < c.variables.size(); ++t) {
       tableau.at(i, c.variables[t]) += sign * inv_scale * c.coefficients[t];
@@ -228,8 +235,8 @@ Solution SimplexSolver::solve(const Model& model) const {
       if (is_artificial[j]) phase1_costs[j] = 1.0;
     }
     std::vector<char> all_allowed(tableau.cols, 1);
-    const PhaseOutcome outcome = run_phase(tableau, phase1_costs, all_allowed,
-                                           options_, solution.phase1_pivots);
+    const PhaseOutcome outcome =
+        run_phase(tableau, phase1_costs, all_allowed);
     if (outcome == PhaseOutcome::kIterationLimit) {
       solution.status = SolveStatus::kIterationLimit;
       return solution;
@@ -248,7 +255,7 @@ Solution SimplexSolver::solve(const Model& model) const {
     for (std::size_t i = 0; i < m; ++i) {
       if (!is_artificial[tableau.basis[i]]) continue;
       for (std::size_t j = 0; j < n + slack_count; ++j) {
-        if (std::abs(tableau.at(i, j)) > options_.pivot_tolerance) {
+        if (std::abs(tableau.at(i, j)) > kPivotTolerance) {
           tableau.pivot(i, j);
           break;
         }
@@ -269,8 +276,7 @@ Solution SimplexSolver::solve(const Model& model) const {
   for (std::size_t j = 0; j < tableau.cols; ++j) {
     if (is_artificial[j]) allowed[j] = 0;
   }
-  const PhaseOutcome outcome = run_phase(tableau, phase2_costs, allowed,
-                                         options_, solution.phase2_pivots);
+  const PhaseOutcome outcome = run_phase(tableau, phase2_costs, allowed);
   if (outcome == PhaseOutcome::kIterationLimit) {
     solution.status = SolveStatus::kIterationLimit;
     return solution;

@@ -21,41 +21,17 @@ enum class SolveStatus { kOptimal, kInfeasible, kUnbounded, kIterationLimit };
 
 [[nodiscard]] std::string to_string(SolveStatus status);
 
-/// Result of SimplexSolver::solve.
+/// Result of solve().
 struct Solution {
   SolveStatus status = SolveStatus::kIterationLimit;
   std::vector<double> x;      ///< Primal values (size = model variable count).
   double objective = 0.0;     ///< Objective at x (model sense).
-  int phase1_pivots = 0;
-  int phase2_pivots = 0;
 };
 
-/// Solver options.
-struct SimplexOptions {
-  double pivot_tolerance = 1e-9;   ///< Entries below this are treated as zero.
-  double cost_tolerance = 1e-9;    ///< Reduced-cost optimality threshold.
-  int max_pivots = 100000;         ///< Per-phase pivot budget.
-  int dantzig_pivots = 2000;       ///< Pivots before switching to Bland's rule.
-  /// Divide each constraint row by its largest coefficient before solving.
-  /// Load-bearing for the S_m systems, whose rows mix O(1) and O(C(m,m/2))
-  /// entries: without it the solver visibly misconverges from m ~ 20
-  /// (ablation covered in tests/bench). Leave on unless you are measuring
-  /// exactly that.
-  bool row_equilibration = true;
-};
-
-/// Dense two-phase primal simplex. Stateless apart from options; safe to use
-/// from multiple threads on distinct Model instances.
-class SimplexSolver {
- public:
-  explicit SimplexSolver(SimplexOptions options = {}) : options_(options) {}
-
-  /// Solves `model`. On kOptimal the returned x is feasible
-  /// (model.is_feasible(x)) and optimal to within the tolerances.
-  [[nodiscard]] Solution solve(const Model& model) const;
-
- private:
-  SimplexOptions options_;
-};
+/// Solves `model` by dense two-phase primal simplex. On kOptimal the
+/// returned x is feasible (model.is_feasible(x)) and optimal to within the
+/// solver's tolerances. Stateless; safe to call from multiple threads on
+/// distinct Model instances.
+[[nodiscard]] Solution solve(const Model& model);
 
 }  // namespace redund::lp

@@ -125,7 +125,8 @@ CampaignReport run_campaign_round(const CampaignConfig& config,
   const auto compute_unit = [&](std::size_t u, bool lying) {
     const std::uint32_t task = scheduler.task_of(u);
     const std::uint64_t truth = truth_value(round_seed, task);
-    ParticipantRecord& record = registry.record(scheduler.assignee_of(u));
+    const ParticipantRecord& record =
+        registry.record(scheduler.assignee_of(u));
     std::uint64_t value = truth;
     if (record.principal == Principal::kAdversary) {
       if (lying && adversary_cheats[task]) {
@@ -140,7 +141,6 @@ CampaignReport run_campaign_round(const CampaignConfig& config,
         value = truth ^ (0x1ULL + (unit_engine() | 0x2ULL));
       }
     }
-    if (value != truth) ++record.wrong_results;
     values[u] = value;
   };
   for (std::size_t u = 0; u < unit_count; ++u) compute_unit(u, true);

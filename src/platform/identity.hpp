@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace redund::platform {
 
@@ -23,12 +22,8 @@ enum class Principal { kHonest, kAdversary };
 /// The supervisor-visible record for one registered identity.
 struct ParticipantRecord {
   ParticipantId id = 0;
-  std::string name;                 ///< Display name ("user1234").
   Principal principal = Principal::kHonest;  ///< Ground truth (sim only).
-  bool blacklisted = false;         ///< Supervisor reaction state.
-  std::int64_t assignments_completed = 0;
-  std::int64_t credit = 0;          ///< Completed-work credit (BOINC-style).
-  std::int64_t wrong_results = 0;   ///< Ground-truth wrong submissions.
+  bool blacklisted = false;                  ///< Supervisor reaction state.
 };
 
 }  // namespace redund::platform

@@ -5,13 +5,9 @@
 
 namespace redund::platform {
 
-ParticipantId Registry::enroll(Principal principal, std::string name) {
+ParticipantId Registry::enroll(Principal principal) {
   const auto id = static_cast<ParticipantId>(records_.size());
-  if (name.empty()) {
-    name = (principal == Principal::kAdversary ? "sybil" : "user") +
-           std::to_string(id);
-  }
-  records_.push_back({id, std::move(name), principal, false, 0, 0, 0});
+  records_.push_back({id, principal, false});
   return id;
 }
 
@@ -29,9 +25,8 @@ ParticipantId Registry::enroll_sybils(std::int64_t count) {
 void Registry::blacklist(ParticipantId id) { set_blacklisted(id, true); }
 
 void Registry::set_blacklisted(ParticipantId id, bool on) {
-  ParticipantRecord& target = record(id);
-  if (target.blacklisted == on) return;
-  target.blacklisted = on;
+  if (record(id).blacklisted == on) return;
+  records_[id].blacklisted = on;
   const auto at =
       std::lower_bound(blacklisted_ids_.begin(), blacklisted_ids_.end(), id);
   if (on) {
@@ -48,27 +43,12 @@ const ParticipantRecord& Registry::record(ParticipantId id) const {
   return records_[id];
 }
 
-ParticipantRecord& Registry::record(ParticipantId id) {
-  if (id >= records_.size()) {
-    throw std::out_of_range("Registry::record: unknown participant id");
-  }
-  return records_[id];
-}
-
 std::int64_t Registry::active_count() const noexcept {
   return size() - blacklisted_count();
 }
 
 std::int64_t Registry::blacklisted_count() const noexcept {
   return static_cast<std::int64_t>(blacklisted_ids_.size());
-}
-
-std::int64_t Registry::adversary_count() const noexcept {
-  std::int64_t count = 0;
-  for (const auto& r : records_) {
-    count += r.principal == Principal::kAdversary ? 1 : 0;
-  }
-  return count;
 }
 
 }  // namespace redund::platform

@@ -15,7 +15,7 @@ namespace redund::platform {
 class Registry {
  public:
   /// Registers one identity; returns its id.
-  ParticipantId enroll(Principal principal, std::string name = {});
+  ParticipantId enroll(Principal principal);
 
   /// Registers `count` adversary-controlled identities at once (the cheap
   /// Sybil enrollment of footnote 1). Returns the first new id; ids are
@@ -26,20 +26,19 @@ class Registry {
   void blacklist(ParticipantId id);
 
   /// Sets or clears the blacklist mark, keeping the sorted blacklist
-  /// index in sync. Every mutation of ParticipantRecord::blacklisted must
-  /// go through here (or blacklist()) — the schedulers' eligible-count
-  /// arithmetic reads the index instead of scanning the records.
+  /// index in sync. Records are read-only outside the registry, so every
+  /// change of ParticipantRecord::blacklisted comes through here (or
+  /// blacklist()) — the schedulers' eligible-count arithmetic reads the
+  /// index instead of scanning the records.
   void set_blacklisted(ParticipantId id, bool on);
 
   [[nodiscard]] const ParticipantRecord& record(ParticipantId id) const;
-  [[nodiscard]] ParticipantRecord& record(ParticipantId id);
 
   [[nodiscard]] std::int64_t size() const noexcept {
     return static_cast<std::int64_t>(records_.size());
   }
   [[nodiscard]] std::int64_t active_count() const noexcept;
   [[nodiscard]] std::int64_t blacklisted_count() const noexcept;
-  [[nodiscard]] std::int64_t adversary_count() const noexcept;
 
   [[nodiscard]] const std::vector<ParticipantRecord>& records() const noexcept {
     return records_;

@@ -64,7 +64,8 @@ Scheduler::Scheduler(const core::RealizedPlan& plan,
   slots_.resize(begin);
 }
 
-void Scheduler::deal(Registry& registry, rng::Xoshiro256StarStar& engine) {
+void Scheduler::deal(const Registry& registry,
+                     rng::Xoshiro256StarStar& engine) {
   std::vector<ParticipantId> active;
   for (const auto& record : registry.records()) {
     if (!record.blacklisted) active.push_back(record.id);
@@ -95,7 +96,6 @@ void Scheduler::deal(Registry& registry, rng::Xoshiro256StarStar& engine) {
       if (!held) {
         assignee_[u] = candidate;
         slots_[run_begin_[t] + run_size_[t]++] = static_cast<std::uint32_t>(u);
-        registry.record(candidate).assignments_completed += 1;
         break;
       }
       if (tries + 1 == active.size()) {
@@ -152,7 +152,7 @@ std::optional<ParticipantId> pick_active_excluding(
 }  // namespace
 
 std::optional<ParticipantId> Scheduler::try_reassign_unit(
-    std::size_t unit_index, Registry& registry,
+    std::size_t unit_index, const Registry& registry,
     rng::Xoshiro256StarStar& engine) {
   if (unit_index >= task_.size()) {
     throw std::out_of_range("Scheduler::try_reassign_unit: bad unit index");
@@ -178,12 +178,12 @@ std::optional<ParticipantId> Scheduler::try_reassign_unit(
       pick_active_excluding(registry, excluded, engine);
   if (!next) return std::nullopt;
   assignee_[unit_index] = *next;
-  registry.record(*next).assignments_completed += 1;
   return next;
 }
 
 std::optional<std::size_t> Scheduler::try_add_replica(
-    std::int64_t task, Registry& registry, rng::Xoshiro256StarStar& engine) {
+    std::int64_t task, const Registry& registry,
+    rng::Xoshiro256StarStar& engine) {
   if (task < 0 || task >= task_count()) {
     throw std::out_of_range("Scheduler::try_add_replica: bad task index");
   }
@@ -209,12 +209,12 @@ std::optional<std::size_t> Scheduler::try_add_replica(
   task_.push_back(static_cast<std::uint32_t>(t));
   assignee_.push_back(*assignee);
   slots_[run_begin_[t] + run_size_[t]++] = static_cast<std::uint32_t>(u);
-  registry.record(*assignee).assignments_completed += 1;
   return u;
 }
 
 std::vector<std::size_t> Scheduler::reassign_from(
-    ParticipantId from, Registry& registry, rng::Xoshiro256StarStar& engine) {
+    ParticipantId from, const Registry& registry,
+    rng::Xoshiro256StarStar& engine) {
   std::vector<ParticipantId> active;
   for (const auto& record : registry.records()) {
     if (!record.blacklisted) active.push_back(record.id);
@@ -239,7 +239,6 @@ std::vector<std::size_t> Scheduler::reassign_from(
       }
       if (!held) {
         assignee_[u] = candidate;
-        registry.record(candidate).assignments_completed += 1;
         reassigned.push_back(u);
         break;
       }

@@ -40,7 +40,7 @@ class Scheduler {
   /// skipped (the one-copy-per-identity rule). Requires at least
   /// max-multiplicity active identities. Fills the assignee lane and every
   /// task's run, in ascending unit order.
-  void deal(Registry& registry, rng::Xoshiro256StarStar& engine);
+  void deal(const Registry& registry, rng::Xoshiro256StarStar& engine);
 
   /// Reassigns every unit currently held by `from` to active *honest-so-far*
   /// identities (used by the supervisor's reactive path after blacklisting;
@@ -48,7 +48,7 @@ class Scheduler {
   /// identities, still honouring the one-copy rule). Returns the indices of
   /// the reassigned units.
   std::vector<std::size_t> reassign_from(ParticipantId from,
-                                         Registry& registry,
+                                         const Registry& registry,
                                          rng::Xoshiro256StarStar& engine);
 
   /// Moves the single unit `unit_index` to an active identity other than
@@ -57,7 +57,7 @@ class Scheduler {
   /// among eligible identities. Returns the new assignee, or nullopt —
   /// leaving the unit untouched — when no active identity can take it.
   std::optional<ParticipantId> try_reassign_unit(
-      std::size_t unit_index, Registry& registry,
+      std::size_t unit_index, const Registry& registry,
       rng::Xoshiro256StarStar& engine);
 
   /// Appends one extra copy (replica) of `task` to the unit table and its
@@ -68,7 +68,7 @@ class Scheduler {
   /// std::length_error, before any draw, when the task's replica budget
   /// is spent.
   std::optional<std::size_t> try_add_replica(std::int64_t task,
-                                             Registry& registry,
+                                             const Registry& registry,
                                              rng::Xoshiro256StarStar& engine);
 
   /// Task and current assignee of unit `u`.

@@ -60,7 +60,7 @@ struct RuntimeReport {
   std::int64_t quorum_replicas = 0;     ///< INCONCLUSIVE-path extra copies.
   std::int64_t supervisor_recomputes = 0;
   std::int64_t tasks_valid = 0;
-  std::int64_t tasks_inconclusive = 0;  ///< Ever entered INCONCLUSIVE.
+  std::int64_t tasks_inconclusive = 0;  ///< Tasks whose copies disagreed.
   std::int64_t mismatches_detected = 0;
   std::int64_t ringer_catches = 0;
   std::int64_t blacklisted_identities = 0;

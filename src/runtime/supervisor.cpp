@@ -265,7 +265,8 @@ class Runner {
       moved_scratch_.assign(task_count, 0);
       // One row per reachable target: a task's target never exceeds its
       // multiplicity plus its replica and boost budgets. Every task starts
-      // unsent at its multiplicity, neither promotable nor demotable.
+      // unfinished at its multiplicity with no boost to give back, so it
+      // is promotable unless it is a ringer, and never demotable.
       std::int64_t top = 0;
       for (std::size_t t = 0; t < task_count; ++t) {
         top = std::max(top, scheduler_.multiplicity(t));
@@ -476,19 +477,12 @@ class Runner {
     // A drained queue with unfinished tasks is a stall the monitor did not
     // get to declare first (e.g. a parked unit whose health timer already
     // drained) — degrade to a partial report, never throw.
-    if (outcome_ == CampaignOutcome::kCompleted) {
-      for (const TaskState state : tasks_.state) {
-        if (state != TaskState::kValid) {
-          outcome_ = CampaignOutcome::kStalled;
-          break;
-        }
-      }
+    report_.tasks_unfinished = report_.tasks - report_.tasks_valid;
+    if (outcome_ == CampaignOutcome::kCompleted &&
+        report_.tasks_unfinished > 0) {
+      outcome_ = CampaignOutcome::kStalled;
     }
     report_.outcome = outcome_;
-    report_.tasks_unfinished = static_cast<std::int64_t>(
-        tasks_.size() - static_cast<std::size_t>(std::count(
-                            tasks_.state.begin(), tasks_.state.end(),
-                            TaskState::kValid)));
     report_.min_live_fleet = min_live_;
     report_.progress_rate = ewma_;
     report_.end_time = std::max(report_.end_time, report_.makespan);
@@ -764,11 +758,6 @@ class Runner {
     }
     queue_.schedule(now + effective_deadline_, EventKind::kDeadline,
                     static_cast<std::int64_t>(u), units_.epoch[u]);
-
-    if (tasks_.state[t] == TaskState::kUnsent ||
-        tasks_.state[t] == TaskState::kInconclusive) {
-      update_task_(t, [&] { tasks_.state[t] = TaskState::kInProgress; });
-    }
   }
 
   void on_completion(const Event& event) {
@@ -790,11 +779,10 @@ class Runner {
     ++report_.units_completed;
     if (config_.control.enabled) controller_.observe_issue(false);
     compute_value(u, event.time);
-    // Corruption window: flip the delivered value in transit. Ground truth
-    // (ParticipantRecord::wrong_results) is untouched — the submitter
-    // computed correctly; the validator will still see a mismatch and may
-    // blacklist an honest identity, which is exactly the cost such spikes
-    // impose on a real platform.
+    // Corruption window: flip the delivered value in transit. The
+    // submitter computed correctly; the validator will still see a
+    // mismatch and may blacklist an honest identity, which is exactly the
+    // cost such spikes impose on a real platform.
     for (std::size_t i = 0; i < window_active_.size(); ++i) {
       if (window_active_[i] == 0) continue;
       const FaultEvent& fault = config_.faults.events[i];
@@ -929,9 +917,6 @@ class Runner {
         value = truth ^ (0x1ULL + (unit_engine() | 0x2ULL));
       }
     }
-    if (value != truth) {
-      ++registry_.record(assignee).wrong_results;
-    }
     units_.value[u] = value;
   }
 
@@ -940,7 +925,7 @@ class Runner {
     // A task can be VALID with copies still in flight only after the
     // controller released its target below the issued count; a straggler
     // arriving then is informational, never a re-validation.
-    if (tasks_.state[t] == TaskState::kValid) {
+    if (tasks_.test(t, TaskTable::kValid)) {
       ++report_.late_results;
       return;
     }
@@ -970,8 +955,6 @@ class Runner {
   // ---------------------------------------------------------- transitioner
 
   void validate(std::size_t t, double now) {
-    update_task_(t,
-                 [&] { tasks_.state[t] = TaskState::kPendingValidation; });
     const std::uint64_t truth = truth_(t);
 
     if (scheduler_.is_ringer(t)) {
@@ -995,9 +978,6 @@ class Runner {
     if (!tasks_.test(t, TaskTable::kMismatchCounted)) {
       tasks_.set(t, TaskTable::kMismatchCounted);
       ++report_.mismatches_detected;
-    }
-    if (!tasks_.test(t, TaskTable::kInconclusiveCounted)) {
-      tasks_.set(t, TaskTable::kInconclusiveCounted);
       ++report_.tasks_inconclusive;
     }
 
@@ -1008,10 +988,7 @@ class Runner {
       if (const auto nu =
               scheduler_.try_add_replica(static_cast<std::int64_t>(t),
                                          registry_, deal_engine_)) {
-        update_task_(t, [&] {
-          tasks_.state[t] = TaskState::kInconclusive;
-          ++tasks_.target_copies[t];
-        });
+        update_task_(t, [&] { ++tasks_.target_copies[t]; });
         ++report_.quorum_replicas;
         units_.append();
         issue_unit(*nu, now);
@@ -1028,7 +1005,7 @@ class Runner {
   /// Marks task `t` VALID with `value` and audits that value against the
   /// ground truth. VALID is terminal, so each task passes here once.
   void accept(std::size_t t, std::uint64_t value, double now) {
-    update_task_(t, [&] { tasks_.state[t] = TaskState::kValid; });
+    update_task_(t, [&] { tasks_.set(t, TaskTable::kValid); });
     ++report_.tasks_valid;
     const std::uint64_t truth = truth_(t);
     if (value == truth) {
@@ -1152,7 +1129,7 @@ class Runner {
 
   void on_adaptive_check(const Event& event) {
     const auto t = static_cast<std::size_t>(event.subject);
-    if (tasks_.state[t] == TaskState::kValid) return;  // Drain, no re-arm.
+    if (tasks_.test(t, TaskTable::kValid)) return;  // Drain, no re-arm.
 
     // Straggling by construction (still unfinished after a full review
     // period); replicate when the holders look unreliable too.
@@ -1193,11 +1170,12 @@ class Runner {
     queue_.schedule(event.time + replan_period_, EventKind::kReplan, 0);
   }
 
-  /// Eligibility for one more controller copy this round. Ringers are
-  /// planner-verified and INCONCLUSIVE tasks are mid-quorum-resolution;
-  /// both stay out of the controller's hands.
+  /// Eligibility for one more controller copy this round: an unfinished
+  /// task with boost budget left. Ringers are planner-verified and stay
+  /// out of the controller's hands. A task whose copies disagreed and that
+  /// took a quorum replica is unfinished again, so it is eligible too.
   [[nodiscard]] bool promotable_(std::size_t t) const {
-    return tasks_.state[t] == TaskState::kInProgress &&
+    return !tasks_.test(t, TaskTable::kValid) &&
            !scheduler_.is_ringer(t) &&
            tasks_.control_boosts[t] < control::ControlConfig::kMaxBoost;
   }
@@ -1206,7 +1184,7 @@ class Runner {
   /// be a live boost to return and an outstanding copy to cancel without
   /// dropping the target below the already-arrived count.
   [[nodiscard]] bool demotable_(std::size_t t) const {
-    return tasks_.state[t] == TaskState::kInProgress &&
+    return !tasks_.test(t, TaskTable::kValid) &&
            !scheduler_.is_ringer(t) &&
            tasks_.control_boosts[t] > tasks_.control_released[t] &&
            tasks_.target_copies[t] - 1 >= tasks_.arrived[t];
@@ -1214,8 +1192,9 @@ class Runner {
 
   /// Applies `change` to task `t`'s lanes and keeps the residual mix
   /// current: the task's share of its row comes out before the change and
-  /// goes back in after it. Every write to a task's state, target_copies,
-  /// arrived, control_boosts or control_released goes through here.
+  /// goes back in after it. Every write to a task's kValid bit,
+  /// target_copies, arrived, control_boosts or control_released goes
+  /// through here.
   template <typename Change>
   void update_task_(std::size_t t, Change&& change) {
     if (mix_.empty()) {  // Controller off: nobody reads the mix.
@@ -1232,7 +1211,7 @@ class Runner {
   /// demotable copy where it is eligible. A valid task has no share.
   void count_task_(std::vector<control::ResidualClass>& rows, std::size_t t,
                    std::int64_t sign) const {
-    if (tasks_.state[t] == TaskState::kValid) return;
+    if (tasks_.test(t, TaskTable::kValid)) return;
     const auto m = static_cast<std::size_t>(tasks_.target_copies[t]);
     REDUND_INVARIANT(m < rows.size(),
                      "a task's target stays within its replica budgets");

@@ -1,18 +1,20 @@
-// Per-task and per-unit lifecycle states of the asynchronous supervisor.
+// Per-task and per-unit runtime state of the asynchronous supervisor.
 //
-// The task machine follows the BOINC transitioner/validator shape
+// A task's life follows the BOINC transitioner/validator shape
 // (sched/transitioner.cpp in the BOINC source tree):
 //
-//   UNSENT --issue--> IN_PROGRESS --quorum reached--> PENDING_VALIDATION
-//     PENDING_VALIDATION --copies agree (or ringer)--> VALID
-//     PENDING_VALIDATION --copies disagree--> INCONCLUSIVE
-//       INCONCLUSIVE --extra replica issued--> IN_PROGRESS
-//       INCONCLUSIVE --replicas exhausted, supervisor recomputes--> VALID
+//   issue every copy --> all copies arrived --> validate
+//     copies agree (or ringer) --> VALID
+//     copies disagree --> one extra replica issued --> wait for it,
+//                         then validate again
+//     copies disagree, replicas exhausted --> supervisor recomputes --> VALID
 //
-// VALID is the only terminal state: the runtime guarantees every task gets
-// there because a unit that exhausts its retries is recomputed by the
-// supervisor, and a task whose copies still disagree once its replicas
-// are exhausted is recomputed too and accepts the truth.
+// Only VALID is stored, as the TaskTable::kValid latch bit: a task without
+// it is in progress, and the validation steps in between finish within one
+// call. VALID is terminal, and the runtime guarantees every task gets there
+// because a unit that exhausts its retries is recomputed by the supervisor,
+// and a task whose copies still disagree once its replicas are exhausted is
+// recomputed too and accepts the truth.
 #pragma once
 
 #include <cstddef>
@@ -20,15 +22,6 @@
 #include <vector>
 
 namespace redund::runtime {
-
-/// Validator state of one task.
-enum class TaskState : std::uint8_t {
-  kUnsent,             ///< No copy issued yet.
-  kInProgress,         ///< Copies outstanding, quorum not reached.
-  kPendingValidation,  ///< All issued copies accounted for; comparing.
-  kInconclusive,       ///< Copies disagreed; awaiting an extra replica.
-  kValid,              ///< Accepted value recorded (terminal).
-};
 
 /// Lifecycle of one work unit (one issued copy of a task).
 enum class UnitState : std::uint8_t {
@@ -38,17 +31,6 @@ enum class UnitState : std::uint8_t {
   kTimedOut,    ///< Deadline fired first; awaiting re-issue or recompute.
   kRecomputed,  ///< Supervisor computed it after retries ran out.
 };
-
-[[nodiscard]] constexpr const char* to_string(TaskState state) noexcept {
-  switch (state) {
-    case TaskState::kUnsent: return "UNSENT";
-    case TaskState::kInProgress: return "IN_PROGRESS";
-    case TaskState::kPendingValidation: return "PENDING_VALIDATION";
-    case TaskState::kInconclusive: return "INCONCLUSIVE";
-    case TaskState::kValid: return "VALID";
-  }
-  return "?";
-}
 
 [[nodiscard]] constexpr const char* to_string(UnitState state) noexcept {
   switch (state) {
@@ -118,13 +100,12 @@ struct TaskTable {
     kAdversaryCheats = 1u << 1,
     kMismatchCounted = 1u << 2,
     kRingerCounted = 1u << 3,
-    kInconclusiveCounted = 1u << 4,
+    kValid = 1u << 4,         ///< Accepted value recorded (terminal).
     kDetected = 1u << 5,
     kVoteSeen = 1u << 6,      ///< At least one copy's value folded in.
     kVoteMismatch = 1u << 7,  ///< Two folded values disagreed.
   };
 
-  std::vector<TaskState> state;
   std::vector<std::uint8_t> flags;
   std::vector<std::int32_t> target_copies;  ///< Multiplicity + replicas.
   std::vector<std::int32_t> arrived;        ///< Completed/recomputed copies.
@@ -137,10 +118,9 @@ struct TaskTable {
   /// stays clear every folded value equals this one.
   std::vector<std::uint64_t> vote_value;
 
-  [[nodiscard]] std::size_t size() const noexcept { return state.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return flags.size(); }
 
   void resize(std::size_t count) {
-    state.resize(count, TaskState::kUnsent);
     flags.resize(count, 0);
     target_copies.resize(count, 0);
     arrived.resize(count, 0);

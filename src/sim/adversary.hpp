@@ -32,10 +32,6 @@ struct AdversaryConfig {
   CheatStrategy strategy = CheatStrategy::kAlwaysCheat;
   /// Tuple size for kExactTuple / kAtLeastTuple.
   std::int64_t tuple_size = 1;
-  /// Intermittent cheating: among tasks the strategy selects, cheat only
-  /// with this probability (1.0 = the paper's model). A lower rate trades
-  /// corruption throughput for a longer expected time to first detection.
-  double cheat_probability = 1.0;
 
   /// Decision function: cheat on a task of which she holds `held` copies?
   [[nodiscard]] bool should_cheat(std::int64_t held) const noexcept {

@@ -110,7 +110,6 @@ void sample_held_pool(const Workload& workload, std::int64_t picks,
 /// Verification pass over per-task held counts (the two per-task kernels).
 void tally_per_task(ReplicaResult& result, const Workload& workload,
                     const AdversaryConfig& adversary,
-                    rng::Xoshiro256StarStar& engine,
                     const std::vector<std::int64_t>& held) {
   std::size_t t = 0;
   for (const TaskClass& cls : workload.classes()) {
@@ -120,10 +119,6 @@ void tally_per_task(ReplicaResult& result, const Workload& workload,
       ++result.tasks_held;
       if (h == cls.multiplicity) ++result.fully_controlled_tasks;
       if (!adversary.should_cheat(h)) continue;
-      if (adversary.cheat_probability < 1.0 &&
-          !rng::bernoulli(adversary.cheat_probability, engine)) {
-        continue;
-      }
 
       ++result.cheat_attempts;
       ++result.attempts_by_held[static_cast<std::size_t>(h)];
@@ -204,14 +199,12 @@ void sample_class_histogram(const TaskClass& cls, std::int64_t class_picks,
 #endif
 }
 
-/// Verification pass over one class's held-count histogram. Statistically
-/// identical to tally_per_task: within a class every task at held level k
-/// has the same multiplicity and ringer flag, so the per-task Bernoulli
-/// cheat coin collapses to one Binomial draw per level and detection is
+/// Verification pass over one class's held-count histogram. Identical to
+/// tally_per_task: within a class every task at held level k has the same
+/// multiplicity and ringer flag, so the cheat decision and detection are
 /// all-or-nothing per level.
 void tally_class(ReplicaResult& result, const TaskClass& cls,
                  const AdversaryConfig& adversary,
-                 rng::Xoshiro256StarStar& engine,
                  const std::vector<std::int64_t>& hist) {
   const std::int64_t m = cls.multiplicity;
   for (std::int64_t k = 1; k <= m; ++k) {
@@ -220,19 +213,14 @@ void tally_class(ReplicaResult& result, const TaskClass& cls,
     result.tasks_held += n_k;
     if (k == m) result.fully_controlled_tasks += n_k;
     if (!adversary.should_cheat(k)) continue;
-    const std::int64_t attempts =
-        adversary.cheat_probability < 1.0
-            ? rng::binomial(n_k, adversary.cheat_probability, engine)
-            : n_k;
-    if (attempts == 0) continue;
-    result.cheat_attempts += attempts;
-    result.attempts_by_held[static_cast<std::size_t>(k)] += attempts;
+    result.cheat_attempts += n_k;
+    result.attempts_by_held[static_cast<std::size_t>(k)] += n_k;
     const bool detected = k < m || cls.is_ringer;
     if (detected) {
-      result.detected_cheats += attempts;
-      result.detected_by_held[static_cast<std::size_t>(k)] += attempts;
+      result.detected_cheats += n_k;
+      result.detected_by_held[static_cast<std::size_t>(k)] += n_k;
     } else {
-      result.successful_cheats += attempts;
+      result.successful_cheats += n_k;
     }
   }
 }
@@ -260,7 +248,7 @@ void run_replica_class_aggregated(ReplicaResult& result,
     remaining_picks -= in_class;
     if (in_class == 0) continue;
     sample_class_histogram(cls, in_class, engine, scratch.histogram);
-    tally_class(result, cls, adversary, engine, scratch.histogram);
+    tally_class(result, cls, adversary, scratch.histogram);
   }
 }
 
@@ -288,11 +276,11 @@ void run_replica_into(ReplicaResult& result, const Workload& workload,
       break;
     case Allocation::kPoolShuffle:
       sample_held_pool(workload, picks, engine, scratch.held, scratch.pool);
-      tally_per_task(result, workload, adversary, engine, scratch.held);
+      tally_per_task(result, workload, adversary, scratch.held);
       break;
     case Allocation::kSequentialHypergeometric:
       sample_held_hypergeometric(workload, picks, engine, scratch.held);
-      tally_per_task(result, workload, adversary, engine, scratch.held);
+      tally_per_task(result, workload, adversary, scratch.held);
       break;
   }
 

@@ -12,7 +12,6 @@
 #include "parallel/thread_pool.hpp"
 #include "rng/engines.hpp"
 #include "sim/engine.hpp"
-#include "sim/two_phase.hpp"
 #include "stats/accumulator.hpp"
 
 namespace redund::sim {
@@ -24,8 +23,9 @@ struct MonteCarloConfig {
 };
 
 /// Runs `config.replicas` replicas of `workload` vs `adversary` on `pool`
-/// and returns the merged counters. Throws std::invalid_argument when
-/// `config.replicas` is below 1.
+/// and returns the merged counters. Throws std::invalid_argument, before
+/// any replica, when `config.replicas` is below 1 or `adversary.proportion`
+/// is not in [0, 1).
 [[nodiscard]] ReplicaResult run_monte_carlo(
     parallel::ThreadPool& pool, const Workload& workload,
     const AdversaryConfig& adversary, const MonteCarloConfig& config,
@@ -37,11 +37,14 @@ struct TwoPhaseAggregate {
   stats::BernoulliCounter can_cheat;  ///< Replicas with >= 1 such task.
 };
 
-/// Runs `config.replicas` independent two-phase rounds. Throws
-/// std::invalid_argument when `config.replicas` is below 1.
+/// Runs `config.replicas` independent two-phase rounds of N =
+/// `task_count` tasks in which the adversary receives `adversary_work` of
+/// each phase's N assignments (see sim/two_phase.hpp). Replica r's overlap
+/// is one Hypergeometric(N, w, w) draw from rng::make_stream(master_seed,
+/// r). Throws std::invalid_argument when `config.replicas` is below 1 or
+/// unless 0 <= adversary_work <= task_count and task_count >= 1.
 [[nodiscard]] TwoPhaseAggregate run_two_phase_monte_carlo(
     parallel::ThreadPool& pool, std::int64_t task_count,
-    std::int64_t adversary_work, const MonteCarloConfig& config,
-    TwoPhaseMethod method = TwoPhaseMethod::kHypergeometric);
+    std::int64_t adversary_work, const MonteCarloConfig& config);
 
 }  // namespace redund::sim

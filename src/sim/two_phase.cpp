@@ -1,9 +1,6 @@
 #include "sim/two_phase.hpp"
 
 #include <cmath>
-#include <stdexcept>
-
-#include "rng/distributions.hpp"
 
 namespace redund::sim {
 
@@ -16,36 +13,6 @@ double two_phase_expected_overlap(std::int64_t task_count,
 
 double two_phase_threshold(std::int64_t task_count) noexcept {
   return task_count > 0 ? 1.0 / std::sqrt(static_cast<double>(task_count)) : 0.0;
-}
-
-TwoPhaseResult run_two_phase(std::int64_t task_count, std::int64_t adversary_work,
-                             rng::Xoshiro256StarStar& engine,
-                             TwoPhaseMethod method) {
-  if (task_count < 1 || adversary_work < 0 || adversary_work > task_count) {
-    throw std::invalid_argument(
-        "run_two_phase: need 0 <= adversary_work <= task_count, "
-        "task_count >= 1");
-  }
-  TwoPhaseResult result;
-  result.task_count = task_count;
-  result.adversary_work = adversary_work;
-
-  if (method == TwoPhaseMethod::kHypergeometric) {
-    // By symmetry her phase-1 tasks can be taken as {0..w-1}; the phase-2
-    // deal hands her a uniform w-subset, so the overlap is hypergeometric.
-    result.fully_controlled = rng::hypergeometric(
-        task_count, adversary_work, adversary_work, engine);
-    return result;
-  }
-
-  // Explicit deal: sample her phase-2 subset and count indices below w.
-  const auto w = static_cast<std::uint64_t>(adversary_work);
-  const auto phase2 = rng::sample_without_replacement(
-      static_cast<std::uint64_t>(task_count), w, engine);
-  for (const std::uint64_t task : phase2) {
-    if (task < w) ++result.fully_controlled;
-  }
-  return result;
 }
 
 }  // namespace redund::sim

@@ -8,28 +8,14 @@
 // expected number of fully controlled tasks is ~ w^2/N = p^2 N (the overlap
 // is Hypergeometric(N, w, w), well approximated by Binomial(w, w/N)), so she
 // expects at least one cheatable task as soon as p >= 1/sqrt(N).
+//
+// The closed forms live here; sim::run_two_phase_monte_carlo
+// (sim/monte_carlo.hpp) simulates the rounds.
 #pragma once
 
 #include <cstdint>
 
-#include "rng/engines.hpp"
-
 namespace redund::sim {
-
-/// How the phase-2 overlap is generated.
-enum class TwoPhaseMethod {
-  kExplicitDeal,    ///< Materialize phase-2's random deal; count index < w.
-  kHypergeometric,  ///< Draw the overlap directly from Hypergeometric(N,w,w).
-};
-
-/// Result of one two-phase round.
-struct TwoPhaseResult {
-  std::int64_t task_count = 0;          ///< N.
-  std::int64_t adversary_work = 0;      ///< w per phase.
-  std::int64_t fully_controlled = 0;    ///< Tasks she holds in both phases.
-
-  [[nodiscard]] bool can_cheat() const noexcept { return fully_controlled > 0; }
-};
 
 /// Expected number of fully controlled tasks: exact hypergeometric mean
 /// w^2 / N (which is also the paper's p^2 N approximation when w = pN).
@@ -39,13 +25,5 @@ struct TwoPhaseResult {
 /// The paper's cheating threshold: the adversary proportion at which she
 /// expects one fully controlled task, 1/sqrt(N).
 [[nodiscard]] double two_phase_threshold(std::int64_t task_count) noexcept;
-
-/// Simulates one round: the adversary receives `adversary_work` of the N
-/// phase-1 assignments and `adversary_work` of the N phase-2 assignments,
-/// both uniformly without replacement.
-[[nodiscard]] TwoPhaseResult run_two_phase(
-    std::int64_t task_count, std::int64_t adversary_work,
-    rng::Xoshiro256StarStar& engine,
-    TwoPhaseMethod method = TwoPhaseMethod::kHypergeometric);
 
 }  // namespace redund::sim

@@ -11,11 +11,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/distributions.hpp"
 #include "rng/engines.hpp"
 #include "sim/monte_carlo.hpp"
+#include "two_phase_reference.hpp"
 
 namespace redund::rng {
 namespace {
@@ -123,32 +123,14 @@ TEST(BulkRng, TwoPhaseMonteCarloBulkPathMatchesPerReplicaEngines) {
   const std::int64_t adversary_work = 20;
 
   const sim::TwoPhaseAggregate bulk = sim::run_two_phase_monte_carlo(
+      pool, task_count, adversary_work, config);
+
+  // Scalar reference: per-replica engines folded through parallel_reduce,
+  // whose block layout and fold order the bulk path must reproduce bit for
+  // bit.
+  const sim::TwoPhaseAggregate reference = sim::reference_two_phase_monte_carlo(
       pool, task_count, adversary_work, config,
       sim::TwoPhaseMethod::kHypergeometric);
-
-  // Scalar reference: the pre-bulk implementation verbatim — per-replica
-  // engines folded through parallel_reduce, whose block layout and fold
-  // order the bulk path must reproduce bit for bit.
-  const sim::TwoPhaseAggregate reference =
-      parallel::parallel_reduce<sim::TwoPhaseAggregate>(
-          pool, static_cast<std::size_t>(config.replicas),
-          sim::TwoPhaseAggregate{},
-          [&](std::size_t replica) {
-            Xoshiro256StarStar engine =
-                make_stream(config.master_seed, replica);
-            const std::int64_t overlap = hypergeometric(
-                task_count, adversary_work, adversary_work, engine);
-            sim::TwoPhaseAggregate one;
-            one.overlap.add(static_cast<double>(overlap));
-            one.can_cheat.add(overlap > 0);
-            return one;
-          },
-          [](sim::TwoPhaseAggregate merged,
-             const sim::TwoPhaseAggregate& next) {
-            merged.overlap.merge(next.overlap);
-            merged.can_cheat.merge(next.can_cheat);
-            return merged;
-          });
 
   EXPECT_EQ(bulk.overlap.count(), reference.overlap.count());
   EXPECT_EQ(bulk.overlap.mean(), reference.overlap.mean());
@@ -163,11 +145,11 @@ TEST(BulkRng, TwoPhaseMonteCarloBulkPathValidatesArguments) {
   parallel::ThreadPool pool(1);
   sim::MonteCarloConfig config;
   config.replicas = 8;
-  EXPECT_THROW(static_cast<void>(sim::run_two_phase_monte_carlo(
-                   pool, 10, 11, config, sim::TwoPhaseMethod::kHypergeometric)),
+  EXPECT_THROW(static_cast<void>(
+                   sim::run_two_phase_monte_carlo(pool, 10, 11, config)),
                std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(sim::run_two_phase_monte_carlo(
-                   pool, 0, 0, config, sim::TwoPhaseMethod::kHypergeometric)),
+  EXPECT_THROW(static_cast<void>(
+                   sim::run_two_phase_monte_carlo(pool, 0, 0, config)),
                std::invalid_argument);
 }
 

@@ -112,9 +112,7 @@ TEST(ClassKernel, MatchesHypergeometricKernelChiSquare) {
 TEST(ClassKernel, MatchesPoolShuffleKernelChiSquare) {
   const auto workload = mixed_workload();
   const sim::AdversaryConfig adversary{
-      .proportion = 0.3,
-      .strategy = sim::CheatStrategy::kAlwaysCheat,
-      .cheat_probability = 0.5};  // Exercises the binomial tally path.
+      .proportion = 0.3, .strategy = sim::CheatStrategy::kAlwaysCheat};
   constexpr std::int64_t kReplicas = 400;
   const auto aggregated = accumulate(workload, adversary,
                                      sim::Allocation::kClassAggregated, 24,
@@ -179,9 +177,7 @@ TEST(ClassKernel, ConservesAssignmentsAcrossHistogram) {
 TEST(ClassKernel, MonteCarloByteIdenticalAcrossPoolSizes) {
   const auto workload = mixed_workload();
   const sim::AdversaryConfig adversary{
-      .proportion = 0.25,
-      .strategy = sim::CheatStrategy::kAlwaysCheat,
-      .cheat_probability = 0.8};
+      .proportion = 0.25, .strategy = sim::CheatStrategy::kAlwaysCheat};
   const sim::MonteCarloConfig config{.replicas = 500, .master_seed = 314159};
 
   std::vector<sim::ReplicaResult> results;
@@ -209,17 +205,26 @@ TEST(ClassKernel, MonteCarloByteIdenticalAcrossPoolSizes) {
   }
 }
 
-// Exact counters of 200 replicas of one kernel, recorded once.
-struct Pinned {
-  sim::Allocation allocation;
-  std::int64_t tasks_held, cheat_attempts, detected_cheats, successful_cheats,
-      fully_controlled_tasks;
-  std::vector<std::int64_t> attempts_by_held, detected_by_held;
-};
-
-void expect_pinned(const sim::AdversaryConfig& adversary,
-                   const std::vector<Pinned>& pinned) {
+TEST(ClassKernel, AllocationsPinnedOnMixedWorkload) {
+  // Exact counters of 200 replicas per kernel, recorded once: the sampler
+  // and the per-task ablations' task walk must not move one draw.
+  struct Pinned {
+    sim::Allocation allocation;
+    std::int64_t tasks_held, cheat_attempts, detected_cheats,
+        successful_cheats, fully_controlled_tasks;
+    std::vector<std::int64_t> attempts_by_held, detected_by_held;
+  };
+  const std::vector<Pinned> pinned{
+      {sim::Allocation::kClassAggregated, 62180, 62180, 44167, 18013, 18143,
+       {0, 50111, 10476, 1440, 148, 5}, {0, 35033, 8014, 972, 148, 0}},
+      {sim::Allocation::kSequentialHypergeometric, 62000, 62000, 44026, 17974,
+       18094, {0, 49795, 10586, 1454, 154, 11}, {0, 34783, 8103, 986, 154, 0}},
+      {sim::Allocation::kPoolShuffle, 62075, 62075, 44060, 18015, 18148,
+       {0, 50002, 10397, 1515, 146, 15}, {0, 34941, 7938, 1035, 146, 0}},
+  };
   const auto workload = mixed_workload();
+  const sim::AdversaryConfig adversary{
+      .proportion = 0.25, .strategy = sim::CheatStrategy::kAlwaysCheat};
   for (const Pinned& p : pinned) {
     const auto result = accumulate(workload, adversary, p.allocation, 2026, 200);
     EXPECT_EQ(result.replicas, 200);
@@ -234,38 +239,6 @@ void expect_pinned(const sim::AdversaryConfig& adversary,
     EXPECT_EQ(result.attempts_by_held, p.attempts_by_held);
     EXPECT_EQ(result.detected_by_held, p.detected_by_held);
   }
-}
-
-TEST(ClassKernel, AllocationsPinnedOnMixedWorkload) {
-  // The sampler and the per-task ablations' task walk must not move one
-  // draw. The paper's adversary cheats on every task she holds.
-  expect_pinned({.proportion = 0.25,
-                 .strategy = sim::CheatStrategy::kAlwaysCheat},
-                {
-                    {sim::Allocation::kClassAggregated, 62180, 62180, 44167,
-                     18013, 18143, {0, 50111, 10476, 1440, 148, 5},
-                     {0, 35033, 8014, 972, 148, 0}},
-                    {sim::Allocation::kSequentialHypergeometric, 62000, 62000,
-                     44026, 17974, 18094, {0, 49795, 10586, 1454, 154, 11},
-                     {0, 34783, 8103, 986, 154, 0}},
-                    {sim::Allocation::kPoolShuffle, 62075, 62075, 44060, 18015,
-                     18148, {0, 50002, 10397, 1515, 146, 15},
-                     {0, 34941, 7938, 1035, 146, 0}},
-                });
-  expect_pinned({.proportion = 0.25,
-                 .strategy = sim::CheatStrategy::kAlwaysCheat,
-                 .cheat_probability = 0.8},
-                {
-                    {sim::Allocation::kClassAggregated, 62234, 49834, 35356,
-                     14478, 18137, {0, 40322, 8223, 1154, 124, 11},
-                     {0, 28163, 6284, 785, 124, 0}},
-                    {sim::Allocation::kSequentialHypergeometric, 62000, 49693,
-                     35275, 14418, 18094, {0, 39883, 8523, 1150, 126, 11},
-                     {0, 27854, 6518, 777, 126, 0}},
-                    {sim::Allocation::kPoolShuffle, 62075, 49641, 35204, 14437,
-                     18148, {0, 40032, 8253, 1225, 121, 10},
-                     {0, 27943, 6300, 840, 121, 0}},
-                });
 }
 
 TEST(ClassKernel, ScratchReuseMatchesFreshScratch) {

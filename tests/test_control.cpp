@@ -192,18 +192,23 @@ TEST(PlanRemaining, ReleasesOverProvisionedCopiesWithoutBreakingTheBound) {
 }
 
 TEST(PlanRemaining, RespectsTheStepBudgets) {
+  // Both loops stop at their per-round caps while supply is left: 1,500
+  // promotable tasks against an unreachable target, and 200 releasable
+  // copies in a calm round.
   control::ReplanBudgets budgets;
   budgets.epsilon = 0.99;  // Unreachable: the loop runs to its cap.
-  budgets.max_promotions = 5;
-  const auto capped = control::plan_remaining(weak_mix(), 0.3, budgets);
-  EXPECT_EQ(capped.promoted(), 5);
+  const std::vector<control::ResidualClass> weak = {{1, 1000, 1000, 0},
+                                                    {2, 500, 500, 0}};
+  const auto capped = control::plan_remaining(weak, 0.3, budgets);
+  EXPECT_EQ(capped.promoted(), control::ReplanBudgets::kMaxPromotions);
   EXPECT_FALSE(capped.feasible);
 
-  control::ReplanBudgets tight;
-  tight.epsilon = 0.5;
-  tight.max_releases = 1;
-  const std::vector<control::ResidualClass> boosted = {{4, 20, 0, 20}};
-  EXPECT_LE(control::plan_remaining(boosted, 0.01, tight).released(), 1);
+  control::ReplanBudgets calm;
+  calm.epsilon = 0.5;
+  const std::vector<control::ResidualClass> boosted = {{4, 200, 0, 200}};
+  const auto released = control::plan_remaining(boosted, 0.01, calm);
+  EXPECT_EQ(released.released(), control::ReplanBudgets::kMaxReleases);
+  EXPECT_TRUE(released.feasible);
 }
 
 TEST(PlanRemaining, UnverifiedTopIsNeverPromotedInCircles) {
@@ -216,7 +221,7 @@ TEST(PlanRemaining, UnverifiedTopIsNeverPromotedInCircles) {
   budgets.top_verified = false;
   const auto decision = control::plan_remaining(top_only, 0.3, budgets);
   EXPECT_FALSE(decision.feasible);
-  EXPECT_LT(decision.promoted(), budgets.max_promotions);
+  EXPECT_LT(decision.promoted(), control::ReplanBudgets::kMaxPromotions);
   EXPECT_LE(decision.promoted(), 1);
 }
 
@@ -260,7 +265,6 @@ TEST(PlanRemaining, ClassOrderCannotChangeTheDecision) {
   for (const Round round : {Round{0.2, 0.7}, Round{0.01, 0.3}}) {
     control::ReplanBudgets budgets;
     budgets.epsilon = round.epsilon;
-    budgets.max_promotions = 12;
     const control::ReplanDecision want =
         control::plan_remaining(folded, round.p, budgets);
     EXPECT_GT(round.p > 0.1 ? want.promoted() : want.released(), 0)

@@ -14,8 +14,8 @@
 using redund::lp::Model;
 using redund::lp::Relation;
 using redund::lp::Sense;
-using redund::lp::SimplexSolver;
 using redund::lp::Solution;
+using redund::lp::solve;
 using redund::lp::SolveStatus;
 
 namespace {
@@ -71,7 +71,7 @@ TEST(Simplex, TextbookMaximization) {
   model.add_constraint_dense({0.0, 2.0}, Relation::kLessEqual, 12.0);
   model.add_constraint_dense({3.0, 2.0}, Relation::kLessEqual, 18.0);
 
-  const Solution solution = SimplexSolver{}.solve(model);
+  const Solution solution = solve(model);
   ASSERT_EQ(solution.status, SolveStatus::kOptimal);
   EXPECT_NEAR(solution.x[0], 2.0, 1e-8);
   EXPECT_NEAR(solution.x[1], 6.0, 1e-8);
@@ -87,7 +87,7 @@ TEST(Simplex, MinimizationWithGreaterEqual) {
   model.add_constraint_dense({1.0, 0.0}, Relation::kGreaterEqual, 2.0);
   model.add_constraint_dense({0.0, 1.0}, Relation::kGreaterEqual, 3.0);
 
-  const Solution solution = SimplexSolver{}.solve(model);
+  const Solution solution = solve(model);
   ASSERT_EQ(solution.status, SolveStatus::kOptimal);
   EXPECT_NEAR(solution.objective, 23.0, 1e-8);
   EXPECT_NEAR(solution.x[0], 7.0, 1e-8);
@@ -102,7 +102,7 @@ TEST(Simplex, EqualityConstraints) {
   model.add_constraint_dense({1.0, 2.0}, Relation::kEqual, 4.0);
   model.add_constraint_dense({3.0, 1.0}, Relation::kEqual, 7.0);
 
-  const Solution solution = SimplexSolver{}.solve(model);
+  const Solution solution = solve(model);
   ASSERT_EQ(solution.status, SolveStatus::kOptimal);
   EXPECT_NEAR(solution.x[0], 2.0, 1e-8);
   EXPECT_NEAR(solution.x[1], 1.0, 1e-8);
@@ -114,7 +114,7 @@ TEST(Simplex, DetectsInfeasible) {
   model.add_variable(1.0);
   model.add_constraint_dense({1.0}, Relation::kLessEqual, 1.0);
   model.add_constraint_dense({1.0}, Relation::kGreaterEqual, 2.0);
-  EXPECT_EQ(SimplexSolver{}.solve(model).status, SolveStatus::kInfeasible);
+  EXPECT_EQ(solve(model).status, SolveStatus::kInfeasible);
 }
 
 TEST(Simplex, DetectsUnbounded) {
@@ -123,7 +123,7 @@ TEST(Simplex, DetectsUnbounded) {
   model.set_sense(Sense::kMaximize);
   model.add_variable(1.0);
   model.add_constraint_dense({1.0}, Relation::kGreaterEqual, 1.0);
-  EXPECT_EQ(SimplexSolver{}.solve(model).status, SolveStatus::kUnbounded);
+  EXPECT_EQ(solve(model).status, SolveStatus::kUnbounded);
 }
 
 TEST(Simplex, NegativeRhsIsNormalized) {
@@ -132,7 +132,7 @@ TEST(Simplex, NegativeRhsIsNormalized) {
   model.add_variable(1.0);
   model.add_variable(1.0);
   model.add_constraint_dense({-1.0, -1.0}, Relation::kLessEqual, -5.0);
-  const Solution solution = SimplexSolver{}.solve(model);
+  const Solution solution = solve(model);
   ASSERT_EQ(solution.status, SolveStatus::kOptimal);
   EXPECT_NEAR(solution.objective, 5.0, 1e-8);
 }
@@ -152,7 +152,7 @@ TEST(Simplex, DegenerateProblemTerminates) {
                              Relation::kLessEqual, 0.0);
   model.add_constraint_dense({0.0, 0.0, 1.0, 0.0}, Relation::kLessEqual, 1.0);
 
-  const Solution solution = SimplexSolver{}.solve(model);
+  const Solution solution = solve(model);
   ASSERT_EQ(solution.status, SolveStatus::kOptimal);
   EXPECT_NEAR(solution.objective, -0.05, 1e-8);
 }
@@ -164,7 +164,7 @@ TEST(Simplex, RedundantEqualityRowsHandled) {
   model.add_variable(2.0);
   model.add_constraint_dense({1.0, 1.0}, Relation::kEqual, 3.0);
   model.add_constraint_dense({2.0, 2.0}, Relation::kEqual, 6.0);  // Redundant.
-  const Solution solution = SimplexSolver{}.solve(model);
+  const Solution solution = solve(model);
   ASSERT_EQ(solution.status, SolveStatus::kOptimal);
   EXPECT_NEAR(solution.objective, 3.0, 1e-8);  // All mass on cheap x0.
   EXPECT_NEAR(solution.x[0], 3.0, 1e-8);
@@ -175,7 +175,7 @@ TEST(Simplex, ZeroRhsEqualitiesAreFeasibleAtOrigin) {
   model.add_variable(1.0);
   model.add_variable(1.0);
   model.add_constraint_dense({1.0, -1.0}, Relation::kEqual, 0.0);
-  const Solution solution = SimplexSolver{}.solve(model);
+  const Solution solution = solve(model);
   ASSERT_EQ(solution.status, SolveStatus::kOptimal);
   EXPECT_NEAR(solution.objective, 0.0, 1e-10);
 }
@@ -214,7 +214,7 @@ TEST_P(SimplexRandomSweep, OptimalIsFeasibleAndBeatsPlantedPoint) {
   }
 
   ASSERT_TRUE(model.is_feasible(planted));
-  const Solution solution = SimplexSolver{}.solve(model);
+  const Solution solution = solve(model);
   ASSERT_EQ(solution.status, SolveStatus::kOptimal) << "seed " << GetParam();
   EXPECT_TRUE(model.is_feasible(solution.x, 1e-6));
   EXPECT_LE(solution.objective, model.objective_value(planted) + 1e-6);
@@ -223,11 +223,10 @@ TEST_P(SimplexRandomSweep, OptimalIsFeasibleAndBeatsPlantedPoint) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandomSweep,
                          ::testing::Range<std::uint64_t>(1, 33));
 
-TEST(Simplex, RowEquilibrationAblation) {
+TEST(Simplex, SolvesIllConditionedSmSystem) {
   // The S_26 system mixes O(1) and O(C(26,13)) ~ 1e7 coefficients in one
-  // row. With equilibration the solver reaches the known optimum
-  // (Fact 1: RF = 4m^2/(3m^2-m+2)); without it, it misconverges — the
-  // documented reason the option defaults to on.
+  // row. Row equilibration lets the solver reach the known optimum
+  // (Fact 1: RF = 4m^2/(3m^2-m+2)); without it, it misconverges.
   redund::lp::Model model;
   {
     // Rebuild S_26 here to keep this test self-contained at the lp layer.
@@ -267,23 +266,10 @@ TEST(Simplex, RowEquilibrationAblation) {
   }
   const double expected = 100000.0 * 4.0 * 676.0 / (3.0 * 676.0 - 26.0 + 2.0);
 
-  const Solution with = SimplexSolver{{.row_equilibration = true}}.solve(model);
-  ASSERT_EQ(with.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(with.objective, expected, 1e-4 * expected);
-
-  const Solution without =
-      SimplexSolver{{.row_equilibration = false}}.solve(model);
-  // Without equilibration the solver misconverges — in practice it returns
-  // an infeasible point whose "objective" is far below the true optimum.
-  // What it must NOT do is return a feasible near-optimal answer (if this
-  // ever starts passing at the optimum, the ablation is stale).
-  const bool converged_correctly =
-      without.status == SolveStatus::kOptimal &&
-      model.is_feasible(without.x, 1e-6) &&
-      std::abs(without.objective - expected) < 0.01 * expected;
-  EXPECT_FALSE(converged_correctly)
-      << "status=" << redund::lp::to_string(without.status)
-      << " objective=" << without.objective;
+  const Solution solution = solve(model);
+  ASSERT_EQ(solution.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(model.is_feasible(solution.x, 1e-6));
+  EXPECT_NEAR(solution.objective, expected, 1e-4 * expected);
 }
 
 TEST(SolveStatusToString, AllValuesNamed) {

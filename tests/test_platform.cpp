@@ -28,14 +28,14 @@ core::RealizedPlan small_balanced_plan(std::int64_t n, double eps) {
 
 // ----------------------------------------------------------------- registry
 
-TEST(Registry, EnrollAssignsSequentialIdsAndNames) {
+TEST(Registry, EnrollAssignsSequentialIds) {
   plat::Registry registry;
   const auto a = registry.enroll(plat::Principal::kHonest);
-  const auto b = registry.enroll(plat::Principal::kHonest, "alice");
+  const auto b = registry.enroll(plat::Principal::kAdversary);
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 1u);
-  EXPECT_EQ(registry.record(a).name, "user0");
-  EXPECT_EQ(registry.record(b).name, "alice");
+  EXPECT_EQ(registry.record(b).id, 1u);
+  EXPECT_EQ(registry.record(b).principal, plat::Principal::kAdversary);
   EXPECT_EQ(registry.size(), 2);
 }
 
@@ -45,7 +45,11 @@ TEST(Registry, SybilEnrollmentIsBulkAndContiguous) {
   const auto first = registry.enroll_sybils(50);
   EXPECT_EQ(first, 1u);
   EXPECT_EQ(registry.size(), 51);
-  EXPECT_EQ(registry.adversary_count(), 50);
+  std::int64_t adversaries = 0;
+  for (const plat::ParticipantRecord& record : registry.records()) {
+    adversaries += record.principal == plat::Principal::kAdversary ? 1 : 0;
+  }
+  EXPECT_EQ(adversaries, 50);
   EXPECT_THROW(registry.enroll_sybils(0), std::invalid_argument);
 }
 

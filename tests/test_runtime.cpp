@@ -95,8 +95,6 @@ TEST(EventQueue, ReservePreventsReallocationAndPreservesOrder) {
 }
 
 TEST(TaskStateNames, RoundTrip) {
-  EXPECT_STREQ(runtime::to_string(runtime::TaskState::kUnsent), "UNSENT");
-  EXPECT_STREQ(runtime::to_string(runtime::TaskState::kValid), "VALID");
   EXPECT_STREQ(runtime::to_string(runtime::UnitState::kTimedOut),
                "TIMED_OUT");
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/realize.hpp"
@@ -169,32 +170,6 @@ TEST(Engine, HeldCountsConserveAdversaryAssignments) {
     held_total += static_cast<std::int64_t>(k) * result.attempts_by_held[k];
   }
   EXPECT_EQ(held_total, result.adversary_assignments);
-}
-
-TEST(Engine, IntermittentCheaterScalesAttemptsNotRates) {
-  // Cheating on only a fraction q of eligible tasks reduces attempt volume
-  // by ~q but leaves the per-attempt detection probability unchanged.
-  const sim::Workload w({5000, 3000, 1000}, 0, 0);
-  sim::AdversaryConfig full{.proportion = 0.1,
-                            .strategy = sim::CheatStrategy::kAlwaysCheat,
-                            .cheat_probability = 1.0};
-  sim::AdversaryConfig intermittent = full;
-  intermittent.cheat_probability = 0.25;
-
-  sim::ReplicaResult full_result;
-  sim::ReplicaResult intermittent_result;
-  for (std::uint64_t r = 0; r < 60; ++r) {
-    auto e1 = redund::rng::make_stream(500, r);
-    auto e2 = redund::rng::make_stream(501, r);
-    full_result.merge(sim::run_replica(w, full, e1));
-    intermittent_result.merge(sim::run_replica(w, intermittent, e2));
-  }
-  const double ratio =
-      static_cast<double>(intermittent_result.cheat_attempts) /
-      static_cast<double>(full_result.cheat_attempts);
-  EXPECT_NEAR(ratio, 0.25, 0.03);
-  EXPECT_NEAR(intermittent_result.detection_rate(),
-              full_result.detection_rate(), 0.03);
 }
 
 TEST(Engine, AtLeastTupleStrategyFiltersSmallHoldings) {
@@ -392,14 +367,32 @@ TEST(MonteCarlo, RejectsNonPositiveReplicas) {
                      sim::run_monte_carlo(pool, workload, adversary, config)),
                  std::invalid_argument)
         << "replicas=" << replicas;
-    for (const auto method : {sim::TwoPhaseMethod::kHypergeometric,
-                              sim::TwoPhaseMethod::kExplicitDeal}) {
-      EXPECT_THROW(static_cast<void>(sim::run_two_phase_monte_carlo(
-                       pool, kN, 10, config, method)),
-                   std::invalid_argument)
-          << "replicas=" << replicas;
-    }
+    EXPECT_THROW(static_cast<void>(
+                     sim::run_two_phase_monte_carlo(pool, kN, 10, config)),
+                 std::invalid_argument)
+        << "replicas=" << replicas;
   }
+}
+
+TEST(MonteCarlo, RejectsAdversaryShareOutsideUnitInterval) {
+  constexpr std::int64_t kN = 200;
+  const auto plan = core::realize(
+      core::make_balanced(kN, 0.5, {.truncate_below = 1e-9}), kN, 0.5);
+  const sim::Workload workload(plan);
+  redund::parallel::ThreadPool pool(1);
+  const sim::MonteCarloConfig config{.replicas = 2};
+  for (const double share :
+       {1.5, -0.5, 1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    const sim::AdversaryConfig adversary{
+        .proportion = share, .strategy = sim::CheatStrategy::kAlwaysCheat};
+    EXPECT_THROW(static_cast<void>(
+                     sim::run_monte_carlo(pool, workload, adversary, config)),
+                 std::invalid_argument)
+        << "share=" << share;
+  }
+  const sim::AdversaryConfig edge{
+      .proportion = 0.0, .strategy = sim::CheatStrategy::kAlwaysCheat};
+  EXPECT_EQ(sim::run_monte_carlo(pool, workload, edge, config).replicas, 2);
 }
 
 }  // namespace

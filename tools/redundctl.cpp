@@ -40,6 +40,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -188,6 +189,17 @@ std::size_t thread_count(const Args& args) {
   return static_cast<std::size_t>(threads);
 }
 
+/// --adversary P: the adversary's share of all assignments, in [0, 1).
+/// Anything else, NaN included, is an error naming the flag.
+double adversary_share(double share) {
+  if (!(share >= 0.0 && share < 1.0)) {
+    std::ostringstream message;
+    message << "--adversary must be in [0, 1), got " << share;
+    throw std::invalid_argument(message.str());
+  }
+  return share;
+}
+
 core::RealizedPlan load_plan(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::invalid_argument("cannot open plan file '" + path + "'");
@@ -265,9 +277,9 @@ int cmd_simulate(const Args& args) {
                                 std::to_string(config.replicas));
   }
   config.master_seed = static_cast<std::uint64_t>(args.integer("seed", 1));
-  const core::RealizedPlan plan = load_plan(args.require("plan"));
   sim::AdversaryConfig adversary;
-  adversary.proportion = args.number("adversary");
+  adversary.proportion = adversary_share(args.number("adversary"));
+  const core::RealizedPlan plan = load_plan(args.require("plan"));
   adversary.strategy = parse_strategy(args.get("strategy").value_or("always"));
   if (adversary.strategy == sim::CheatStrategy::kExactTuple) {
     adversary.tuple_size = 2;
@@ -382,7 +394,7 @@ int cmd_run_async(const Args& args) {
 int cmd_budget(const Args& args) {
   const double tasks = args.number("tasks");
   const double budget = args.number("budget");
-  const double p = args.number("adversary", 0.0);
+  const double p = adversary_share(args.number("adversary", 0.0));
 
   const double affordable = core::balanced_level_for_budget(tasks, budget);
   std::cout << "affordable asymptotic level: " << rep::fixed(affordable, 4)
