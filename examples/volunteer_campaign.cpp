@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
   base.honest_participants = honest;
   base.sybil_identities = sybils;
   base.strategy = redund::sim::CheatStrategy::kAlwaysCheat;
-  base.resolution = plat::Resolution::kRecompute;
 
   rep::Table table({"campaign", "units dealt", "cheat attempts",
                     "detections", "ALARM", "blacklisted", "requeued",

@@ -41,10 +41,6 @@ double Distribution::redundancy_factor() const noexcept {
   return task_count_ > 0.0 ? total_assignments_ / task_count_ : 0.0;
 }
 
-double Distribution::proportion_at(std::int64_t multiplicity) const noexcept {
-  return task_count_ > 0.0 ? tasks_at(multiplicity) / task_count_ : 0.0;
-}
-
 Distribution Distribution::scaled(double factor) const {
   if (!(factor >= 0.0)) {
     throw std::invalid_argument("Distribution::scaled: factor must be >= 0");

@@ -50,9 +50,6 @@ class Distribution {
   /// Returns 0 for the empty distribution.
   [[nodiscard]] double redundancy_factor() const noexcept;
 
-  /// Proportion of tasks with multiplicity `multiplicity`.
-  [[nodiscard]] double proportion_at(std::int64_t multiplicity) const noexcept;
-
   /// Human-readable label (e.g. "balanced(eps=0.5)").
   [[nodiscard]] const std::string& label() const noexcept { return label_; }
   void set_label(std::string label) { label_ = std::move(label); }

@@ -7,46 +7,17 @@ namespace redund::math {
 
 namespace {
 
+constexpr double kXTolerance = 1e-12;  ///< Stop at a bracket this narrow.
+constexpr int kMaxIterations = 200;    ///< Cap on function evaluations.
+
 bool brackets_root(double f_lo, double f_hi) noexcept {
   return (f_lo <= 0.0 && f_hi >= 0.0) || (f_lo >= 0.0 && f_hi <= 0.0);
 }
 
 }  // namespace
 
-std::optional<RootResult> bisect(const std::function<double(double)>& f,
-                                 double lo, double hi,
-                                 const RootOptions& options) {
-  if (!(lo <= hi)) return std::nullopt;
-  double f_lo = f(lo);
-  double f_hi = f(hi);
-  if (!brackets_root(f_lo, f_hi)) return std::nullopt;
-
-  RootResult result;
-  for (result.iterations = 0; result.iterations < options.max_iterations;
-       ++result.iterations) {
-    const double mid = lo + 0.5 * (hi - lo);
-    const double f_mid = f(mid);
-    result.x = mid;
-    result.f_of_x = f_mid;
-    if (std::abs(f_mid) <= options.f_tolerance ||
-        (hi - lo) * 0.5 <= options.x_tolerance) {
-      result.converged = true;
-      return result;
-    }
-    if (brackets_root(f_lo, f_mid)) {
-      hi = mid;
-      f_hi = f_mid;
-    } else {
-      lo = mid;
-      f_lo = f_mid;
-    }
-  }
-  return result;
-}
-
 std::optional<RootResult> brent(const std::function<double(double)>& f,
-                                double lo, double hi,
-                                const RootOptions& options) {
+                                double lo, double hi) {
   double a = lo;
   double b = hi;
   double fa = f(a);
@@ -62,12 +33,9 @@ std::optional<RootResult> brent(const std::function<double(double)>& f,
   bool used_bisection = true;
 
   RootResult result;
-  for (result.iterations = 0; result.iterations < options.max_iterations;
-       ++result.iterations) {
+  for (int iteration = 0; iteration < kMaxIterations; ++iteration) {
     result.x = b;
-    result.f_of_x = fb;
-    if (fb == 0.0 || std::abs(fb) <= options.f_tolerance ||
-        std::abs(b - a) <= options.x_tolerance) {
+    if (fb == 0.0 || std::abs(b - a) <= kXTolerance) {
       result.converged = true;
       return result;
     }

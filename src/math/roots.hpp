@@ -1,4 +1,4 @@
-// Scalar root finding (bisection and Brent's method).
+// Scalar root finding (Brent's method).
 //
 // Used by the planner facade to invert monotone relationships the paper
 // states in closed form only one way — e.g. finding the detection level
@@ -12,33 +12,19 @@
 
 namespace redund::math {
 
-/// Options controlling the termination of a root search.
-struct RootOptions {
-  double x_tolerance = 1e-12;    ///< Stop when the bracket is this narrow.
-  double f_tolerance = 0.0;      ///< Also stop when |f(x)| <= f_tolerance.
-  int max_iterations = 200;      ///< Hard cap on function evaluations.
-};
-
 /// Result of a root search.
 struct RootResult {
   double x = 0.0;          ///< Best estimate of the root.
-  double f_of_x = 0.0;     ///< Residual at x.
-  int iterations = 0;      ///< Iterations consumed.
   bool converged = false;  ///< True when a tolerance was met within budget.
 };
 
-/// Bisection on [lo, hi]. Requires f(lo) and f(hi) to have opposite signs
-/// (a zero endpoint counts); returns std::nullopt when the bracket is invalid.
-/// Converges unconditionally at one bit per iteration.
-[[nodiscard]] std::optional<RootResult> bisect(
-    const std::function<double(double)>& f, double lo, double hi,
-    const RootOptions& options = {});
-
 /// Brent's method on [lo, hi]: inverse-quadratic / secant steps with a
 /// bisection safety net; superlinear on smooth functions, never worse than
-/// bisection. Same bracketing contract as bisect().
+/// bisection. Requires f(lo) and f(hi) to have opposite signs (a zero
+/// endpoint counts); returns std::nullopt when the bracket is invalid.
+/// Stops at an exact zero or once the bracket is at most 1e-12 wide, after
+/// at most 200 steps.
 [[nodiscard]] std::optional<RootResult> brent(
-    const std::function<double(double)>& f, double lo, double hi,
-    const RootOptions& options = {});
+    const std::function<double(double)>& f, double lo, double hi);
 
 }  // namespace redund::math

@@ -3,11 +3,11 @@
 //
 // The key property for this library is *schedule-independent determinism*:
 // work is decomposed into blocks whose layout depends only on the iteration
-// count — never on the pool size — and parallel_reduce combines per-block
-// partial results in ascending block order on the calling thread. The
-// floating-point (and byte-level) result is therefore identical for any
-// thread count — a requirement for reproducing the paper's Monte Carlo
-// numbers exactly across machines.
+// count — never on the pool size — and parallel_reduce_blocks combines
+// per-block partial results in ascending block order on the calling
+// thread. The floating-point (and byte-level) result is therefore
+// identical for any thread count — a requirement for reproducing the
+// paper's Monte Carlo numbers exactly across machines.
 //
 // Scheduling is dynamic: blocks are claimed from an atomic ticket counter,
 // so a slow block (straggler replica, NUMA miss) never idles the other
@@ -123,8 +123,7 @@ void parallel_for(ThreadPool& pool, std::size_t count, Body&& body) {
 /// partial of type T per block; partials are folded with combine(T, T) in
 /// ascending block order on the calling thread. Because the block layout is
 /// a pure function of `count`, the result is byte-identical for any pool
-/// size. This is the zero-per-item-overhead entry point for kernels that
-/// carry per-thread scratch state across a whole block (see
+/// size. Kernels carry per-thread scratch state across a whole block (see
 /// sim::run_monte_carlo).
 template <typename T, typename MapBlock, typename Combine>
 [[nodiscard]] T parallel_reduce_blocks(ThreadPool& pool, std::size_t count,
@@ -144,25 +143,6 @@ template <typename T, typename MapBlock, typename Combine>
     result = combine(std::move(result), std::move(*partial));
   }
   return result;
-}
-
-/// Deterministic map-reduce: computes combine(..., map(i), ...) over
-/// i in [0, count). `map(i)` returns a value of type T; partial results per
-/// block are folded with `combine(T, T)` in ascending block order, so the
-/// result does not depend on the pool size or scheduling.
-template <typename T, typename Map, typename Combine>
-[[nodiscard]] T parallel_reduce(ThreadPool& pool, std::size_t count, T identity,
-                                Map&& map, Combine&& combine) {
-  return parallel_reduce_blocks<T>(
-      pool, count, identity,
-      [identity, &map, &combine](std::size_t begin, std::size_t end) {
-        T partial = identity;
-        for (std::size_t i = begin; i < end; ++i) {
-          partial = combine(std::move(partial), map(i));
-        }
-        return partial;
-      },
-      combine);
 }
 
 }  // namespace redund::parallel

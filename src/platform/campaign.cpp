@@ -1,7 +1,6 @@
 #include "platform/campaign.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -148,74 +147,39 @@ CampaignReport run_campaign_round(const CampaignConfig& config,
   // --- Verify phase. Returns the identities caught submitting a value the
   // supervisor concluded was wrong; fills per-task accepted values.
   std::vector<std::uint64_t> accepted(task_count, 0);
-  std::vector<char> task_resolved(task_count, 0);
   std::set<ParticipantId> flagged;
 
   const auto verify_task = [&](std::size_t t, bool allow_flagging) {
     const std::uint64_t truth = truth_value(round_seed, static_cast<std::int64_t>(t));
     const std::span<const std::uint32_t> unit_indices = scheduler.run(t);
 
-    if (scheduler.is_ringer(t)) {
-      // The supervisor knows the answer outright.
-      accepted[t] = truth;
-      task_resolved[t] = 1;
-      bool caught = false;
+    const bool ringer = scheduler.is_ringer(t);
+    if (!ringer) {
+      bool all_equal = true;
       for (const std::uint32_t u : unit_indices) {
-        if (values[u] != truth) {
-          caught = true;
-          if (allow_flagging) flagged.insert(scheduler.assignee_of(u));
-        }
+        all_equal &= values[u] == values[unit_indices.front()];
       }
-      if (caught) ++report.ringer_catches;
-      return;
-    }
-
-    bool all_equal = true;
-    for (const std::uint32_t u : unit_indices) {
-      all_equal &= values[u] == values[unit_indices.front()];
-    }
-    if (all_equal) {
-      accepted[t] = values[unit_indices.front()];
-      task_resolved[t] = 1;
-      ++report.accepted_clean;
-      return;
-    }
-
-    ++report.mismatches_detected;
-    std::uint64_t resolved = 0;
-    if (config.resolution == Resolution::kRecompute) {
+      if (all_equal) {
+        accepted[t] = values[unit_indices.front()];
+        ++report.accepted_clean;
+        return;
+      }
+      ++report.mismatches_detected;
       ++report.supervisor_recomputes;
-      resolved = truth;
-    } else {
-      // Majority vote; recompute on ties.
-      std::map<std::uint64_t, int> votes;
-      for (const std::uint32_t u : unit_indices) ++votes[values[u]];
-      int best = 0;
-      bool tie = false;
-      for (const auto& [value, count] : votes) {
-        if (count > best) {
-          best = count;
-          resolved = value;
-          tie = false;
-        } else if (count == best) {
-          tie = true;
-        }
-      }
-      if (tie) {
-        ++report.supervisor_recomputes;
-        resolved = truth;
+    }
+
+    // A ringer's answer is known outright and a contested task is
+    // recomputed: the truth is accepted, and every copy that differs from
+    // it is caught.
+    accepted[t] = truth;
+    bool caught = false;
+    for (const std::uint32_t u : unit_indices) {
+      if (values[u] != truth) {
+        caught = true;
+        if (allow_flagging) flagged.insert(scheduler.assignee_of(u));
       }
     }
-    accepted[t] = resolved;
-    task_resolved[t] = 1;
-    if (allow_flagging) {
-      for (const std::uint32_t u : unit_indices) {
-        if (values[u] != resolved) {
-          flagged.insert(scheduler.assignee_of(u));
-          if (values[u] == truth) ++report.false_accusations;
-        }
-      }
-    }
+    if (ringer && caught) ++report.ringer_catches;
   };
   for (std::size_t t = 0; t < task_count; ++t) verify_task(t, true);
 

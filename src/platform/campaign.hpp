@@ -5,8 +5,8 @@
 // This is the operational layer the paper assumes around its mathematics:
 // a supervisor distributes a realized redundancy plan to honest volunteers
 // and adversary-controlled Sybil identities, collects result values,
-// verifies by copy agreement (plus ringer ground truth), resolves
-// mismatches by a configurable policy, and — per the paper's Section 1
+// verifies by copy agreement (plus ringer ground truth), recomputes every
+// task whose copies disagree, and — per the paper's Section 1
 // caveat that detection "alerts the supervisor to the presence of an active
 // adversary, allowing for potential reactive measures" — optionally
 // blacklists caught identities and reassigns their outstanding work.
@@ -29,12 +29,6 @@
 
 namespace redund::platform {
 
-/// How the supervisor resolves a task whose copies disagree.
-enum class Resolution {
-  kRecompute,     ///< Supervisor recomputes the task itself (trusted, costly).
-  kMajorityVote,  ///< Accept the plurality value; recompute only on ties.
-};
-
 /// Campaign parameters.
 struct CampaignConfig {
   core::RealizedPlan plan;              ///< What to distribute.
@@ -43,7 +37,6 @@ struct CampaignConfig {
   sim::CheatStrategy strategy = sim::CheatStrategy::kAlwaysCheat;
   std::int64_t tuple_size = 1;          ///< For the tuple strategies.
   double benign_error_rate = 0.0;       ///< Honest per-unit error probability.
-  Resolution resolution = Resolution::kRecompute;
   bool reactive = true;                 ///< Blacklist + reassign on detection.
   std::uint64_t seed = 0xCA4461D;
 };
@@ -65,7 +58,6 @@ struct CampaignReport {
   std::int64_t final_correct_tasks = 0;
   std::int64_t final_corrupt_tasks = 0;  ///< Wrong value in accepted output.
   std::int64_t adversary_cheat_attempts = 0;
-  std::int64_t false_accusations = 0;    ///< Honest identities blacklisted.
 
   [[nodiscard]] bool alarm_fired() const noexcept {
     return mismatches_detected + ringer_catches > 0;

@@ -92,12 +92,6 @@ std::string fixed(double value, int digits) {
   return buffer;
 }
 
-std::string scientific(double value, int digits) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*e", digits, value);
-  return buffer;
-}
-
 std::string with_commas(std::int64_t value) {
   const bool negative = value < 0;
   std::string digits = std::to_string(negative ? -value : value);

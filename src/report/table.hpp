@@ -38,9 +38,6 @@ class Table {
 /// Fixed-precision double formatting ("%.*f").
 [[nodiscard]] std::string fixed(double value, int digits = 4);
 
-/// Scientific formatting for very small probabilities ("%.*e").
-[[nodiscard]] std::string scientific(double value, int digits = 3);
-
 /// Integers with thousands separators ("1,000,000").
 [[nodiscard]] std::string with_commas(std::int64_t value);
 

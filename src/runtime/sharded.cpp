@@ -1,6 +1,7 @@
 #include "runtime/sharded.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <stdexcept>
 #include <type_traits>
 
@@ -138,14 +139,13 @@ RuntimeReport ShardedSupervisor::resume(parallel::ThreadPool& pool) const {
 
 RuntimeReport ShardedSupervisor::resume_shard_(std::size_t s) const {
   const RuntimeConfig& config = configs_[s];
-  try {
-    return resume_async_campaign(config);
-  } catch (const std::runtime_error&) {
-    // Own journal missing or unusable. Resume re-runs the shard from its
-    // seed anyway, so a plain run yields the same bytes; only the
-    // verification against the lost journal is forgone.
+  // A lost journal: resume re-runs the shard from its seed anyway, so a
+  // plain run yields the same bytes; only the verification is forgone. A
+  // journal that exists is verified, and a foreign or diverging one throws.
+  if (!std::filesystem::exists(config.journal.path)) {
+    return run_async_campaign(config);
   }
-  return run_async_campaign(config);
+  return resume_async_campaign(config);
 }
 
 RuntimeReport ShardedSupervisor::merge(

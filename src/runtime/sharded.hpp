@@ -65,11 +65,12 @@ class ShardedSupervisor {
   [[nodiscard]] RuntimeReport run(parallel::ThreadPool& pool) const;
 
   /// Resumes every shard from its journal and merges. A shard whose
-  /// journal is missing or unusable is re-run from its seed instead:
-  /// resume re-runs from the seed as well, so the merged report is
-  /// bit-identical to run()'s either way, and losing any number of
-  /// journal files costs only their verification. A journal that
-  /// diverges from the re-run is also unusable and is replaced. Throws
+  /// journal file does not exist is re-run from its seed instead: resume
+  /// re-runs from the seed as well, so the merged report is bit-identical
+  /// to run()'s either way, and losing any number of journal files costs
+  /// only their verification. A journal that exists must verify: one of
+  /// another config or seed, or one the re-run diverges from, throws
+  /// std::runtime_error as resume_async_campaign does. Throws
   /// std::invalid_argument when journaling is not configured. Like run(),
   /// safe to call from inside a pool job.
   [[nodiscard]] RuntimeReport resume(parallel::ThreadPool& pool) const;

@@ -58,82 +58,6 @@ void ensure_width(ReplicaResult& result, std::int64_t max_multiplicity) {
   }
 }
 
-/// Per-task held-copy counts via sequential conditional hypergeometric
-/// sampling: after deciding tasks 0..t-1, task t's held count given the
-/// remaining picks is Hypergeometric(remaining pool, m_t, remaining picks).
-/// Tasks are numbered in class order (see Workload).
-void sample_held_hypergeometric(const Workload& workload, std::int64_t picks,
-                                rng::Xoshiro256StarStar& engine,
-                                std::vector<std::int64_t>& held) {
-  std::int64_t remaining_pool = workload.total_assignments();
-  std::int64_t remaining_picks = picks;
-  held.assign(static_cast<std::size_t>(workload.task_count()), 0);
-  std::size_t t = 0;
-  for (const TaskClass& cls : workload.classes()) {
-    const std::int64_t m = cls.multiplicity;
-    for (std::int64_t i = 0; i < cls.count; ++i, ++t) {
-      if (remaining_picks <= 0) return;
-      const std::int64_t h =
-          rng::hypergeometric(remaining_pool, m, remaining_picks, engine);
-      held[t] = h;
-      remaining_pool -= m;
-      remaining_picks -= h;
-    }
-  }
-}
-
-/// Per-task held-copy counts by materializing the assignment pool and
-/// sampling a uniform w-subset with partial Fisher-Yates. The pool buffer
-/// is caller-owned scratch, rebuilt in place without reallocation.
-void sample_held_pool(const Workload& workload, std::int64_t picks,
-                      rng::Xoshiro256StarStar& engine,
-                      std::vector<std::int64_t>& held,
-                      std::vector<std::uint32_t>& pool) {
-  pool.clear();
-  pool.reserve(static_cast<std::size_t>(workload.total_assignments()));
-  std::uint32_t t = 0;
-  for (const TaskClass& cls : workload.classes()) {
-    for (std::int64_t i = 0; i < cls.count; ++i, ++t) {
-      pool.insert(pool.end(), static_cast<std::size_t>(cls.multiplicity), t);
-    }
-  }
-  held.assign(static_cast<std::size_t>(workload.task_count()), 0);
-  const auto n = static_cast<std::uint64_t>(pool.size());
-  const auto w = static_cast<std::uint64_t>(picks);
-  for (std::uint64_t i = 0; i < w && i < n; ++i) {
-    const std::uint64_t j = i + rng::uniform_below(n - i, engine);
-    std::swap(pool[i], pool[j]);
-    ++held[pool[i]];
-  }
-}
-
-/// Verification pass over per-task held counts (the two per-task kernels).
-void tally_per_task(ReplicaResult& result, const Workload& workload,
-                    const AdversaryConfig& adversary,
-                    const std::vector<std::int64_t>& held) {
-  std::size_t t = 0;
-  for (const TaskClass& cls : workload.classes()) {
-    for (std::int64_t i = 0; i < cls.count; ++i, ++t) {
-      const std::int64_t h = held[t];
-      if (h < 1) continue;
-      ++result.tasks_held;
-      if (h == cls.multiplicity) ++result.fully_controlled_tasks;
-      if (!adversary.should_cheat(h)) continue;
-
-      ++result.cheat_attempts;
-      ++result.attempts_by_held[static_cast<std::size_t>(h)];
-      // Detection: an honest copy exists, or the supervisor knows the answer.
-      const bool detected = h < cls.multiplicity || cls.is_ringer;
-      if (detected) {
-        ++result.detected_cheats;
-        ++result.detected_by_held[static_cast<std::size_t>(h)];
-      } else {
-        ++result.successful_cheats;
-      }
-    }
-  }
-}
-
 /// Held-count histogram of one exchangeability class: `hist[j]` = number of
 /// tasks of the class of which the adversary holds exactly j copies, given
 /// that she holds `class_picks` of the class's count x m assignments.
@@ -199,10 +123,9 @@ void sample_class_histogram(const TaskClass& cls, std::int64_t class_picks,
 #endif
 }
 
-/// Verification pass over one class's held-count histogram. Identical to
-/// tally_per_task: within a class every task at held level k has the same
-/// multiplicity and ringer flag, so the cheat decision and detection are
-/// all-or-nothing per level.
+/// Verification pass over one class's held-count histogram: within a class
+/// every task at held level k has the same multiplicity and ringer flag, so
+/// the cheat decision and detection are all-or-nothing per level.
 void tally_class(ReplicaResult& result, const TaskClass& cls,
                  const AdversaryConfig& adversary,
                  const std::vector<std::int64_t>& hist) {
@@ -256,7 +179,7 @@ void run_replica_class_aggregated(ReplicaResult& result,
 
 void run_replica_into(ReplicaResult& result, const Workload& workload,
                       const AdversaryConfig& adversary,
-                      rng::Xoshiro256StarStar& engine, Allocation allocation,
+                      rng::Xoshiro256StarStar& engine,
                       ReplicaScratch& scratch) {
   const auto total = workload.total_assignments();
   const auto picks = static_cast<std::int64_t>(
@@ -269,20 +192,8 @@ void run_replica_into(ReplicaResult& result, const Workload& workload,
   result.replicas += 1;
   result.adversary_assignments += picks;
 
-  switch (allocation) {
-    case Allocation::kClassAggregated:
-      run_replica_class_aggregated(result, workload, adversary, picks, engine,
-                                   scratch);
-      break;
-    case Allocation::kPoolShuffle:
-      sample_held_pool(workload, picks, engine, scratch.held, scratch.pool);
-      tally_per_task(result, workload, adversary, scratch.held);
-      break;
-    case Allocation::kSequentialHypergeometric:
-      sample_held_hypergeometric(workload, picks, engine, scratch.held);
-      tally_per_task(result, workload, adversary, scratch.held);
-      break;
-  }
+  run_replica_class_aggregated(result, workload, adversary, picks, engine,
+                               scratch);
 
   if (result.detected_cheats > detected_before) {
     ++result.replicas_with_detection;
@@ -290,16 +201,6 @@ void run_replica_into(ReplicaResult& result, const Workload& workload,
   if (result.successful_cheats > successful_before) {
     ++result.replicas_with_corruption;
   }
-}
-
-ReplicaResult run_replica(const Workload& workload,
-                          const AdversaryConfig& adversary,
-                          rng::Xoshiro256StarStar& engine,
-                          Allocation allocation) {
-  ReplicaResult result;
-  ReplicaScratch scratch;
-  run_replica_into(result, workload, adversary, engine, allocation, scratch);
-  return result;
 }
 
 }  // namespace redund::sim

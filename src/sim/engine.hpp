@@ -8,24 +8,16 @@
 // the supervisor precomputed. A cheat that survives verification is a
 // *successful* cheat: the computation's integrity is broken.
 //
-// Three allocation algorithms produce the identical joint distribution of
-// detection-relevant statistics and are cross-checked in the tests:
-//  * kPoolShuffle — materializes the assignment multiset and samples the
-//    adversary's subset by partial Fisher-Yates; O(total assignments).
-//    Exactness ablation.
-//  * kSequentialHypergeometric — walks the tasks class by class, drawing
-//    each task's held count from the exact conditional hypergeometric law;
-//    O(task count), no pool materialization. Exactness ablation.
-//  * kClassAggregated — tasks with identical (multiplicity, is_ringer) are
-//    exchangeable, so the kernel samples per *class*: an outer multivariate
-//    hypergeometric deals the adversary's picks across classes, and a
-//    nested one builds the held-count histogram within each class.
-//    O(#classes x max_multiplicity^2) per replica — independent of the
-//    task count N. Default.
+// The kernel samples per *class*: tasks with identical (multiplicity,
+// is_ringer) are exchangeable, so an outer multivariate hypergeometric deals
+// the adversary's picks across classes, and a nested one builds the
+// held-count histogram within each class. O(#classes x max_multiplicity^2)
+// per replica — independent of the task count N. The per-task samplers it
+// is checked against live in tests/per_task_kernels.hpp.
 //
 // The hot-path entry point is run_replica_into + ReplicaScratch: counters
-// accumulate into a caller-owned ReplicaResult and all working vectors live
-// in a reusable scratch workspace, so no kernel allocates inside the
+// accumulate into a caller-owned ReplicaResult and the class histogram
+// lives in a reusable scratch workspace, so nothing allocates inside the
 // replica loop.
 #pragma once
 
@@ -38,10 +30,10 @@
 
 namespace redund::sim {
 
-/// How the adversary's assignment subset is sampled.
+/// How the adversary's assignment subset is sampled. The class kernel is
+/// the only one; the enum is kept only so callers that still name it
+/// compile (see the run_replica_into overload that takes it).
 enum class Allocation {
-  kSequentialHypergeometric,
-  kPoolShuffle,
   kClassAggregated,
 };
 
@@ -94,13 +86,11 @@ struct ReplicaResult {
   void merge(const ReplicaResult& other);
 };
 
-/// Reusable per-thread working memory for run_replica_into. Buffers grow to
-/// the workload's high-water mark on first use and are then reused: with a
-/// scratch held across a replica loop, no kernel allocates per replica.
+/// Reusable per-thread working memory for run_replica_into. The buffer
+/// grows to the workload's high-water mark on first use and is then reused:
+/// with a scratch held across a replica loop, no replica allocates.
 struct ReplicaScratch {
-  std::vector<std::int64_t> held;       ///< Per-task held counts (per-task kernels).
-  std::vector<std::uint32_t> pool;      ///< Assignment pool (kPoolShuffle).
-  std::vector<std::int64_t> histogram;  ///< Tasks per held level (kClassAggregated).
+  std::vector<std::int64_t> histogram;  ///< Tasks per held level.
 };
 
 /// Runs one replica of the computation described by `workload` against
@@ -109,14 +99,16 @@ struct ReplicaScratch {
 /// from `scratch`. This is the allocation-free hot path.
 void run_replica_into(ReplicaResult& result, const Workload& workload,
                       const AdversaryConfig& adversary,
-                      rng::Xoshiro256StarStar& engine,
-                      Allocation allocation, ReplicaScratch& scratch);
+                      rng::Xoshiro256StarStar& engine, ReplicaScratch& scratch);
 
-/// Convenience wrapper: runs one replica into a fresh result with its own
-/// scratch. Prefer run_replica_into inside loops.
-[[nodiscard]] ReplicaResult run_replica(
-    const Workload& workload, const AdversaryConfig& adversary,
-    rng::Xoshiro256StarStar& engine,
-    Allocation allocation = Allocation::kClassAggregated);
+/// Same as above; kept only so callers that still pass an Allocation
+/// compile.
+inline void run_replica_into(ReplicaResult& result, const Workload& workload,
+                             const AdversaryConfig& adversary,
+                             rng::Xoshiro256StarStar& engine,
+                             Allocation /*allocation*/,
+                             ReplicaScratch& scratch) {
+  run_replica_into(result, workload, adversary, engine, scratch);
+}
 
 }  // namespace redund::sim

@@ -24,8 +24,7 @@ void require_replicas(const MonteCarloConfig& config, const char* caller) {
 ReplicaResult run_monte_carlo(parallel::ThreadPool& pool,
                               const Workload& workload,
                               const AdversaryConfig& adversary,
-                              const MonteCarloConfig& config,
-                              Allocation allocation) {
+                              const MonteCarloConfig& config) {
   require_replicas(config, "run_monte_carlo");
   if (!(adversary.proportion >= 0.0 && adversary.proportion < 1.0)) {
     throw std::invalid_argument(
@@ -36,8 +35,8 @@ ReplicaResult run_monte_carlo(parallel::ThreadPool& pool,
       pool, static_cast<std::size_t>(config.replicas), ReplicaResult{},
       [&](std::size_t begin, std::size_t end) {
         // One scratch workspace per worker thread, reused across every block
-        // that thread claims: the replica loop is allocation-free once each
-        // buffer hits its high-water mark.
+        // that thread claims: the replica loop is allocation-free once the
+        // histogram hits its high-water mark.
         thread_local ReplicaScratch scratch;
         ReplicaResult partial;
         for (std::size_t replica = begin; replica < end; ++replica) {
@@ -45,8 +44,7 @@ ReplicaResult run_monte_carlo(parallel::ThreadPool& pool,
           // campaign sim), so the wave kernels cannot batch this stream.
           // redund-lint: allow(scalar-draw-in-wave)
           auto engine = rng::make_stream(config.master_seed, replica);
-          run_replica_into(partial, workload, adversary, engine, allocation,
-                           scratch);
+          run_replica_into(partial, workload, adversary, engine, scratch);
         }
         return partial;
       },
@@ -85,9 +83,10 @@ TwoPhaseAggregate run_two_phase_monte_carlo(parallel::ThreadPool& pool,
         rng::bulk_hypergeometric(task_count, adversary_work, adversary_work,
                                  config.master_seed, keys.data(), n,
                                  scratch.data(), overlaps.data());
-        // Fold through one-sample aggregates, exactly as a per-replica
-        // parallel_reduce does: Accumulator's singleton merge and its add()
-        // round differently in the last bit, and the aggregate is pinned.
+        // Fold through one-sample aggregates, exactly as the per-replica
+        // reference fold (tests/two_phase_reference.hpp) does: Accumulator's
+        // singleton merge and its add() round differently in the last bit,
+        // and the aggregate is pinned.
         TwoPhaseAggregate partial;
         for (std::size_t i = 0; i < n; ++i) {
           TwoPhaseAggregate one;

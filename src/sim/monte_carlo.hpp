@@ -28,8 +28,7 @@ struct MonteCarloConfig {
 /// is not in [0, 1).
 [[nodiscard]] ReplicaResult run_monte_carlo(
     parallel::ThreadPool& pool, const Workload& workload,
-    const AdversaryConfig& adversary, const MonteCarloConfig& config,
-    Allocation allocation = Allocation::kClassAggregated);
+    const AdversaryConfig& adversary, const MonteCarloConfig& config);
 
 /// Aggregated two-phase results (Appendix A).
 struct TwoPhaseAggregate {

@@ -18,7 +18,7 @@ namespace redund::sim {
 /// One equivalence class of tasks: all tasks sharing (multiplicity,
 /// is_ringer) are exchangeable under the adversary's uniform pick of
 /// assignments, so per-replica sampling can work on classes instead of
-/// tasks (Allocation::kClassAggregated — O(#classes), not O(N)).
+/// tasks (sim/engine.hpp — O(#classes), not O(N)).
 struct TaskClass {
   std::int64_t multiplicity = 0;  ///< Copies of each task in the pool.
   bool is_ringer = false;         ///< Supervisor precomputed the answer.

@@ -3,7 +3,8 @@
 // Monte Carlo replicas produce per-replica observations (e.g. "was the
 // adversary detected", "how many tasks were fully controlled"). Each worker
 // accumulates locally and partial accumulators are merged deterministically
-// (Chan et al. parallel update), matching the parallel_reduce contract.
+// (Chan et al. parallel update), matching the parallel_reduce_blocks
+// contract.
 #pragma once
 
 #include <cmath>
@@ -92,23 +93,6 @@ struct Interval {
   return {acc.mean() - half, acc.mean() + half};
 }
 
-/// Wilson score interval for a Bernoulli proportion with `successes` out of
-/// `trials` — better behaved than the Wald interval at proportions near 0/1,
-/// which is exactly where detection probabilities live.
-[[nodiscard]] inline Interval wilson_interval(std::uint64_t successes,
-                                              std::uint64_t trials,
-                                              double z = 1.96) noexcept {
-  if (trials == 0) return {0.0, 1.0};
-  const auto n = static_cast<double>(trials);
-  const double phat = static_cast<double>(successes) / n;
-  const double z2 = z * z;
-  const double denom = 1.0 + z2 / n;
-  const double centre = phat + z2 / (2.0 * n);
-  const double margin =
-      z * std::sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n));
-  return {(centre - margin) / denom, (centre + margin) / denom};
-}
-
 /// Counter for Bernoulli outcomes with convenience accessors.
 class BernoulliCounter {
  public:
@@ -129,10 +113,6 @@ class BernoulliCounter {
     return trials_ > 0
                ? static_cast<double>(successes_) / static_cast<double>(trials_)
                : 0.0;
-  }
-
-  [[nodiscard]] Interval confidence(double z = 1.96) const noexcept {
-    return wilson_interval(successes_, trials_, z);
   }
 
  private:

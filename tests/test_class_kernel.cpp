@@ -18,6 +18,7 @@
 #include "sim/engine.hpp"
 #include "sim/monte_carlo.hpp"
 #include "sim/workload.hpp"
+#include "per_task_kernels.hpp"
 
 namespace core = redund::core;
 namespace sim = redund::sim;
@@ -27,14 +28,12 @@ namespace {
 // Accumulates `replicas` replicas of one kernel into a single result.
 sim::ReplicaResult accumulate(const sim::Workload& workload,
                               const sim::AdversaryConfig& adversary,
-                              sim::Allocation allocation, std::uint64_t seed,
+                              sim::Kernel kernel, std::uint64_t seed,
                               std::int64_t replicas) {
   sim::ReplicaResult result;
-  sim::ReplicaScratch scratch;
   for (std::int64_t r = 0; r < replicas; ++r) {
     auto engine = redund::rng::make_stream(seed, static_cast<std::uint64_t>(r));
-    sim::run_replica_into(result, workload, adversary, engine, allocation,
-                          scratch);
+    sim::run_kernel_into(result, workload, adversary, engine, kernel);
   }
   return result;
 }
@@ -92,10 +91,10 @@ TEST(ClassKernel, MatchesHypergeometricKernelChiSquare) {
       .proportion = 0.25, .strategy = sim::CheatStrategy::kAlwaysCheat};
   constexpr std::int64_t kReplicas = 400;
   const auto aggregated = accumulate(workload, adversary,
-                                     sim::Allocation::kClassAggregated, 1234,
+                                     sim::Kernel::kClassAggregated, 1234,
                                      kReplicas);
   const auto per_task = accumulate(workload, adversary,
-                                   sim::Allocation::kSequentialHypergeometric,
+                                   sim::Kernel::kSequentialHypergeometric,
                                    5678, kReplicas);
   // ~4 pooled cells after merging small ones -> df ~ 3; chi-square beyond 30
   // has p < 1e-5. (Both sides are random, inflating the statistic ~2x over
@@ -115,10 +114,10 @@ TEST(ClassKernel, MatchesPoolShuffleKernelChiSquare) {
       .proportion = 0.3, .strategy = sim::CheatStrategy::kAlwaysCheat};
   constexpr std::int64_t kReplicas = 400;
   const auto aggregated = accumulate(workload, adversary,
-                                     sim::Allocation::kClassAggregated, 24,
+                                     sim::Kernel::kClassAggregated, 24,
                                      kReplicas);
   const auto pool = accumulate(workload, adversary,
-                               sim::Allocation::kPoolShuffle, 42, kReplicas);
+                               sim::Kernel::kPoolShuffle, 42, kReplicas);
   EXPECT_LT(chi_square(aggregated.attempts_by_held, pool.attempts_by_held),
             30.0);
   EXPECT_NEAR(aggregated.detection_rate(), pool.detection_rate(), 0.02);
@@ -139,7 +138,7 @@ TEST(ClassKernel, MatchesClosedFormBalancedDetection) {
   const sim::AdversaryConfig adversary{
       .proportion = 0.15, .strategy = sim::CheatStrategy::kAlwaysCheat};
   const auto result = accumulate(workload, adversary,
-                                 sim::Allocation::kClassAggregated, 99, 60);
+                                 sim::Kernel::kClassAggregated, 99, 60);
   const double expected = core::balanced_detection(eps, adversary.proportion);
   for (std::int64_t k = 1; k <= 2; ++k) {
     const auto attempts = result.attempts_by_held[static_cast<std::size_t>(k)];
@@ -161,8 +160,7 @@ TEST(ClassKernel, ConservesAssignmentsAcrossHistogram) {
   sim::ReplicaScratch scratch;
   auto engine = redund::rng::make_stream(7, 7);
   for (int r = 0; r < 25; ++r) {
-    sim::run_replica_into(result, workload, adversary, engine,
-                          sim::Allocation::kClassAggregated, scratch);
+    sim::run_replica_into(result, workload, adversary, engine, scratch);
   }
   std::int64_t weighted = 0;
   for (std::size_t k = 1; k < result.attempts_by_held.size(); ++k) {
@@ -183,8 +181,7 @@ TEST(ClassKernel, MonteCarloByteIdenticalAcrossPoolSizes) {
   std::vector<sim::ReplicaResult> results;
   for (const std::size_t pool_size : {1u, 2u, 8u}) {
     redund::parallel::ThreadPool pool(pool_size);
-    results.push_back(sim::run_monte_carlo(pool, workload, adversary, config,
-                                           sim::Allocation::kClassAggregated));
+    results.push_back(sim::run_monte_carlo(pool, workload, adversary, config));
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
     EXPECT_EQ(results[0].replicas, results[i].replicas);
@@ -209,24 +206,24 @@ TEST(ClassKernel, AllocationsPinnedOnMixedWorkload) {
   // Exact counters of 200 replicas per kernel, recorded once: the sampler
   // and the per-task ablations' task walk must not move one draw.
   struct Pinned {
-    sim::Allocation allocation;
+    sim::Kernel kernel;
     std::int64_t tasks_held, cheat_attempts, detected_cheats,
         successful_cheats, fully_controlled_tasks;
     std::vector<std::int64_t> attempts_by_held, detected_by_held;
   };
   const std::vector<Pinned> pinned{
-      {sim::Allocation::kClassAggregated, 62180, 62180, 44167, 18013, 18143,
+      {sim::Kernel::kClassAggregated, 62180, 62180, 44167, 18013, 18143,
        {0, 50111, 10476, 1440, 148, 5}, {0, 35033, 8014, 972, 148, 0}},
-      {sim::Allocation::kSequentialHypergeometric, 62000, 62000, 44026, 17974,
+      {sim::Kernel::kSequentialHypergeometric, 62000, 62000, 44026, 17974,
        18094, {0, 49795, 10586, 1454, 154, 11}, {0, 34783, 8103, 986, 154, 0}},
-      {sim::Allocation::kPoolShuffle, 62075, 62075, 44060, 18015, 18148,
+      {sim::Kernel::kPoolShuffle, 62075, 62075, 44060, 18015, 18148,
        {0, 50002, 10397, 1515, 146, 15}, {0, 34941, 7938, 1035, 146, 0}},
   };
   const auto workload = mixed_workload();
   const sim::AdversaryConfig adversary{
       .proportion = 0.25, .strategy = sim::CheatStrategy::kAlwaysCheat};
   for (const Pinned& p : pinned) {
-    const auto result = accumulate(workload, adversary, p.allocation, 2026, 200);
+    const auto result = accumulate(workload, adversary, p.kernel, 2026, 200);
     EXPECT_EQ(result.replicas, 200);
     EXPECT_EQ(result.adversary_assignments, 76000);
     EXPECT_EQ(result.tasks_held, p.tasks_held);
@@ -253,10 +250,8 @@ TEST(ClassKernel, ScratchReuseMatchesFreshScratch) {
     auto e1 = redund::rng::make_stream(11, r);
     auto e2 = redund::rng::make_stream(11, r);
     sim::ReplicaResult hot;
-    sim::run_replica_into(hot, workload, adversary, e1,
-                          sim::Allocation::kClassAggregated, reused);
-    const auto fresh = sim::run_replica(workload, adversary, e2,
-                                        sim::Allocation::kClassAggregated);
+    sim::run_replica_into(hot, workload, adversary, e1, reused);
+    const auto fresh = sim::run_replica(workload, adversary, e2);
     EXPECT_EQ(hot.attempts_by_held, fresh.attempts_by_held);
     EXPECT_EQ(hot.detected_by_held, fresh.detected_by_held);
     EXPECT_EQ(hot.tasks_held, fresh.tasks_held);

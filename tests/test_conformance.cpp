@@ -12,13 +12,19 @@
 // p from it reads some 20 standard errors high on a correct runtime.
 // Ringer tasks are accepted against the supervisor's own answer, so they
 // count in neither total and are left out of the prediction too.
+//
+// The clock is checked the same way: on a multiplicity-1 plan with an
+// honest, homogeneous fleet, the makespan over thirty seeds must sit
+// within 4 standard errors of its closed-form mean.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 
 #include "core/planner.hpp"
+#include "math/poisson.hpp"
 #include "runtime/supervisor.hpp"
+#include "stats/accumulator.hpp"
 
 namespace core = redund::core;
 namespace runtime = redund::runtime;
@@ -108,6 +114,59 @@ TEST(Conformance, MinAssignmentMatchesClosedForms) {
 
 TEST(Conformance, MinMultiplicityMatchesClosedForms) {
   expect_conforms(core::Scheme::kMinMultiplicity);
+}
+
+// Push, homogeneous: U = 15,000 tasks at multiplicity 1 dealt round-robin
+// to P = 100 honest participants give each exactly 150 units. With no
+// stragglers, dropout, speed spread, deadline, replicas or reaction, each
+// participant serves its units one after another, each an Exp(1) demand,
+// so the makespan is the largest of P independent Gamma(150, 1) sums:
+// E[makespan] = ∫₀^∞ 1 − F(t)^P dt, with F(t) = P[Gamma(150, 1) <= t] =
+// P[Poisson(t) >= 150].
+TEST(ClockConformance, PushHomogeneousMakespanMatchesMaxOfGammas) {
+  constexpr std::int64_t kUnits = 15'000;
+  constexpr std::int64_t kParticipants = 100;
+  constexpr std::int64_t kPerParticipant = kUnits / kParticipants;
+  constexpr std::uint64_t kClockSeeds = 30;
+
+  // Simpson's rule on [0, 400]: the integrand is 1 to within 1e-300 under
+  // t = 60 and below 1e-19 past t = 300.
+  constexpr int kSteps = 8'000;
+  constexpr double kUpper = 400.0;
+  const auto survival = [](double t) {
+    return 1.0 - std::pow(redund::math::poisson_upper_tail(t, kPerParticipant),
+                          static_cast<double>(kParticipants));
+  };
+  const double h = kUpper / kSteps;
+  double simpson = survival(0.0) + survival(kUpper);
+  for (int i = 1; i < kSteps; ++i) {
+    simpson += (i % 2 == 1 ? 4.0 : 2.0) * survival(i * h);
+  }
+  const double expected = simpson * h / 3.0;
+
+  runtime::RuntimeConfig config;
+  config.plan.counts = {kUnits};
+  config.plan.task_count = kUnits;
+  config.plan.work_assignments = kUnits;
+  config.honest_participants = kParticipants;
+  config.sybil_identities = 0;
+  config.reactive = false;
+  config.adaptive.enabled = false;
+  config.latency.straggler_fraction = 0.0;
+  config.latency.dropout_probability = 0.0;
+  config.latency.speed_sigma = 0.0;
+  config.retry.deadline = 1e9;
+  redund::stats::Accumulator makespan;
+  for (std::uint64_t seed = 1; seed <= kClockSeeds; ++seed) {
+    config.seed = seed;
+    const runtime::RuntimeReport report = runtime::run_async_campaign(config);
+    ASSERT_EQ(report.outcome, runtime::CampaignOutcome::kCompleted);
+    ASSERT_EQ(report.units_issued, kUnits) << "seed " << seed;
+    makespan.add(report.makespan);
+  }
+  EXPECT_NEAR(makespan.mean(), expected, kMaxZ * makespan.sem())
+      << "makespan " << makespan.mean() << " +- " << makespan.sem()
+      << " vs E[max] " << expected;
 }
 
 }  // namespace

@@ -34,7 +34,6 @@ TEST(Distribution, BasicAccounting) {
   EXPECT_DOUBLE_EQ(d.redundancy_factor(), 23.0 / 16.0);
   EXPECT_DOUBLE_EQ(d.tasks_at(2), 5.0);
   EXPECT_DOUBLE_EQ(d.tasks_at(4), 0.0);
-  EXPECT_DOUBLE_EQ(d.proportion_at(1), 10.0 / 16.0);
 }
 
 TEST(Distribution, TrailingZerosTrimmed) {

@@ -13,6 +13,7 @@
 
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
+#include "parallel_reduce.hpp"
 
 namespace p = redund::parallel;
 

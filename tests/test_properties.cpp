@@ -22,6 +22,7 @@
 #include "rng/distributions.hpp"
 #include "rng/engines.hpp"
 #include "sim/engine.hpp"
+#include "per_task_kernels.hpp"
 
 namespace core = redund::core;
 namespace sim = redund::sim;
@@ -197,9 +198,9 @@ TEST(AllocationAgreement, HeldCountHistogramsMatch) {
     auto e1 = redund::rng::make_stream(900, r);
     auto e2 = redund::rng::make_stream(901, r);
     const auto a = sim::run_replica(
-        workload, adversary, e1, sim::Allocation::kSequentialHypergeometric);
+        workload, adversary, e1, sim::Kernel::kSequentialHypergeometric);
     const auto b =
-        sim::run_replica(workload, adversary, e2, sim::Allocation::kPoolShuffle);
+        sim::run_replica(workload, adversary, e2, sim::Kernel::kPoolShuffle);
     // Compare the attempts-by-held profiles across all tasks.
     add_profile(hyper, a.attempts_by_held);
     add_profile(pool, b.attempts_by_held);

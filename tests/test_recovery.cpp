@@ -60,17 +60,37 @@ void write_file(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
+/// Calls `resume` and expects std::runtime_error whose message contains
+/// `reason`.
+template <typename Resume>
+void expect_refusal(Resume&& resume, const std::string& reason) {
+  try {
+    (void)resume();
+    ADD_FAILURE() << "resume accepted a journal it must refuse: " << reason;
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(reason), std::string::npos)
+        << error.what();
+  }
+}
+
 /// Resumes `config` and expects std::runtime_error naming a replay
 /// divergence.
 void expect_divergence(const runtime::RuntimeConfig& config) {
-  try {
-    (void)runtime::resume_async_campaign(config);
-    ADD_FAILURE() << "resume accepted a tampered journal";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("journal replay divergence"),
-              std::string::npos)
-        << error.what();
-  }
+  expect_refusal([&] { return runtime::resume_async_campaign(config); },
+                 "journal replay divergence");
+}
+
+/// Flips the last digit of the last H record's digest in the journal at
+/// `path`.
+void flip_last_digest(const std::string& path) {
+  std::string text = read_file(path);
+  const std::size_t line = text.rfind("\nH ");
+  ASSERT_NE(line, std::string::npos);
+  const std::size_t eol = text.find('\n', line + 1);
+  ASSERT_NE(eol, std::string::npos);
+  char& last_digit = text[eol - 1];
+  last_digit = last_digit == '0' ? '1' : '0';
+  write_file(path, text);
 }
 
 // Scenario 1: churn — individual leaves/rejoins plus a correlated
@@ -248,14 +268,8 @@ TEST(CrashRecovery, ForeignJournalIsRejected) {
   ASSERT_EQ(text.rfind("redund-journal-v3 ", 0), 0u);
   text.replace(0, 17, "redund-journal-v2");
   write_file(config.journal.path, text);
-  try {
-    (void)runtime::resume_async_campaign(config);
-    ADD_FAILURE() << "resume accepted a redund-journal-v2 header";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("redund-journal-v2"),
-              std::string::npos)
-        << error.what();
-  }
+  expect_refusal([&] { return runtime::resume_async_campaign(config); },
+                 "redund-journal-v2");
 }
 
 // The digest log is what keeps the re-run honest: a recorded digest the
@@ -268,20 +282,12 @@ TEST(CrashRecovery, TamperedWalTailIsReplayDivergence) {
   ASSERT_FALSE(partial.has_value());
   const std::string original = read_file(config.journal.path);
 
-  // Flip the last digit of the last H record's digest.
-  std::string text = original;
-  const std::size_t line = text.rfind("\nH ");
-  ASSERT_NE(line, std::string::npos);
-  const std::size_t eol = text.find('\n', line + 1);
-  ASSERT_NE(eol, std::string::npos);
-  char& last_digit = text[eol - 1];
-  last_digit = last_digit == '0' ? '1' : '0';
-  write_file(config.journal.path, text);
+  flip_last_digest(config.journal.path);
   expect_divergence(config);
 
   // Move the first H record one event later: whether or not the re-run
   // has a batch boundary there, its digest there differs.
-  text = original;
+  std::string text = original;
   const std::size_t first = text.find("\nH ");
   ASSERT_NE(first, std::string::npos);
   const std::size_t index_end = text.find(' ', first + 3);
@@ -420,6 +426,30 @@ TEST(CrashRecovery, LosingAnyOrAllShardJournalsStillResumesBitIdentical) {
     EXPECT_EQ(rendered(sharded.resume(pool)), expected)
         << "lost shard " << (lost == kShards ? "all" : std::to_string(lost));
   }
+}
+
+// Only a shard journal that does not exist is replaced by a plain run. One
+// that exists must verify: a fleet resumed under another seed, or over a
+// shard journal with one digest byte flipped, throws instead of printing
+// a report.
+TEST(CrashRecovery, ForeignOrDivergingShardJournalIsRefused) {
+  auto base = churn_scenario();
+  base.journal.path = journal_path("shard_foreign");
+  base.journal.checkpoint_interval = 32;
+  constexpr std::int64_t kShards = 2;
+  redund::parallel::ThreadPool pool(2);
+  const runtime::ShardedSupervisor sharded(base, kShards);
+  (void)sharded.run(pool);  // Writes every shard's journal.
+
+  auto wrong_seed = base;
+  wrong_seed.seed ^= 1;
+  const runtime::ShardedSupervisor foreign(wrong_seed, kShards);
+  expect_refusal([&] { return foreign.resume(pool); },
+                 "different config/seed");
+
+  flip_last_digest(sharded.shard_configs()[1].journal.path);
+  expect_refusal([&] { return sharded.resume(pool); },
+                 "journal replay divergence");
 }
 
 TEST(CrashRecovery, ShardedResumeWithoutLossMatchesTheRun) {

@@ -63,10 +63,6 @@ TEST(Format, Fixed) {
   EXPECT_EQ(rep::fixed(-0.5, 1), "-0.5");
 }
 
-TEST(Format, Scientific) {
-  EXPECT_EQ(rep::scientific(0.000123, 2), "1.23e-04");
-}
-
 TEST(CsvExport, ParsesFlagFromArgv) {
   const char* with_flag[] = {"bench", "--csv-dir", "/tmp/out"};
   EXPECT_EQ(rep::csv_directory_from_args(3, with_flag), "/tmp/out");

@@ -16,6 +16,7 @@
 #include "sim/monte_carlo.hpp"
 #include "sim/workload.hpp"
 #include "stats/accumulator.hpp"
+#include "per_task_kernels.hpp"
 
 namespace core = redund::core;
 namespace sim = redund::sim;
@@ -144,10 +145,10 @@ TEST(Engine, AllocationMethodsAgreeInDistribution) {
     auto e2 = redund::rng::make_stream(11, r);
     hyper.add(static_cast<double>(
         sim::run_replica(w, adversary, e1,
-                         sim::Allocation::kSequentialHypergeometric)
+                         sim::Kernel::kSequentialHypergeometric)
             .tasks_held));
     pool.add(static_cast<double>(
-        sim::run_replica(w, adversary, e2, sim::Allocation::kPoolShuffle)
+        sim::run_replica(w, adversary, e2, sim::Kernel::kPoolShuffle)
             .tasks_held));
   }
   // Means within 5 combined standard errors.

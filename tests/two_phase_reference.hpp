@@ -5,15 +5,15 @@
 // hypergeometric pass. The oracles here are the scalar forms it must agree
 // with: a round drawn either as one Hypergeometric(N, w, w) overlap or by
 // materializing phase 2's deal, folded replica by replica through
-// parallel::parallel_reduce.
+// parallel::parallel_reduce (parallel_reduce.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 
-#include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
+#include "parallel_reduce.hpp"
 #include "rng/distributions.hpp"
 #include "rng/engines.hpp"
 #include "sim/monte_carlo.hpp"

@@ -36,6 +36,7 @@
 // budget    answers "what level can I afford", including a robustness margin
 //           against an adversary share p (inverts Prop. 3).
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -122,9 +123,31 @@ class Args {
     return get(key).has_value();
   }
 
+  /// --seed S: a decimal integer, or a hex one after 0x, over the full
+  /// 64-bit range. A sign, a leading zero read as octal, or trailing text
+  /// is never accepted: the whole token must parse, or the error names
+  /// the flag.
+  [[nodiscard]] std::uint64_t seed(std::uint64_t fallback) const {
+    const auto text = get("seed");
+    if (!text) return fallback;
+    const bool hex = text->size() > 2 && (*text)[0] == '0' &&
+                     ((*text)[1] == 'x' || (*text)[1] == 'X');
+    const char* first = text->data() + (hex ? 2 : 0);
+    const char* last = text->data() + text->size();
+    std::uint64_t value = 0;
+    const auto [end, error] =
+        std::from_chars(first, last, value, hex ? 16 : 10);
+    if (error != std::errc{} || end != last) {
+      throw std::invalid_argument(
+          "--seed expects an integer in [0, 2^64), decimal or 0x hex, got '" +
+          *text + "'");
+    }
+    return value;
+  }
+
   /// Parses the value `text` of --key. The whole token must parse: "10k"
   /// or "0.5x" throws naming the flag instead of keeping the leading
-  /// digits. Unsigned values (seeds) also take a 0x prefix.
+  /// digits.
   template <typename T>
   [[nodiscard]] static T parse(const std::string& key,
                                const std::string& text) {
@@ -133,8 +156,6 @@ class Args {
     try {
       if constexpr (std::is_floating_point_v<T>) {
         value = std::stod(text, &used);
-      } else if constexpr (std::is_unsigned_v<T>) {
-        value = std::stoull(text, &used, 0);
       } else {
         value = std::stoll(text, &used);
       }
@@ -276,7 +297,7 @@ int cmd_simulate(const Args& args) {
     throw std::invalid_argument("--replicas must be >= 1, got " +
                                 std::to_string(config.replicas));
   }
-  config.master_seed = static_cast<std::uint64_t>(args.integer("seed", 1));
+  config.master_seed = args.seed(1);
   sim::AdversaryConfig adversary;
   adversary.proportion = adversary_share(args.number("adversary"));
   const core::RealizedPlan plan = load_plan(args.require("plan"));
@@ -341,7 +362,7 @@ int cmd_run_async(const Args& args) {
         args.integer("replan-interval", config.control.replan_interval);
   }
   config.sample_interval = args.number("sample-interval", 0.0);
-  config.seed = static_cast<std::uint64_t>(args.integer("seed", 1));
+  config.seed = args.seed(1);
   if (const auto fault_plan = args.get("fault-plan")) {
     config.faults = runtime::FaultSchedule::load(*fault_plan);
   }
@@ -421,9 +442,7 @@ int cmd_audit(const Args& args) {
   namespace runtime = redund::runtime;
   runtime::AuditOptions options;
   if (args.flag("quick")) options = runtime::quick_audit_options();
-  if (const auto seed = args.get("seed")) {
-    options.seed = Args::parse<std::uint64_t>("seed", *seed);
-  }
+  options.seed = args.seed(options.seed);
   options.target_tasks = args.integer("tasks", options.target_tasks);
   if (const auto scratch = args.get("scratch")) {
     options.scratch_dir = *scratch;
